@@ -65,7 +65,7 @@
 
 use crate::accel::{scan as timing_scan, scan_batch, shard_timings, ScanWorkload};
 use crate::config::{AcceleratorLevel, DeepStoreConfig};
-use crate::engine::{CascadeStats, DbId, Engine, ObjectId};
+use crate::engine::{check_request_shape, CascadeStats, DbId, Engine, ObjectId};
 use crate::error::{DeepStoreError, Result};
 use crate::persist::{ImageManifest, MANIFEST_VERSION};
 use crate::qcache::{lookup_time_for, QueryCache, QueryCacheConfig};
@@ -616,9 +616,10 @@ impl DeepStore {
     /// * [`DeepStoreError::UnknownModel`] for an unloaded model id.
     /// * [`DeepStoreError::LevelUnsupported`] if the requested level
     ///   cannot execute the model (chip level vs ReId).
-    /// * [`DeepStoreError::Flash`] for unknown databases or a query
-    ///   vector that does not match the model
-    ///   ([`FlashError::SizeMismatch`]).
+    /// * [`DeepStoreError::Flash`] for unknown databases, or a query
+    ///   vector that does not match the model or a model that does not
+    ///   match the database's feature size
+    ///   ([`FlashError::SizeMismatch`], raised before any flash traffic).
     pub fn query(&mut self, request: QueryRequest) -> Result<QueryId> {
         let ids = self.query_batch(std::slice::from_ref(&request))?;
         Ok(ids[0])
@@ -683,10 +684,10 @@ impl DeepStore {
                 .arg_u64("requests", requests.len() as u64);
         }
 
-        // Validate everything up front: model ids, databases, level
-        // support. `scan_top_k_batch` runs on `&Engine`, so models,
-        // metadata and config are all borrowed — no per-query clones of
-        // weight tensors or page tables.
+        // Validate everything up front: model ids, databases, request
+        // shapes, level support. `scan_top_k_batch_with` runs on
+        // `&Engine`, so models, metadata and config are all borrowed —
+        // no per-query clones of weight tensors or page tables.
         let mut preps: Vec<(&Model, ScanWorkload)> = Vec::with_capacity(requests.len());
         for req in requests {
             let model_ref = self
@@ -694,6 +695,7 @@ impl DeepStore {
                 .get(&req.model)
                 .ok_or(DeepStoreError::UnknownModel(req.model))?;
             let meta = self.engine.db_meta(req.db)?;
+            check_request_shape(meta, model_ref, &req.qfv)?;
             let layout = DbLayout::new(
                 meta.feature_bytes,
                 meta.num_features,
@@ -1188,7 +1190,11 @@ mod tests {
             assert!(stats.stages.total_ns >= stats.stages.scan_ns);
             assert!(stats.flash.page_reads > 0);
             assert!(stats.metrics.counter("api.queries").is_some());
-            assert!(stats.metrics.counter("engine.scans").is_some());
+            // Every scan group is exactly one flash pass.
+            assert_eq!(
+                stats.metrics.counter("engine.batch_scans"),
+                Some(stats.scan_groups)
+            );
         } else {
             assert_eq!(stats.queries, 0);
             // Flash op counts come from the functional sim, not the
@@ -1528,5 +1534,31 @@ mod tests {
         // Validation rejected the batch before any scan ran.
         let reads_after = store.flash_op_counts().reads;
         assert_eq!(reads_before, reads_after);
+    }
+
+    #[test]
+    fn malformed_query_fails_whole_batch_before_any_flash_traffic() {
+        // Regression: a wrong-length query used to be noticed inside the
+        // scan loop of its own group — after earlier groups had scanned
+        // and filled the query cache — and reported the database's
+        // feature size in both error fields.
+        let (mut store, model, db, mid) = setup("tir", 8);
+        let features: Vec<Tensor> = (0..8).map(|i| model.random_feature(100 + i)).collect();
+        let db2 = store.write_db(&features).unwrap();
+        let good = QueryRequest::new(model.random_feature(0), mid, db).k(2);
+        let bad = QueryRequest::new(Tensor::random(vec![7], 1.0, 0), mid, db2).k(2);
+        let reads_before = store.flash_op_counts().reads;
+        assert_eq!(
+            store.query_batch(&[good.clone(), bad]),
+            Err(DeepStoreError::Flash(FlashError::SizeMismatch {
+                expected: model.feature_bytes(),
+                found: 28,
+            }))
+        );
+        assert_eq!(store.flash_op_counts().reads, reads_before);
+        assert_eq!(store.qc_stats().unwrap().inserts, 0);
+        // The good request was never scanned, so its replay is a miss.
+        let replay = store.query(good).unwrap();
+        assert!(!store.results(replay).unwrap().cache_hit);
     }
 }

@@ -24,9 +24,7 @@ use deepstore_flash::obs::{FlashEventCounts, FlashMetrics};
 use deepstore_flash::{
     FlashError, FlashOpCounts, FlashStateSnapshot, HeapStore, PageStore, Result as FlashResult,
 };
-use deepstore_nn::{
-    quantize_feature, BoundScorer, FeatureQuant, InferenceScratch, Model, MultiQueryScorer, Tensor,
-};
+use deepstore_nn::{quantize_feature, BoundScorer, FeatureQuant, Model, MultiQueryScorer, Tensor};
 use deepstore_obs::MetricsSnapshot;
 use deepstore_systolic::topk::{ScoredFeature, TopKSorter};
 use serde::{Deserialize, Serialize};
@@ -163,10 +161,10 @@ pub struct Engine {
     quant: HashMap<DbId, Vec<FeatureQuant>>,
     /// Features skipped during scans because their pages failed ECC.
     /// Atomic so scans can run on `&self` (queries are read-only).
-    /// Kept as the derived sum over all scans; per-query attribution
-    /// comes from the `_counted` scan variants.
+    /// Kept as the derived sum over all passes; per-pass attribution is
+    /// the [`ScanFaults`] every scan returns.
     unreadable_skipped: AtomicU64,
-    /// Scan-path telemetry, recorded once per scan call.
+    /// Scan-path telemetry, recorded once per flash pass.
     metrics: ScanMetrics,
 }
 
@@ -883,22 +881,12 @@ impl Engine {
         ))
     }
 
-    /// Map-reduce scan (§4.7.1): scores every feature of `db` against the
-    /// query with `model`, keeping a per-channel top-K (map) and merging
-    /// them (reduce). Returns the global top-K with feature indices.
-    ///
-    /// The map step runs on up to [`DeepStoreConfig::parallelism`] worker
-    /// threads, each scoring whole channel shards against its own sorter.
-    /// Results are bit-identical at every parallelism setting: shards are
-    /// fixed by physical placement (not by worker count), each shard's
-    /// top-K is a function of its own features alone, and the reduce
-    /// merge uses the sorter's total order (score desc, feature id asc).
+    /// Single-query scan with the cascade on, keeping only the ranking:
+    /// [`Engine::scan_top_k_with`] minus its fault and cascade outcome.
     ///
     /// # Errors
     ///
-    /// Propagates flash errors and
-    /// [`deepstore_nn::NnError`]-derived mismatches as
-    /// [`FlashError::SizeMismatch`].
+    /// Same conditions as [`Engine::scan_top_k_batch_with`].
     pub fn scan_top_k(
         &self,
         db: DbId,
@@ -906,49 +894,17 @@ impl Engine {
         query: &Tensor,
         k: usize,
     ) -> Result<Vec<ScoredFeature>> {
-        self.scan_top_k_counted(db, model, query, k)
-            .map(|(ranked, _)| ranked)
-    }
-
-    /// [`Engine::scan_top_k`] with per-scan fault attribution: returns
-    /// the ranked top-K plus this scan's [`ScanFaults`] — how many
-    /// features it skipped for failing ECC beyond the retry budget, and
-    /// the retry/remap/lost read statistics behind them. The
-    /// engine-global [`Engine::unreadable_skipped`] counter still
-    /// advances by the same skip count (it is the derived sum over all
-    /// scans), but only the per-scan stats can attribute faults to a
-    /// query when scans run concurrently.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::scan_top_k`].
-    pub fn scan_top_k_counted(
-        &self,
-        db: DbId,
-        model: &Model,
-        query: &Tensor,
-        k: usize,
-    ) -> Result<(Vec<ScoredFeature>, ScanFaults)> {
         self.scan_top_k_with(db, model, query, k, false)
-            .map(|(ranked, faults, _)| (ranked, faults))
+            .map(|(ranked, _, _)| ranked)
     }
 
-    /// [`Engine::scan_top_k_counted`] with explicit cascade control and
-    /// attribution: `exact = true` forces every feature through the
-    /// exact f32 path; `exact = false` (the default everywhere else)
-    /// lets the int8 bound-then-refine cascade skip exact scoring for
-    /// features that provably cannot enter the top-K. The returned
-    /// ranking is **bit-identical** in both modes — the cascade prunes
-    /// a feature only when its score upper bound falls strictly below
-    /// the shard's running K-th best score, and a pruned feature's
-    /// flash pages are still decoded, so fault accounting is identical
-    /// too. The cascade applies only when the model folds to a linear
-    /// functional of the feature (see [`deepstore_nn::BoundScorer`]);
-    /// otherwise every feature is rescored and the stats stay zero.
+    /// The n = 1 case of [`Engine::scan_top_k_batch_with`]: one request
+    /// (`exact` is its cascade opt-out) through the same loop, returning
+    /// its ranking with the pass's [`ScanFaults`] and [`CascadeStats`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Engine::scan_top_k`].
+    /// Same conditions as [`Engine::scan_top_k_batch_with`].
     pub fn scan_top_k_with(
         &self,
         db: DbId,
@@ -957,185 +913,101 @@ impl Engine {
         k: usize,
         exact: bool,
     ) -> Result<(Vec<ScoredFeature>, ScanFaults, CascadeStats)> {
-        let meta = self.db_meta(db)?;
-        let shards = self.shard_plan(meta);
-        let workers = effective_workers(self.cfg.parallelism, shards.len());
-        let bounds = self.cascade_for(db, meta, model, query, exact);
-        let bounds = bounds.as_ref().map(|(bs, q)| (bs, *q));
-
-        // Map: each worker owns one `InferenceScratch` and one feature
-        // buffer, decodes features page-sequentially out of borrowed
-        // flash pages (each page is read once per shard, with a carry
-        // buffer for values straddling page boundaries), and scores
-        // them with the allocation-free scratch path. After the first
-        // feature of a shard, the loop performs zero heap allocations.
-        //
-        // The cascade check sits between decode and score: a pruned
-        // feature still costs its flash reads (the pass is
-        // page-sequential anyway, and identical fault accounting is
-        // part of the bit-identity contract) but skips the f32
-        // inference, which dominates scan compute.
-        let scan_one = |shard: &[u64]| -> FlashResult<(TopKSorter, ScanFaults, CascadeStats)> {
-            let mut sorter = TopKSorter::new(k);
-            let mut faults = ScanFaults::default();
-            let mut cascade = CascadeStats::default();
-            let mut scratch = InferenceScratch::for_model(model);
-            let mut feature: Vec<f32> = Vec::with_capacity(meta.feature_bytes / 4);
-            let mut cached_page: Option<(usize, &[u8])> = None;
-            for &idx in shard {
-                match self.decode_feature_into(
-                    meta,
-                    idx,
-                    &mut cached_page,
-                    &mut feature,
-                    &mut faults.reads,
-                ) {
-                    Ok(()) => {}
-                    Err(FlashError::UncorrectableEcc(_)) => {
-                        // Degrade gracefully: skip the unreadable feature.
-                        faults.skipped += 1;
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
-                if let Some((bs, quants)) = bounds {
-                    if let Some(thr) = sorter.threshold() {
-                        if bs.upper_bound(&quants[idx as usize]) < thr {
-                            cascade.pruned += 1;
-                            continue;
-                        }
-                        cascade.rescored += 1;
-                    }
-                }
-                let score = model
-                    .similarity_scratch(query, &feature, &mut scratch)
-                    .map_err(|_| FlashError::SizeMismatch {
-                        expected: model.feature_bytes(),
-                        found: meta.feature_bytes,
-                    })?;
-                sorter.offer(score, idx);
-            }
-            Ok((sorter, faults, cascade))
-        };
-        let per_shard = run_sharded(&shards, workers, &scan_one);
-
-        // Reduce: merge in channel order (the total order in `offer`
-        // makes any order equivalent, but canonical is free), surfacing
-        // the lowest-channel error deterministically.
-        let mut merged = TopKSorter::new(k);
-        let mut faults = ScanFaults::default();
-        let mut cascade = CascadeStats::default();
-        for shard_result in per_shard {
-            let (sorter, shard_faults, shard_cascade) = shard_result?;
-            merged.merge(&sorter);
-            faults.skipped += shard_faults.skipped;
-            faults.reads.merge(&shard_faults.reads);
-            cascade.merge(&shard_cascade);
-        }
-        self.unreadable_skipped
-            .fetch_add(faults.skipped, Ordering::Relaxed);
-        self.metrics.on_scan(meta.num_features, faults.skipped);
-        self.metrics.on_cascade(cascade.pruned, cascade.rescored);
-        Ok((merged.ranked(), faults, cascade))
+        let (mut ranked, faults, cascade) =
+            self.scan_top_k_batch_with(db, &[(model, query, k, exact)])?;
+        let ranked = ranked.pop().expect("one ranking per request");
+        Ok((ranked, faults, cascade))
     }
 
-    /// Builds the cascade's bound-scorer inputs for one request, or
-    /// `None` when the cascade does not apply: the request opted out
-    /// (`exact`), the model does not fold to a linear functional, the
-    /// query shape mismatches (the scan will surface the error), or the
-    /// sidecar does not cover the database (it always does for
-    /// databases written through [`Engine::write_db`]; the guard keeps
-    /// the scan well-defined regardless).
-    fn cascade_for(
-        &self,
-        db: DbId,
-        meta: &DbMeta,
-        model: &Model,
-        query: &Tensor,
-        exact: bool,
-    ) -> Option<(BoundScorer, &[FeatureQuant])> {
-        if exact || model.feature_bytes() != meta.feature_bytes {
-            return None;
-        }
-        let quants = self.quant.get(&db)?;
-        if quants.len() as u64 != meta.num_features {
-            return None;
-        }
-        let bs = BoundScorer::new(model, query)?;
-        Some((bs, quants.as_slice()))
-    }
-
-    /// Batched map-reduce scan: walks each shard's pages **once** and
-    /// scores every decoded feature against all queries of the batch,
-    /// returning one ranked top-K per request, in request order.
-    ///
-    /// Requests sharing a `&Model` (by reference identity) are scored
-    /// together through a [`MultiQueryScorer`], which streams each dense
-    /// weight row once for up to eight queries — the batch's
-    /// compute-side win on top of the shared flash pass. Per-request
-    /// results are **bit-identical** to issuing the same requests as
-    /// individual [`Engine::scan_top_k`] calls: every query's scores
-    /// replay the single-query kernel order, each request keeps its own
-    /// top-K sorter fed in the same per-shard feature order, and the
-    /// reduce merges in channel order with the same total order.
-    ///
-    /// A feature whose pages fail ECC is skipped once per pass (not
-    /// once per query), so [`Engine::unreadable_skipped`] advances by
-    /// the feature count, not `features × queries`.
+    /// [`Engine::scan_top_k_batch_with`] with the cascade on for every
+    /// request, keeping only the rankings.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Engine::scan_top_k`]; the lowest-channel
-    /// error is surfaced deterministically.
+    /// Same conditions as [`Engine::scan_top_k_batch_with`].
     pub fn scan_top_k_batch(
         &self,
         db: DbId,
         requests: &[(&Model, &Tensor, usize)],
     ) -> Result<Vec<Vec<ScoredFeature>>> {
-        self.scan_top_k_batch_counted(db, requests)
-            .map(|(ranked, _)| ranked)
-    }
-
-    /// [`Engine::scan_top_k_batch`] with per-pass fault attribution:
-    /// also returns the pass's [`ScanFaults`] (the counts are per
-    /// *pass*, shared by every request of the batch, since the batch
-    /// walks each page once). The global [`Engine::unreadable_skipped`]
-    /// stays the derived sum.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::scan_top_k_batch`].
-    pub fn scan_top_k_batch_counted(
-        &self,
-        db: DbId,
-        requests: &[(&Model, &Tensor, usize)],
-    ) -> Result<(Vec<Vec<ScoredFeature>>, ScanFaults)> {
         let with: Vec<(&Model, &Tensor, usize, bool)> =
             requests.iter().map(|&(m, q, k)| (m, q, k, false)).collect();
         self.scan_top_k_batch_with(db, &with)
-            .map(|(ranked, faults, _)| (ranked, faults))
+            .map(|(ranked, _, _)| ranked)
     }
 
-    /// [`Engine::scan_top_k_batch_counted`] with per-request cascade
-    /// control (the `bool` is the request's `exact` opt-out) and
-    /// per-pass [`CascadeStats`]. Cascade semantics per decoded
-    /// feature: each request with an applicable bound and a full sorter
-    /// makes an admission decision; a model group runs its fused exact
-    /// scorer iff **any** member admits the feature (members whose
-    /// bound stayed below their threshold are still offered the exact
-    /// score, which their sorter rejects by construction — score ≤
-    /// bound < threshold — keeping per-request results bit-identical to
-    /// individual exact scans).
+    /// The map-reduce scan (§4.7.1), and the engine's only scan loop:
+    /// walks each channel shard's pages **once**, scores every decoded
+    /// feature against all `(model, query, k, exact)` requests of the
+    /// batch with a per-request, per-shard top-K sorter (map), and
+    /// merges the shard sorters in channel order (reduce). Returns one
+    /// ranked top-K per request, in request order, with the pass's
+    /// [`ScanFaults`] and [`CascadeStats`]. A single query is a batch of
+    /// one.
+    ///
+    /// **Parallelism.** The map step runs on up to
+    /// [`DeepStoreConfig::parallelism`] worker threads, each scoring
+    /// whole channel shards. Results are bit-identical at every
+    /// setting: shards are fixed by physical placement (not by worker
+    /// count), each shard's top-K is a function of its own features
+    /// alone, and the reduce merge uses the sorter's total order (score
+    /// desc, feature id asc).
+    ///
+    /// **Batching.** Requests sharing a `&Model` (by reference identity)
+    /// are scored together through a [`MultiQueryScorer`], which streams
+    /// each dense weight row once for up to eight queries — the batch's
+    /// compute-side win on top of the shared flash pass. Every query's
+    /// scores replay the single-query kernel order and every request
+    /// keeps its own sorter fed in the same per-shard feature order, so
+    /// a request's ranking is **bit-identical** whatever else shares
+    /// its pass.
+    ///
+    /// **Faults.** A feature whose pages fail ECC beyond the retry
+    /// budget is skipped once per pass, not once per request, so the
+    /// returned [`ScanFaults`] (the skip count and the retry/remap/lost
+    /// read statistics behind it) is per *pass*, shared by every request
+    /// of the batch. [`Engine::unreadable_skipped`] advances by the same
+    /// skip count — it is the derived sum over all passes — but only the
+    /// per-pass value can attribute faults to a query when scans run
+    /// concurrently.
+    ///
+    /// **Cascade.** `exact = true` forces every feature through the
+    /// exact f32 path for that request; `exact = false` lets the int8
+    /// bound-then-refine cascade skip exact scoring for features that
+    /// provably cannot enter its top-K. Per decoded feature, each
+    /// request with an applicable bound and a full sorter makes an
+    /// admission decision; a model group runs its fused exact scorer
+    /// iff **any** member admits the feature (members whose bound
+    /// stayed below their threshold are still offered the exact score,
+    /// which their sorter rejects by construction — score ≤ bound <
+    /// threshold). The ranking is bit-identical in both modes, and a
+    /// pruned feature's flash pages are still decoded, so fault
+    /// accounting is identical too. The cascade applies only when the
+    /// model folds to a linear functional of the feature (see
+    /// [`deepstore_nn::BoundScorer`]) and the int8 sidecar covers the
+    /// database (it always does for databases written through
+    /// [`Engine::write_db`]); otherwise every feature is rescored and
+    /// the stats stay zero.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Engine::scan_top_k_batch`].
+    /// * [`FlashError::UnknownDb`] for unknown ids.
+    /// * [`FlashError::SizeMismatch`] — checked for every request
+    ///   before the shard plan is built or any page is read — if a
+    ///   query's length differs from its model's feature length, or the
+    ///   model's feature size differs from the database's; also how a
+    ///   model without weights is reported.
+    /// * Flash read errors other than uncorrectable ECC; the
+    ///   lowest-channel error is surfaced deterministically.
     pub fn scan_top_k_batch_with(
         &self,
         db: DbId,
         requests: &[(&Model, &Tensor, usize, bool)],
     ) -> Result<(Vec<Vec<ScoredFeature>>, ScanFaults, CascadeStats)> {
         let meta = self.db_meta(db)?;
+        for &(model, query, _, _) in requests {
+            check_request_shape(meta, model, query)?;
+        }
         if requests.is_empty() {
             return Ok((Vec::new(), ScanFaults::default(), CascadeStats::default()));
         }
@@ -1163,15 +1035,27 @@ impl Engine {
         let bounds: Vec<Option<BoundScorer>> = requests
             .iter()
             .map(|&(model, query, _, exact)| {
-                if exact || quants.is_none() || model.feature_bytes() != meta.feature_bytes {
+                if exact || quants.is_none() {
                     None
                 } else {
                     BoundScorer::new(model, query)
                 }
             })
             .collect();
-        let bounds = &bounds;
 
+        // Map: each worker owns its scorers (one scratch arena per model
+        // group) and one feature buffer, decodes features
+        // page-sequentially out of borrowed flash pages (each page is
+        // read once per shard, with a carry buffer for values straddling
+        // page boundaries), and scores them with the allocation-free
+        // scratch path. After the first feature of a shard, the loop
+        // performs zero heap allocations.
+        //
+        // The cascade check sits between decode and score: a pruned
+        // feature still costs its flash reads (the pass is
+        // page-sequential anyway, and identical fault accounting is
+        // part of the bit-identity contract) but skips the f32
+        // inference, which dominates scan compute.
         let scan_one = |shard: &[u64]| -> FlashResult<(Vec<TopKSorter>, ScanFaults, CascadeStats)> {
             let mut sorters: Vec<TopKSorter> = requests
                 .iter()
@@ -1183,12 +1067,9 @@ impl Engine {
                 .iter()
                 .map(|(model, ix)| {
                     let queries: Vec<Tensor> = ix.iter().map(|&i| requests[i].1.clone()).collect();
-                    MultiQueryScorer::new(model, &queries).map_err(|_| FlashError::SizeMismatch {
-                        expected: model.feature_bytes(),
-                        found: meta.feature_bytes,
-                    })
+                    MultiQueryScorer::new(model, &queries).expect("request shapes checked above")
                 })
-                .collect::<FlashResult<_>>()?;
+                .collect();
             let mut scores: Vec<f32> = Vec::with_capacity(requests.len());
             let mut feature: Vec<f32> = Vec::with_capacity(meta.feature_bytes / 4);
             let mut cached_page: Option<(usize, &[u8])> = None;
@@ -1202,6 +1083,7 @@ impl Engine {
                 ) {
                     Ok(()) => {}
                     Err(FlashError::UncorrectableEcc(_)) => {
+                        // Degrade gracefully: skip the unreadable feature.
                         faults.skipped += 1;
                         continue;
                     }
@@ -1230,6 +1112,8 @@ impl Engine {
                     if !admit {
                         continue;
                     }
+                    // Shapes were checked up front; what a scorer can
+                    // still refuse is a model without weights.
                     scorer
                         .score_into(model, &feature, &mut scores)
                         .map_err(|_| FlashError::SizeMismatch {
@@ -1245,6 +1129,9 @@ impl Engine {
         };
         let per_shard = run_sharded(&shards, workers, &scan_one);
 
+        // Reduce: merge in channel order (the total order in `offer`
+        // makes any order equivalent, but canonical is free), surfacing
+        // the lowest-channel error deterministically.
         let mut merged: Vec<TopKSorter> = requests
             .iter()
             .map(|&(_, _, k, _)| TopKSorter::new(k))
@@ -1272,12 +1159,11 @@ impl Engine {
         ))
     }
 
-    /// Shard plan shared by the single and batched scans: each feature
-    /// belongs to the channel its first page lives on. Unsealed features
-    /// whose pages are not allocated yet fall into shard 0, where the
-    /// read reports the proper error. Within a shard the indices stay
-    /// ascending, so the page-sequential decoder touches each flash page
-    /// exactly once.
+    /// Shard plan of a scan pass: each feature belongs to the channel
+    /// its first page lives on. Unsealed features whose pages are not
+    /// allocated yet fall into shard 0, where the read reports the
+    /// proper error. Within a shard the indices stay ascending, so the
+    /// page-sequential decoder touches each flash page exactly once.
     ///
     /// Assigning by *first* page also makes the fault accounting exact
     /// by construction: a feature straddling a block boundary spans
@@ -1294,6 +1180,19 @@ impl Engine {
         }
         shards
     }
+}
+
+/// Request-shape validation, shared by the scan core and the API's
+/// up-front pass: the query must have the model's feature length, and
+/// the model must consume features of the database's size.
+pub(crate) fn check_request_shape(meta: &DbMeta, model: &Model, query: &Tensor) -> FlashResult<()> {
+    let expected = model.feature_bytes();
+    for found in [4 * query.len(), meta.feature_bytes] {
+        if found != expected {
+            return Err(FlashError::SizeMismatch { expected, found });
+        }
+    }
+    Ok(())
 }
 
 /// Runs a per-shard map step over the shard plan, returning one result
@@ -1665,6 +1564,31 @@ mod tests {
     }
 
     #[test]
+    fn malformed_request_is_refused_before_any_page_read() {
+        let mut e = small_engine();
+        let tir = zoo::tir().seeded(7);
+        let db = e.write_db(&features(&tir, 24)).unwrap();
+        e.seal_db(db).unwrap();
+        let good = tir.random_feature(501);
+        let short = Tensor::random(vec![7], 1.0, 0);
+        let textqa = zoo::textqa().seeded(1);
+        let foreign = textqa.random_feature(0);
+        let reads = e.flash_op_counts().reads;
+        // Query length vs model, then model feature size vs database;
+        // the good request ahead of each must not scan either.
+        for (model, query, found) in [(&tir, &short, 28), (&textqa, &foreign, 2048)] {
+            assert_eq!(
+                e.scan_top_k_batch(db, &[(&tir, &good, 4), (model, query, 4)]),
+                Err(DeepStoreError::Flash(FlashError::SizeMismatch {
+                    expected: model.feature_bytes(),
+                    found,
+                }))
+            );
+        }
+        assert_eq!(e.flash_op_counts().reads, reads);
+    }
+
+    #[test]
     fn boundary_page_fault_skips_straddler_exactly_once() {
         // Regression: a feature straddling a block boundary spans two
         // pages on *different channels*. Fault the boundary (second)
@@ -1703,7 +1627,9 @@ mod tests {
         let expected = 1 + starting_there;
         for workers in [1usize, 2, 4] {
             e.set_parallelism(workers);
-            let (top, faults) = e.scan_top_k_counted(db, &model, &q, n as usize).unwrap();
+            let (top, faults, _) = e
+                .scan_top_k_with(db, &model, &q, n as usize, false)
+                .unwrap();
             assert_eq!(faults.skipped, expected, "workers = {workers}");
             assert_eq!(top.len(), (n - expected) as usize);
         }
@@ -1732,7 +1658,7 @@ mod tests {
 
         // Degraded scan: the 8 features of the failing page are skipped
         // and the block queues for retirement.
-        let (degraded, faults) = e.scan_top_k_counted(db, &model, &q, 64).unwrap();
+        let (degraded, faults, _) = e.scan_top_k_with(db, &model, &q, 64, false).unwrap();
         assert_eq!(faults.skipped, 8);
         // Each skipped feature re-read (and re-failed) the bad page.
         assert_eq!(faults.reads.remappable, 8);
@@ -1757,7 +1683,7 @@ mod tests {
         assert!(e.recover_faults().is_empty(), "queue drained");
 
         // Full coverage is back, bit-identical to the fault-free run.
-        let (healed, faults) = e.scan_top_k_counted(db, &model, &q, 64).unwrap();
+        let (healed, faults, _) = e.scan_top_k_with(db, &model, &q, 64, false).unwrap();
         assert_eq!(faults, ScanFaults::default());
         assert_eq!(healed, clean);
         assert!(e.read_feature(db, 0).is_ok());
@@ -1775,7 +1701,7 @@ mod tests {
         e.inject_faults(FaultPlan::none().dead_channel(dead));
 
         let q = model.random_feature(501);
-        let (top, faults) = e.scan_top_k_counted(db, &model, &q, 64).unwrap();
+        let (top, faults, _) = e.scan_top_k_with(db, &model, &q, 64, false).unwrap();
         assert!(faults.skipped > 0);
         assert_eq!(faults.reads.remappable, 0);
         assert!(faults.reads.lost > 0);
@@ -1783,7 +1709,7 @@ mod tests {
         // is a no-op, and the data stays lost.
         assert_eq!(e.pending_retirements(), 0);
         assert!(e.recover_faults().is_empty());
-        let (again, _) = e.scan_top_k_counted(db, &model, &q, 64).unwrap();
+        let (again, _, _) = e.scan_top_k_with(db, &model, &q, 64, false).unwrap();
         assert_eq!(top, again);
     }
 
@@ -1802,7 +1728,7 @@ mod tests {
         // default 4-attempt ladder always recovers, so the scan result
         // is bit-identical and nothing is skipped.
         e.inject_faults(FaultPlan::none().transient(0.8, 99));
-        let (faulty, faults) = e.scan_top_k_counted(db, &model, &q, 120).unwrap();
+        let (faulty, faults, _) = e.scan_top_k_with(db, &model, &q, 120, false).unwrap();
         assert_eq!(faulty, clean);
         assert_eq!(faults.skipped, 0);
         assert!(faults.reads.total_retries() > 0, "faults actually fired");

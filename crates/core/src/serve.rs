@@ -1841,48 +1841,85 @@ mod tests {
 
     #[test]
     fn merged_batch_failure_only_fails_the_offending_client() {
-        let (store, _) = seeded_store(16);
-        let (transport, connector) = channel_transport();
-        let handle = serve(
-            transport,
-            store,
-            ServeConfig {
-                // A window long enough that both clients' queries land
-                // in the same engine pass.
-                batch_window: Some(Duration::from_millis(50)),
-                ..ServeConfig::default()
-            },
-        );
-        let (mid, db) = (crate::api::ModelId(1), crate::engine::DbId(1));
-        let good_conn = connector.connect().unwrap();
-        let bad_conn = connector.connect().unwrap();
-        let good = thread::spawn(move || {
-            let mut host = HostClient::over(good_conn);
-            host.query(&probe(0), 3, mid, db, AcceleratorLevel::Ssd, false)
-        });
-        let bad = thread::spawn(move || {
-            let mut host = HostClient::over(bad_conn);
-            // Unknown model: poisons the merged batch, which must fall
-            // back to per-client dispatch.
-            host.query(
-                &probe(1),
-                3,
-                crate::api::ModelId(999),
-                db,
-                AcceleratorLevel::Ssd,
+        use crate::api::ModelId;
+        use crate::error::DeepStoreError;
+        use crate::qcache::QueryCacheConfig;
+        let (mid, db) = (ModelId(1), crate::engine::DbId(1));
+        // (query cache on, the offending frame, the error its sender sees)
+        let cases = [
+            // Unknown model in the good client's own scan group.
+            (
                 false,
-            )
-        });
-        let good_result = good.join().unwrap();
-        let bad_result = bad.join().unwrap();
-        assert!(good_result.is_ok(), "good client failed: {good_result:?}");
-        let err = bad_result.unwrap_err();
-        assert_eq!(
-            err.device_error(),
-            Some(crate::error::DeepStoreError::UnknownModel(
-                crate::api::ModelId(999)
-            ))
-        );
-        drop(handle);
+                (probe(1), ModelId(999), AcceleratorLevel::Ssd),
+                DeepStoreError::UnknownModel(ModelId(999)),
+            ),
+            // Wrong-length vector in a *different* scan group, cache on:
+            // the good client's group must not have scanned (and filled
+            // the cache) by the time the merged batch is refused.
+            (
+                true,
+                (
+                    Tensor::random(vec![7], 1.0, 0),
+                    mid,
+                    AcceleratorLevel::Channel,
+                ),
+                // Flash errors cross the wire as their rendered text.
+                DeepStoreError::Remote(
+                    deepstore_flash::FlashError::SizeMismatch {
+                        expected: 4 * probe(0).len(),
+                        found: 28,
+                    }
+                    .to_string(),
+                ),
+            ),
+        ];
+        for (qc_on, (bad_qfv, bad_model, bad_level), expected) in cases {
+            let store = || {
+                let (mut store, _) = seeded_store(16);
+                if qc_on {
+                    store.set_qc(QueryCacheConfig::paper_default());
+                }
+                store
+            };
+            // What the good client's query answers when it runs alone.
+            let mut alone = store();
+            let request = QueryRequest::new(probe(0), mid, db)
+                .k(3)
+                .level(AcceleratorLevel::Ssd);
+            let qid = alone.query(request).unwrap();
+            let solo = alone.results(qid).unwrap();
+
+            let (transport, connector) = channel_transport();
+            let handle = serve(
+                transport,
+                store(),
+                ServeConfig {
+                    // A window long enough that both clients' queries
+                    // land in the same engine pass.
+                    batch_window: Some(Duration::from_millis(50)),
+                    ..ServeConfig::default()
+                },
+            );
+            let good_conn = connector.connect().unwrap();
+            let bad_conn = connector.connect().unwrap();
+            let good = thread::spawn(move || {
+                let mut host = HostClient::over(good_conn);
+                let qid = host.query(&probe(0), 3, mid, db, AcceleratorLevel::Ssd, false)?;
+                host.get_results(qid)
+            });
+            let bad = thread::spawn(move || {
+                let mut host = HostClient::over(bad_conn);
+                // Poisons the merged batch, which must fall back to
+                // per-client dispatch.
+                host.query(&bad_qfv, 3, bad_model, db, bad_level, false)
+            });
+            let good_result = good.join().unwrap().expect("good client failed");
+            let bad_result = bad.join().unwrap();
+            assert_eq!(bad_result.unwrap_err().device_error(), Some(expected));
+            assert!(!good_result.cache_hit);
+            assert_eq!(good_result.elapsed, solo.elapsed);
+            assert_eq!(good_result.top_k, solo.top_k);
+            drop(handle);
+        }
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! Two recording structs sit on the query pipeline:
 //!
-//! * [`ScanMetrics`] — owned by [`crate::engine::Engine`]; counts scans,
-//!   batched scans, features scored and features skipped, recorded once
-//!   per scan call (never per feature, so the hot path stays clean).
+//! * [`ScanMetrics`] — owned by [`crate::engine::Engine`]; counts flash
+//!   passes (`engine.batch_scans`), the requests that rode them
+//!   (`engine.batch_queries` — a single query is a pass of one),
+//!   features scored and features skipped, recorded once per pass
+//!   (never per feature, so the hot path stays clean).
 //! * [`ApiTelemetry`] — owned by [`crate::api::DeepStore`]; counts
 //!   queries, batches and cache hits, and accumulates per-stage
 //!   simulated-time totals (query-cache lookup, flash streaming,
@@ -83,7 +85,6 @@ pub struct DeviceStats {
 #[derive(Debug)]
 pub struct ScanMetrics {
     registry: MetricsRegistry,
-    scans: CounterId,
     batch_scans: CounterId,
     batch_queries: CounterId,
     features_scanned: CounterId,
@@ -105,7 +106,6 @@ impl ScanMetrics {
     pub fn new() -> Self {
         let mut registry = MetricsRegistry::new();
         ScanMetrics {
-            scans: registry.counter("engine.scans"),
             batch_scans: registry.counter("engine.batch_scans"),
             batch_queries: registry.counter("engine.batch_queries"),
             features_scanned: registry.counter("engine.features_scanned"),
@@ -117,23 +117,10 @@ impl ScanMetrics {
         }
     }
 
-    /// One single-query scan finished: `features` scored, `skipped`
-    /// dropped for failing ECC.
-    #[inline]
-    pub fn on_scan(&self, features: u64, skipped: u64) {
-        #[cfg(feature = "obs")]
-        {
-            self.registry.incr(self.scans);
-            self.registry.add(self.features_scanned, features - skipped);
-            self.registry.add(self.features_skipped, skipped);
-            self.registry.record(self.scan_features, features);
-        }
-        #[cfg(not(feature = "obs"))]
-        let _ = (features, skipped);
-    }
-
-    /// One batched scan finished: `queries` requests shared the pass
-    /// over `features` features, with `skipped` dropped once per pass.
+    /// One scan pass finished: `queries` requests (one for a single
+    /// query) shared the pass over `features` features, with `skipped`
+    /// dropped once per pass. `engine.batch_scans` therefore counts
+    /// flash passes and `engine.batch_queries` the requests they served.
     #[inline]
     pub fn on_batch_scan(&self, queries: u64, features: u64, skipped: u64) {
         #[cfg(feature = "obs")]
@@ -572,7 +559,7 @@ mod tests {
     fn merged_snapshot_keeps_namespaced_parts() {
         let e = ScanMetrics::new();
         let a = ApiTelemetry::new();
-        e.on_scan(10, 2);
+        e.on_batch_scan(1, 10, 2);
         a.on_query(5, false);
         let merged = merge_snapshots(vec![e.snapshot(), a.snapshot()]);
         let expected = if cfg!(feature = "obs") { 8 } else { 0 };

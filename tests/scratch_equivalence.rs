@@ -7,7 +7,8 @@
 //! the kernels in `deepstore-nn`, so equality is structural — these
 //! property tests drive that claim over random model architectures
 //! (merge ops, layer widths, activations, conv stacks), random zoo
-//! models, and faulted scans at every parallelism setting.
+//! models, faulted scans at every parallelism setting, and a fused
+//! multi-query batch against the same brute-force reference.
 
 use deepstore_core::config::DeepStoreConfig;
 use deepstore_core::engine::{DbId, Engine};
@@ -17,7 +18,7 @@ use deepstore_flash::FlashError;
 use deepstore_nn::{
     zoo, Activation, ElementWiseOp, InferenceScratch, MergeOp, Model, ModelBuilder, Tensor,
 };
-use deepstore_systolic::topk::TopKSorter;
+use deepstore_systolic::topk::{ScoredFeature, TopKSorter};
 use proptest::prelude::*;
 
 const ACTIVATIONS: [Activation; 4] = [
@@ -194,6 +195,86 @@ proptest! {
             let top = engine.scan_top_k(db, &model, &probe, k).unwrap();
             prop_assert_eq!(&expected, &top);
             prop_assert_eq!(engine.unreadable_skipped(), skipped);
+        }
+    }
+
+    /// The fused multi-query path against code it shares nothing with:
+    /// a mixed batch of nine — two models by identity (so two scorer
+    /// groups, whose sizes sweep the full-block, padded-block and
+    /// tail-path shapes), differing `k`, one request opted out of the
+    /// cascade — must rank every request bit-identically to per-feature
+    /// reads scored by the allocating reference path, at every
+    /// parallelism setting, with and without an armed fault plan.
+    #[test]
+    fn fused_batch_matches_brute_force_reference(
+        (model_seed, n, split, fault_seed) in (
+            0u64..1_000_000,
+            8u64..48,
+            4usize..9,
+            0u64..1_000_000,
+        )
+    ) {
+        let models = [
+            zoo::textqa().seeded(model_seed),
+            zoo::textqa().seeded(model_seed + 1),
+        ];
+        let probes: Vec<Tensor> = (0..9u64)
+            .map(|i| models[0].random_feature(model_seed ^ (0xBA7C0 + i)))
+            .collect();
+        // Request `i` as (model, probe, k, exact). `2 * i % 9` permutes
+        // 0..9, so exactly `split` requests use the first model and the
+        // two groups interleave in request order.
+        let requests: Vec<(&Model, &Tensor, usize, bool)> = (0..9)
+            .map(|i| {
+                let model = &models[usize::from(2 * i % 9 >= split)];
+                (model, &probes[i], 1 + i % 5, i == 2)
+            })
+            .collect();
+        let features: Vec<Tensor> = (0..n).map(|i| models[0].random_feature(i)).collect();
+
+        for armed in [false, true] {
+            let build = |workers: usize| -> (Engine, DbId) {
+                let mut engine =
+                    Engine::new(DeepStoreConfig::small().with_parallelism(workers));
+                let db = engine.write_db(&features).unwrap();
+                engine.seal_db(db).unwrap();
+                if armed {
+                    let geometry = engine.config().ssd.geometry;
+                    engine.inject_faults(FaultPlan::random(&geometry, 0.15, fault_seed));
+                }
+                (engine, db)
+            };
+
+            // Reference: per-feature reads with the skip-on-ECC policy,
+            // scored by `Model::similarity`, ranked by a plain sorter.
+            let (engine, db) = build(1);
+            let stored: Vec<Option<Tensor>> = (0..n)
+                .map(|idx| match engine.read_feature(db, idx) {
+                    Ok(f) => Some(f),
+                    Err(DeepStoreError::Flash(FlashError::UncorrectableEcc(_))) => None,
+                    Err(e) => panic!("unexpected read error: {e}"),
+                })
+                .collect();
+            let skipped = stored.iter().filter(|f| f.is_none()).count() as u64;
+            let expected: Vec<Vec<ScoredFeature>> = requests
+                .iter()
+                .map(|&(model, probe, k, _)| {
+                    let mut sorter = TopKSorter::new(k);
+                    for (idx, f) in stored.iter().enumerate() {
+                        if let Some(f) = f {
+                            sorter.offer(model.similarity(probe, f).unwrap(), idx as u64);
+                        }
+                    }
+                    sorter.ranked()
+                })
+                .collect();
+
+            for workers in [1usize, 2, 4, 0] {
+                let (engine, db) = build(workers);
+                let (ranked, faults, _) = engine.scan_top_k_batch_with(db, &requests).unwrap();
+                prop_assert_eq!(&ranked, &expected);
+                prop_assert_eq!(faults.skipped, skipped);
+            }
         }
     }
 }
