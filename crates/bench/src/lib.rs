@@ -9,7 +9,6 @@
 
 pub mod eval;
 pub mod qc;
-pub mod reference;
 pub mod report;
 
 pub use eval::{evaluate_app, AppEvaluation, LevelEvaluation};

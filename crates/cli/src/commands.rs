@@ -128,7 +128,8 @@ Overloaded rejection), `--quota-qps`/`--quota-burst` arm per-tenant
 token buckets keyed by the hello client id.
 `loadgen` offers an open-loop arrival schedule (latency is measured
 from each query's *scheduled* arrival, so queueing under overload
-counts) and prints p50/p99/p999 plus rejection counts. `--db`/`--model`
+counts) and prints p50/p99/p999 plus rejection counts; it fails if any
+query errored (typed rejections are not errors). `--db`/`--model`
 default to 1: the ids `serve` assigns to its first database and model.
 `cluster` partitions the app's database across `--drives` simulated
 devices with `--replicas`-way replication and answers a probe query by
@@ -929,6 +930,11 @@ fn cmd_loadgen(args: &[String]) -> CmdResult {
         "  latency    : mean {:.3} ms  p50 {:.3} ms  p99 {:.3} ms  p999 {:.3} ms  max {:.3} ms",
         report.mean_ms, report.p50_ms, report.p99_ms, report.p999_ms, report.max_ms
     );
+    // Typed rejections are answers; an error is a query that never got one.
+    if report.errors > 0 {
+        let (bad, all) = (report.errors, report.offered);
+        return Err(ArgError(format!("{bad} of {all} offered queries failed")).into());
+    }
     Ok(())
 }
 
@@ -1340,6 +1346,18 @@ mod tests {
             "fixed",
         ]))
         .unwrap();
+        // Queries that error (a model the server never loaded) fail the command.
+        let args = [
+            "loadgen",
+            "--addr",
+            addr.trim(),
+            "--queries",
+            "4",
+            "--model",
+            "9",
+        ];
+        let failed = run(&argv(&args)).unwrap_err();
+        assert_eq!(failed.to_string(), "4 of 4 offered queries failed");
         // Observability against the live server: serve-layer stats,
         // the exposition page, and a flight-recorder dump.
         run(&argv(&["stats", "--addr", addr.trim()])).unwrap();

@@ -904,14 +904,6 @@ impl DeepStore {
                 elapsed[i] += timing.elapsed + stall;
                 skipped[i] = group_skipped;
                 coverage[i] = group_coverage;
-                // Degraded answers never enter the cache: a later hit
-                // would replay the partial top-K as if it covered the
-                // whole database.
-                if group_skipped == 0 {
-                    if let Some(qc) = &mut self.qc {
-                        qc.insert(requests[i].qfv.clone(), r.clone());
-                    }
-                }
                 ranked[i] = Some(r);
             }
         }
@@ -926,6 +918,19 @@ impl DeepStore {
                         required,
                         achieved: coverage[i],
                     });
+                }
+            }
+        }
+
+        // Cache fills, in scan order, only now that the batch is known
+        // to publish: a refused batch leaves the cache as it found it.
+        // Degraded answers never enter the cache: a later hit would
+        // replay the partial top-K as if it covered the whole database.
+        if let Some(qc) = &mut self.qc {
+            for &i in groups.iter().flat_map(|(_, members)| members) {
+                if skipped[i] == 0 {
+                    let r = ranked[i].clone().expect("group members were scored");
+                    qc.insert(requests[i].qfv.clone(), r);
                 }
             }
         }
@@ -1560,5 +1565,34 @@ mod tests {
         // The good request was never scanned, so its replay is a miss.
         let replay = store.query(good).unwrap();
         assert!(!store.results(replay).unwrap().cache_hit);
+    }
+
+    #[test]
+    fn coverage_refused_batch_leaves_query_cache_untouched() {
+        // Regression: the healthy group's rankings used to be inserted
+        // into the query cache before `min_coverage` refused the batch.
+        // 24 textqa features fill one page, so the first database sits
+        // wholly on channel 0 and the second wholly off it.
+        let (mut store, model, db, mid) = setup("textqa", 24);
+        let features: Vec<Tensor> = (0..24).map(|i| model.random_feature(100 + i)).collect();
+        let db2 = store.write_db(&features).unwrap();
+        store.inject_faults(deepstore_flash::fault::FaultPlan::none().dead_channel(0));
+        let good = QueryRequest::new(model.random_feature(0), mid, db2).k(2);
+        let starved = QueryRequest::new(model.random_feature(1), mid, db)
+            .k(2)
+            .min_coverage(1.0);
+        assert_eq!(
+            store.query_batch(&[good.clone(), starved]),
+            Err(DeepStoreError::InsufficientCoverage {
+                required: 1.0,
+                achieved: 0.0,
+            })
+        );
+        assert_eq!(store.qc_stats().unwrap().inserts, 0);
+        // Nothing was published or cached, so the replay scans afresh.
+        let replay = store.query(good).unwrap();
+        let r = store.results(replay).unwrap();
+        assert!(!r.cache_hit);
+        assert_eq!(r.coverage, 1.0);
     }
 }

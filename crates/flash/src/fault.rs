@@ -67,8 +67,7 @@ pub struct FaultPlan {
     /// still recoverable once via the soft-decode path).
     permanent: HashSet<u64>,
     /// Transient layer, if armed. `Some` with `rate == 0.0` still
-    /// counts as armed: every read consults the layer (the bench's
-    /// fault-overhead check exercises exactly this configuration).
+    /// counts as armed: every read consults the layer.
     transient: Option<TransientFaults>,
     /// Blocks whose erase count reaches this threshold fail
     /// permanently (remappable).
@@ -307,8 +306,7 @@ impl FaultPlan {
     }
 
     /// True when no fault layer is armed. A transient layer with
-    /// `rate == 0` still counts as armed — reads consult it — which is
-    /// exactly the configuration the bench's overhead check measures.
+    /// `rate == 0` still counts as armed: reads consult it.
     pub fn is_empty(&self) -> bool {
         self.permanent.is_empty()
             && self.transient.is_none()
@@ -478,8 +476,8 @@ mod tests {
 
     #[test]
     fn armed_zero_rate_transient_is_not_empty() {
-        // The bench's fault-overhead check relies on a rate-0 transient
-        // layer forcing reads through the layered outcome path.
+        // A rate-0 transient layer still forces reads through the
+        // layered outcome path.
         let plan = FaultPlan::none().transient(0.0, 1);
         assert!(!plan.is_empty());
         let g = SsdConfig::small().geometry;

@@ -39,8 +39,8 @@
 //! [`MmapStore::page`] returns a slice borrowed directly from the
 //! mapping: the page-sequential scan decodes features straight out of
 //! the file's page cache into the existing scratch arenas, with zero
-//! steady-state allocations — the property the `bench_scan --persist`
-//! gate and the persistence test suite enforce.
+//! steady-state allocations — the property `tests/persist_alloc.rs`
+//! enforces.
 //!
 //! # Why committed payloads cannot tear
 //!

@@ -245,7 +245,8 @@ where
                     rejected_quota: 0,
                     errors: 0,
                 };
-                for item in offered.iter().skip(w).step_by(connections) {
+                let mut schedule = offered.iter().skip(w).step_by(connections);
+                for item in schedule.by_ref() {
                     let elapsed = epoch.elapsed();
                     if item.at > elapsed {
                         std::thread::sleep(item.at - elapsed);
@@ -285,12 +286,14 @@ where
                             // this worker's schedule as errors.
                             _ if e.device_error().is_none() => {
                                 outcome.errors += 1;
-                                return Ok(outcome);
+                                break;
                             }
                             _ => outcome.errors += 1,
                         },
                     }
                 }
+                // Non-empty only after the break: offered, never answered.
+                outcome.errors += schedule.count() as u64;
                 Ok(outcome)
             }));
         }
@@ -337,7 +340,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepstore_core::serve::{channel_transport, serve, ServeConfig};
+    use deepstore_core::serve::{
+        channel_transport, serve, ChannelConnector, ServeConfig, ServerHandle,
+    };
     use deepstore_core::{DeepStore, DeepStoreConfig};
     use deepstore_nn::{zoo, ModelGraph};
 
@@ -426,8 +431,8 @@ mod tests {
         assert_eq!(percentile(&v, 99.9), 100.0);
     }
 
-    #[test]
-    fn open_loop_run_against_a_served_store() {
+    /// A served 32-feature textqa store and 24 queries offered to it.
+    fn served() -> (ServerHandle, ChannelConnector, Vec<Offered>, LoadTarget) {
         let model = zoo::textqa().seeded(11);
         let mut store = DeepStore::in_memory(DeepStoreConfig::small());
         let features: Vec<_> = (0..32).map(|i| model.random_feature(i)).collect();
@@ -442,22 +447,26 @@ mod tests {
             dim: model.feature_len(),
             ..LoadPlanConfig::default()
         });
-        let report = run_open_loop(
-            || connector.connect(),
-            3,
-            &offered,
-            LoadTarget {
-                model: mid,
-                db,
-                k: 3,
-                level: AcceleratorLevel::Ssd,
-            },
-        )
-        .unwrap();
+        let target = LoadTarget {
+            model: mid,
+            db,
+            k: 3,
+            level: AcceleratorLevel::Ssd,
+        };
+        (handle, connector, offered, target)
+    }
+
+    #[test]
+    fn open_loop_run_against_a_served_store() {
+        let (handle, connector, offered, target) = served();
+        let report = run_open_loop(|| connector.connect(), 3, &offered, target).unwrap();
         assert_eq!(report.offered, 24);
         assert_eq!(report.completed, 24);
         assert_eq!(report.rejected_overloaded + report.rejected_quota, 0);
         assert_eq!(report.errors, 0);
+        // Every offered query ends in exactly one bucket of the report.
+        let answered = report.completed + report.rejected_overloaded + report.rejected_quota;
+        assert_eq!(report.offered, answered + report.errors);
         assert!(report.p50_ms >= 0.0 && report.p50_ms.is_finite());
         assert!(report.p999_ms >= report.p50_ms);
         assert!(report.max_ms >= report.p999_ms);
@@ -468,5 +477,31 @@ mod tests {
         assert_eq!(stats.per_tenant.len(), 3);
         assert!(stats.per_tenant.iter().all(|t| t.client.starts_with("lg-")));
         assert_eq!(stats.per_tenant.iter().map(|t| t.accepted).sum::<u64>(), 24);
+    }
+
+    /// A connection that dies after `.1` more exchanges.
+    struct Dying<C>(C, usize);
+
+    impl<C: CommandChannel> CommandChannel for Dying<C> {
+        fn exchange(&mut self, frame: &[u8]) -> Result<Vec<u8>, ProtoError> {
+            if self.1 == 0 {
+                return Err(ProtoError::ConnectionClosed);
+            }
+            self.1 -= 1;
+            self.0.exchange(frame)
+        }
+    }
+
+    #[test]
+    fn lost_connection_charges_the_rest_of_its_schedule_as_errors() {
+        // Regression: the queries still scheduled on a connection that
+        // closed used to vanish from the report (errors == 1).
+        let (_handle, connector, offered, target) = served();
+        // hello, then five query + getResults round trips.
+        let dying = || Ok(Dying(connector.connect()?, 1 + 2 * 5));
+        let report = run_open_loop(dying, 1, &offered, target).unwrap();
+        assert_eq!(report.completed, 5);
+        assert_eq!(report.rejected_overloaded + report.rejected_quota, 0);
+        assert_eq!(report.errors, report.offered - report.completed);
     }
 }

@@ -15,7 +15,9 @@
 //! `create_persistent`, flushed, and reopened with `open_persistent`
 //! answers bit-identically to its pre-reopen self and to the
 //! single-device reference — including after losing a drive, since
-//! replication survives the image round-trip too.
+//! replication survives the image round-trip too. A second pins
+//! Figure 10b: N = 4 drives keep ≥ 0.7 of ideal scaling on the
+//! simulated clock, with the same answers at every N.
 
 use deepstore::core::{
     AcceleratorLevel, ClusterQueryRequest, DeepStore, DeepStoreCluster, DeepStoreConfig,
@@ -276,5 +278,46 @@ fn persistent_cluster_reopens_bit_identically() {
         run(&mut reopened),
         reference,
         "reopened cluster lost coverage after one drive of two replicas"
+    );
+}
+
+/// Figure 10b on the simulated clock: partitioning one database over N
+/// drives changes no answer and divides the scan time. Drives run
+/// concurrently and the cluster's `elapsed` is its slowest shard, so
+/// the efficiency `t1 / (N · tN)` is deterministic and host-independent.
+#[test]
+fn four_drives_scale_simulated_scan_time() {
+    let model = zoo::textqa().seeded_metric(7);
+    let features: Vec<Tensor> = (0..512).map(|i| model.random_feature(i)).collect();
+    let probes: Vec<Tensor> = (0..8).map(|i| model.random_feature(10_000 + i)).collect();
+    let sweep = |drives: usize| -> (Ranked, u64) {
+        let mut cluster = DeepStoreCluster::new(drives, DeepStoreConfig::small());
+        let db = cluster.write_db(&features).unwrap();
+        let mid = cluster.load_model(&ModelGraph::from_model(&model)).unwrap();
+        let mut ranked = Ranked::new();
+        let mut sim_ns = 0;
+        for probe in &probes {
+            let r = cluster
+                .query(ClusterQueryRequest::new(probe.clone(), mid, db).k(10))
+                .unwrap();
+            assert_eq!(r.coverage, 1.0, "healthy cluster must cover everything");
+            sim_ns += r.elapsed.as_nanos();
+            ranked.extend(
+                r.top_k
+                    .iter()
+                    .map(|h| (h.global_index, h.hit.score.to_bits())),
+            );
+        }
+        (ranked, sim_ns)
+    };
+    let (one, t1) = sweep(1);
+    let (two, _) = sweep(2);
+    let (four, t4) = sweep(4);
+    assert_eq!(two, one, "N=2 diverged from N=1");
+    assert_eq!(four, one, "N=4 diverged from N=1");
+    let efficiency = t1 as f64 / (4 * t4) as f64;
+    assert!(
+        efficiency >= 0.7,
+        "N=4 scaling efficiency {efficiency:.3} ({t1} vs {t4} sim-ns) below the 0.7 floor"
     );
 }
