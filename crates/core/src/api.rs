@@ -67,12 +67,12 @@ use crate::accel::{scan as timing_scan, scan_batch, shard_timings, ScanWorkload}
 use crate::config::{AcceleratorLevel, DeepStoreConfig};
 use crate::engine::{check_request_shape, CascadeStats, DbId, Engine, ObjectId};
 use crate::error::{DeepStoreError, Result};
-use crate::persist::{ImageManifest, MANIFEST_VERSION};
+use crate::persist::{model_bytes, read_model, ImageManifest, StoredModel, MANIFEST_VERSION};
 use crate::qcache::{lookup_time_for, QueryCache, QueryCacheConfig};
 use crate::telemetry::{merge_snapshots, ApiTelemetry, DeviceStats};
 use deepstore_flash::layout::DbLayout;
 use deepstore_flash::stream::retry_stall;
-use deepstore_flash::{FlashError, FlashOpCounts, MmapStore, SimDuration};
+use deepstore_flash::{FlashError, FlashOpCounts, ImageExtent, MmapStore, SimDuration};
 use deepstore_nn::{Model, ModelGraph, Tensor};
 use deepstore_obs::TraceRecorder;
 use deepstore_systolic::topk::ScoredFeature;
@@ -223,6 +223,9 @@ pub struct QueryResult {
 pub struct DeepStore {
     engine: Engine,
     models: HashMap<ModelId, Model>,
+    /// Where each model's bytes sit in the image once written: the
+    /// first commit after `load_model` writes them, no later one does.
+    model_extents: HashMap<ModelId, ImageExtent>,
     qc: Option<QueryCache>,
     results: HashMap<QueryId, QueryResult>,
     next_model: u64,
@@ -294,7 +297,9 @@ impl DeepStore {
     /// (databases, models, FTL and flash counters, id counters), and
     /// rebuilds the int8 cascade sidecars by decoding features straight
     /// from the mapping. The query cache starts cold. The image is
-    /// marked in-use (dirty) until [`DeepStore::close`].
+    /// marked in-use (dirty) until [`DeepStore::close`]; an image whose
+    /// manifest still carries its models inline (version 1) is rewritten
+    /// as version 2 by that same commit.
     ///
     /// Check [`DeepStore::opened_dirty`] to learn whether the previous
     /// owner exited without a clean close — state is then the last
@@ -305,15 +310,30 @@ impl DeepStore {
     /// * [`DeepStoreError::VersionMismatch`] if the image or its
     ///   manifest was written by a different format version.
     /// * [`DeepStoreError::Flash`] wrapping [`FlashError::Image`] for a
-    ///   missing/corrupt image.
+    ///   missing/corrupt image, including a model extent that is out of
+    ///   bounds or fails its CRC (the message names the model id).
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let (store, manifest_bytes, clean) =
+        let (mut image, manifest_bytes, clean) =
             MmapStore::open(path.as_ref()).map_err(DeepStoreError::from)?;
         let manifest = ImageManifest::decode(&manifest_bytes)?;
+        let mut models = HashMap::new();
+        let mut model_extents = HashMap::new();
+        for (id, stored) in manifest.models {
+            let model = match stored {
+                StoredModel::Inline(model) => model,
+                StoredModel::Extent(extent) => {
+                    let model = read_model(&image, id, &extent)?;
+                    model_extents.insert(ModelId(id), extent);
+                    model
+                }
+            };
+            models.insert(ModelId(id), model);
+        }
+        image.set_live_extents(model_extents.values().copied().collect());
         let qc = Self::fresh_qc(&manifest.cfg);
         let engine = Engine::restore(
             manifest.cfg,
-            Box::new(store),
+            Box::new(image),
             &manifest.flash,
             &manifest.ftl,
             manifest.dbs,
@@ -322,11 +342,8 @@ impl DeepStore {
         );
         let mut store = DeepStore {
             engine,
-            models: manifest
-                .models
-                .into_iter()
-                .map(|(id, m)| (ModelId(id), m))
-                .collect(),
+            models,
+            model_extents,
             qc,
             results: HashMap::new(),
             next_model: manifest.next_model,
@@ -344,23 +361,19 @@ impl DeepStore {
     }
 
     /// Commits all device state to the backing image with the
-    /// crash-safe ordering of [`deepstore_flash::image`]: page payloads
-    /// are synced, the manifest is written beside the live one, and the
-    /// header generation advances only after both are durable. A crash
-    /// at any point leaves the previous commit intact. No-op `Ok` on a
-    /// volatile (heap) device.
+    /// crash-safe ordering of [`deepstore_flash::image`]: models loaded
+    /// since the last commit are written once into their own extents,
+    /// page payloads are synced, the manifest is written beside the live
+    /// one, and the header generation advances only after all of them
+    /// are durable. A crash at any point leaves the previous commit
+    /// intact. No-op `Ok` on a volatile (heap) device.
     ///
     /// # Errors
     ///
     /// Returns [`DeepStoreError::Flash`] wrapping [`FlashError::Image`]
     /// if the commit fails; the previous commit stays authoritative.
     pub fn flush(&mut self) -> Result<()> {
-        if !self.engine.is_persistent() {
-            return Ok(());
-        }
-        let manifest = self.build_manifest().encode();
-        self.engine.commit(&manifest, false)?;
-        Ok(())
+        self.commit(false)
     }
 
     /// Flushes and marks the image cleanly closed, consuming the
@@ -371,11 +384,29 @@ impl DeepStore {
     ///
     /// Same conditions as [`DeepStore::flush`].
     pub fn close(mut self) -> Result<()> {
+        self.commit(true)
+    }
+
+    fn commit(&mut self, clean: bool) -> Result<()> {
         if !self.engine.is_persistent() {
             return Ok(());
         }
+        // Extents before the manifest that references them: the
+        // commit's sync makes both durable before its header publishes.
+        // Id order, so the image layout repeats run to run.
+        let mut unwritten: Vec<ModelId> = self
+            .models
+            .keys()
+            .filter(|id| !self.model_extents.contains_key(id))
+            .copied()
+            .collect();
+        unwritten.sort_by_key(|id| id.0);
+        for id in unwritten {
+            let extent = self.engine.write_extent(&model_bytes(&self.models[&id]))?;
+            self.model_extents.insert(id, extent);
+        }
         let manifest = self.build_manifest().encode();
-        self.engine.commit(&manifest, true)?;
+        self.engine.commit(&manifest, clean)?;
         Ok(())
     }
 
@@ -411,6 +442,7 @@ impl DeepStore {
         DeepStore {
             engine,
             models: HashMap::new(),
+            model_extents: HashMap::new(),
             qc,
             results: HashMap::new(),
             next_model: 1,
@@ -422,12 +454,13 @@ impl DeepStore {
         }
     }
 
-    /// Snapshots the device into the manifest a commit persists.
+    /// Snapshots the device into the manifest a commit persists (every
+    /// model already has its extent).
     fn build_manifest(&self) -> ImageManifest {
-        let mut models: Vec<(u64, Model)> = self
-            .models
+        let mut models: Vec<(u64, StoredModel)> = self
+            .model_extents
             .iter()
-            .map(|(id, m)| (id.0, m.clone()))
+            .map(|(id, &extent)| (id.0, StoredModel::Extent(extent)))
             .collect();
         models.sort_by_key(|(id, _)| *id);
         ImageManifest {
@@ -1069,16 +1102,6 @@ impl DeepStore {
     pub fn trace_json(&self) -> Option<String> {
         self.tracer.as_ref().map(TraceRecorder::to_json)
     }
-
-    /// Drops an instant marker on the pipeline lane at the current
-    /// trace clock (no-op unless tracing is enabled). The wire/runtime
-    /// layer uses this to mark request decode.
-    pub fn trace_mark(&mut self, name: &'static str) {
-        let ts = self.trace_clock_ns;
-        if let Some(t) = &mut self.tracer {
-            t.instant(name, "pipeline", ts, 0);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1412,6 +1435,191 @@ mod tests {
             Err(DeepStoreError::Flash(FlashError::Image(_)))
         ));
         back.close().unwrap();
+    }
+
+    /// A unique image path under the temp dir, removed when the guard
+    /// drops.
+    fn temp_image(tag: &str) -> (std::path::PathBuf, impl Drop) {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        struct Cleanup(std::path::PathBuf);
+        impl Drop for Cleanup {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_file(&self.0);
+            }
+        }
+        let path = std::env::temp_dir().join(format!(
+            "deepstore-api-{tag}-{}-{}.img",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        (path.clone(), Cleanup(path))
+    }
+
+    fn persistent_cfg() -> DeepStoreConfig {
+        let mut cfg = DeepStoreConfig::small();
+        cfg.qc_capacity = 0;
+        cfg
+    }
+
+    /// Top-K and simulated latency of one probe per model, in model
+    /// order.
+    fn answers(store: &mut DeepStore, db: DbId, models: &[(ModelId, &Model)]) -> Vec<QueryResult> {
+        models
+            .iter()
+            .map(|&(mid, model)| {
+                let req = QueryRequest::new(model.random_feature(4242), mid, db).k(5);
+                let qid = store.query(req).unwrap();
+                let mut r = store.results(qid).unwrap();
+                r.query_id = QueryId(0);
+                r
+            })
+            .collect()
+    }
+
+    #[test]
+    fn load_model_adds_at_most_256_bytes_to_the_manifest() {
+        let (path, _cleanup) = temp_image("manifest-bytes");
+        let mut store = DeepStore::create(&path, persistent_cfg()).unwrap();
+        for model in [zoo::textqa().seeded(2), zoo::tir().seeded(1)] {
+            store.flush().unwrap();
+            let before = store.build_manifest().encode().len();
+            store.load_model(&ModelGraph::from_model(&model)).unwrap();
+            store.flush().unwrap();
+            let after = store.build_manifest().encode().len();
+            assert!(
+                after - before <= 256,
+                "{}: {before} -> {after} B for {} B of weights",
+                model.name(),
+                model.weight_bytes()
+            );
+        }
+    }
+
+    #[test]
+    fn a_model_is_written_once_across_flushes_and_reopen() {
+        let (path, _cleanup) = temp_image("write-once");
+        let cfg = persistent_cfg();
+        let model = zoo::textqa().seeded(42);
+        let features: Vec<Tensor> = (0..48).map(|i| model.random_feature(i)).collect();
+        let mut store = DeepStore::create(&path, cfg.clone()).unwrap();
+        let db = store.write_db(&features).unwrap();
+        let mid = store.load_model(&ModelGraph::from_model(&model)).unwrap();
+        for _ in 0..10 {
+            store.flush().unwrap();
+        }
+        let extent = store.model_extents[&mid];
+        store.close().unwrap();
+        let mut back = DeepStore::open(&path).unwrap();
+        back.flush().unwrap();
+        assert_eq!(back.model_extents[&mid], extent);
+        assert_eq!(back.models[&mid], model);
+        back.append_db(db, &features[..8]).unwrap();
+        back.close().unwrap();
+
+        // Past the page region the file holds the model's bytes exactly
+        // once: in its extent, and in none of the manifests.
+        let image = std::fs::read(&path).unwrap();
+        let tail = &image[4096 + cfg.ssd.geometry.total_bytes() as usize..];
+        let needle = model_bytes(&model);
+        let copies = (0..=tail.len().saturating_sub(needle.len()))
+            .filter(|&at| tail[at] == needle[0] && tail[at..].starts_with(&needle))
+            .count();
+        assert_eq!(copies, 1);
+    }
+
+    #[test]
+    fn version_1_image_opens_bit_identically_and_flushes_as_version_2() {
+        let (path, _cleanup) = temp_image("v1");
+        let cfg = persistent_cfg();
+        let model = zoo::textqa().seeded(42);
+        let features: Vec<Tensor> = (0..48).map(|i| model.random_feature(i)).collect();
+        let mut reference = DeepStore::in_memory(cfg.clone());
+        let db = reference.write_db(&features).unwrap();
+        let mid = reference
+            .load_model(&ModelGraph::from_model(&model))
+            .unwrap();
+        let expected = answers(&mut reference, db, &[(mid, &model)]);
+
+        // A version-1 image: same state, the model inline in the manifest
+        // and no extent anywhere.
+        let mut store = DeepStore::create(&path, cfg).unwrap();
+        assert_eq!(store.write_db(&features).unwrap(), db);
+        let mut manifest = store.build_manifest();
+        manifest.next_model = mid.0 + 1;
+        let v1 = crate::persist::encode_v1(&manifest, &[(mid.0, model.clone())]);
+        store.engine.commit(&v1, true).unwrap();
+        drop(store);
+
+        let mut back = DeepStore::open(&path).unwrap();
+        assert_eq!(answers(&mut back, db, &[(mid, &model)]), expected);
+        back.close().unwrap();
+        let (_, bytes, _) = MmapStore::open(&path).unwrap();
+        let reopened = ImageManifest::decode(&bytes).unwrap();
+        assert_eq!(reopened.manifest_version, MANIFEST_VERSION);
+        assert!(matches!(
+            reopened.models.as_slice(),
+            [(id, StoredModel::Extent(_))] if *id == mid.0
+        ));
+        let mut again = DeepStore::open(&path).unwrap();
+        assert_eq!(answers(&mut again, db, &[(mid, &model)]), expected);
+    }
+
+    #[test]
+    fn torn_commit_of_a_model_leaves_reusable_space() {
+        let (path, _cleanup) = temp_image("orphan");
+        let cfg = persistent_cfg();
+        let first = zoo::textqa().seeded(42);
+        let second = zoo::textqa().seeded(7);
+        let features: Vec<Tensor> = (0..48).map(|i| first.random_feature(i)).collect();
+        let mut reference = DeepStore::in_memory(cfg.clone());
+        let db = reference.write_db(&features).unwrap();
+        let ids =
+            [&first, &second].map(|m| reference.load_model(&ModelGraph::from_model(m)).unwrap());
+        let expected = answers(&mut reference, db, &[(ids[0], &first), (ids[1], &second)]);
+
+        let mut store = DeepStore::create(&path, cfg).unwrap();
+        store.write_db(&features).unwrap();
+        store.flush().unwrap();
+        let mid = store.load_model(&ModelGraph::from_model(&first)).unwrap();
+        store.flush().unwrap();
+        let orphan = store.model_extents[&mid];
+        let len_before = std::fs::metadata(&path).unwrap().len();
+        drop(store);
+
+        // Tear the newest header slot: open falls back to the commit
+        // before `load_model`, which knows no model.
+        let mut image = std::fs::read(&path).unwrap();
+        let generation = |slot: usize| {
+            u64::from_le_bytes(image[slot * 512 + 16..slot * 512 + 24].try_into().unwrap())
+        };
+        let newest = if generation(0) > generation(1) { 0 } else { 1 };
+        image[newest * 512 + 20] ^= 0xFF;
+        std::fs::write(&path, &image).unwrap();
+        drop(image);
+        let mut back = DeepStore::open(&path).unwrap();
+        assert!(back.opened_dirty());
+        assert!(back.models.is_empty());
+
+        for model in [&first, &second] {
+            back.load_model(&ModelGraph::from_model(model)).unwrap();
+        }
+        back.flush().unwrap();
+        let reused = back.model_extents[&ids[0]];
+        assert!(
+            reused.offset < orphan.offset + orphan.len
+                && orphan.offset < reused.offset + reused.len,
+            "{reused:?} does not reuse {orphan:?}"
+        );
+        let grown = std::fs::metadata(&path).unwrap().len() - len_before;
+        assert!(grown < 2 * orphan.len, "file grew {grown} B for two models");
+        back.close().unwrap();
+
+        let mut again = DeepStore::open(&path).unwrap();
+        assert_eq!(
+            answers(&mut again, db, &[(ids[0], &first), (ids[1], &second)]),
+            expected
+        );
     }
 
     #[test]

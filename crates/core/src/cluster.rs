@@ -465,8 +465,9 @@ impl DeepStoreCluster {
     }
 
     /// Flushes every drive's image and commits the cluster layout
-    /// manifest (write-to-temp + rename, so a crash leaves the previous
-    /// manifest authoritative). No-op on an in-memory cluster.
+    /// manifest (write-to-temp, fsync, rename, fsync the directory, so
+    /// a crash leaves the previous manifest authoritative). No-op on an
+    /// in-memory cluster.
     ///
     /// # Errors
     ///
@@ -508,12 +509,22 @@ impl DeepStoreCluster {
                 .map(|m| m.per_drive.iter().map(|id| id.0).collect())
                 .collect(),
         };
+        // Bytes durable before the rename can publish them, and the
+        // rename durable before flush returns: otherwise a power loss can
+        // leave `cluster.json` renamed into place but empty.
         let path = Self::manifest_path(&dir);
         let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, manifest.encode())
-            .map_err(|e| FlashError::Image(format!("write cluster manifest: {e}")))?;
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| FlashError::Image(format!("commit cluster manifest: {e}")))?;
+        let io = |what: &str, e: std::io::Error| FlashError::Image(format!("{what}: {e}"));
+        std::fs::File::create(&tmp)
+            .and_then(|mut file| {
+                std::io::Write::write_all(&mut file, &manifest.encode())?;
+                file.sync_all()
+            })
+            .map_err(|e| io("write cluster manifest", e))?;
+        std::fs::rename(&tmp, &path).map_err(|e| io("commit cluster manifest", e))?;
+        std::fs::File::open(&dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| io("sync cluster directory", e))?;
         Ok(())
     }
 

@@ -503,6 +503,17 @@ impl Engine {
         self.array.commit(manifest, clean)
     }
 
+    /// Writes `bytes` once into a fresh extent of the backing image for
+    /// the next [`Engine::commit`]'s manifest to reference.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlashError::Image`] if the backend is volatile or the
+    /// write fails.
+    pub fn write_extent(&mut self, bytes: &[u8]) -> FlashResult<deepstore_flash::ImageExtent> {
+        self.array.write_extent(bytes)
+    }
+
     /// Flash-array semantic state for a manifest.
     pub fn flash_snapshot(&self) -> FlashStateSnapshot {
         self.array.state_snapshot()

@@ -65,7 +65,7 @@ pub use cluster::{
 pub use config::{AcceleratorConfig, AcceleratorLevel, DeepStoreConfig};
 pub use engine::{DbId, ObjectId};
 pub use error::{DeepStoreError, Result};
-pub use persist::{ImageManifest, MANIFEST_VERSION};
+pub use persist::{ImageManifest, StoredModel, MANIFEST_VERSION};
 pub use qcache::{QueryCache, QueryCacheConfig, ReplacementPolicy};
 pub use serve::{
     channel_transport, serve, ChannelClient, ChannelConnector, QuotaConfig, ServeClock,

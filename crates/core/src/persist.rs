@@ -7,12 +7,20 @@
 //! a reopen with bit-identical behavior: the configuration, the flash
 //! array's programmed-page/erase-count/op-counter state, the FTL's
 //! allocation state, every database's metadata and unsealed write
-//! buffer, the loaded models, and the id counters.
+//! buffer, where each loaded model is stored, and the id counters.
 //!
 //! The manifest is serialized as JSON. All map-like state is encoded as
 //! sorted `Vec<(key, value)>` pairs, which keeps the encoding
 //! deterministic (two flushes of the same state produce byte-identical
 //! manifests) and the format self-describing.
+//!
+//! Models are written once. A model never changes after `loadModel`, so
+//! the first commit after it writes the model's serde encoding into a
+//! write-once image extent, and every manifest from then on carries only
+//! the extent's offset, length and CRC — a few dozen bytes in place of
+//! the weights as decimal text. Version-1 manifests, which carried every
+//! model inline, still decode; the first commit after opening one
+//! rewrites it as version 2.
 //!
 //! What is deliberately **not** persisted:
 //!
@@ -33,16 +41,27 @@ use crate::config::DeepStoreConfig;
 use crate::engine::DbMeta;
 use crate::error::Result;
 use deepstore_flash::ftl::FtlSnapshot;
-use deepstore_flash::{FlashError, FlashStateSnapshot};
+use deepstore_flash::{FlashError, FlashStateSnapshot, ImageExtent, PageStore};
 use deepstore_nn::Model;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Version of the manifest encoding. Bumped on any incompatible change;
-/// [`ImageManifest::decode`] rejects other versions with
+/// [`ImageManifest::decode`] rejects other versions — except version 1,
+/// which it still reads — with
 /// [`crate::DeepStoreError::VersionMismatch`]. Independent of the image
 /// *container* version ([`deepstore_flash::IMAGE_FORMAT_VERSION`]),
 /// which covers the header/page-region layout underneath.
-pub const MANIFEST_VERSION: u32 = 1;
+pub const MANIFEST_VERSION: u32 = 2;
+
+/// How a manifest holds one loaded model.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum StoredModel {
+    /// The model's serde encoding in a write-once image extent: what
+    /// every version-2 commit writes.
+    Extent(ImageExtent),
+    /// The model itself, inline: how a version-1 manifest held it.
+    Inline(Model),
+}
 
 /// Everything the device persists besides raw page payloads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -64,8 +83,8 @@ pub struct ImageManifest {
     pub write_buffers: Vec<(u64, Vec<u8>)>,
     /// Next database id to hand out.
     pub next_db: u64,
-    /// Loaded models as sorted `(model_id, model)` pairs.
-    pub models: Vec<(u64, Model)>,
+    /// Loaded models as sorted `(model_id, stored model)` pairs.
+    pub models: Vec<(u64, StoredModel)>,
     /// Next model id to hand out.
     pub next_model: u64,
     /// Next query id to hand out.
@@ -83,26 +102,98 @@ impl ImageManifest {
         serde_json::to_vec(self).expect("manifest types serialize infallibly")
     }
 
-    /// Parses a manifest previously produced by [`ImageManifest::encode`].
+    /// Parses a manifest previously produced by [`ImageManifest::encode`],
+    /// or a version-1 manifest, whose models come back as
+    /// [`StoredModel::Inline`] (its version field stays 1).
     ///
     /// # Errors
     ///
     /// * [`crate::DeepStoreError::VersionMismatch`] if the manifest was
-    ///   written by a different encoding version.
+    ///   written by an encoding version other than 1 or 2.
     /// * [`crate::DeepStoreError::Flash`] wrapping [`FlashError::Image`]
     ///   if the bytes do not parse.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let manifest: ImageManifest = serde_json::from_slice(bytes)
-            .map_err(|e| FlashError::Image(format!("manifest parse: {e}")))?;
-        if manifest.manifest_version != MANIFEST_VERSION {
-            return Err(FlashError::VersionMismatch {
-                expected: MANIFEST_VERSION,
-                found: manifest.manifest_version,
+        let parse_err = |e: serde::DeError| FlashError::Image(format!("manifest parse: {e}"));
+        let mut value = serde::parse_value(bytes).map_err(parse_err)?;
+        let version = value
+            .as_object()
+            .map(|fields| u32::from_value(serde::field(fields, "manifest_version")));
+        match version {
+            Some(Ok(MANIFEST_VERSION)) => {}
+            Some(Ok(1)) => inline_v1_models(&mut value),
+            Some(Ok(found)) => {
+                return Err(FlashError::VersionMismatch {
+                    expected: MANIFEST_VERSION,
+                    found,
+                }
+                .into())
             }
-            .into());
+            // Not an object, or no usable version: the full parse below
+            // names what is wrong.
+            _ => {}
         }
-        Ok(manifest)
+        Ok(Self::from_value(&value).map_err(parse_err)?)
     }
+}
+
+/// Version 1 differs from version 2 only in its `models` pairs, which
+/// hold `[id, model]` where version 2 holds `[id, stored model]`: wrap
+/// each model as [`StoredModel::Inline`]. Anything shaped otherwise is
+/// left for the full parse to reject.
+fn inline_v1_models(manifest: &mut Value) {
+    let Value::Obj(fields) = manifest else {
+        return;
+    };
+    let Some((_, Value::Arr(pairs))) = fields.iter_mut().find(|(name, _)| name == "models") else {
+        return;
+    };
+    for pair in pairs {
+        if let Value::Arr(items) = pair {
+            if let [_, model] = items.as_mut_slice() {
+                let inline = std::mem::replace(model, Value::Null);
+                *model = Value::Obj(vec![("Inline".to_string(), inline)]);
+            }
+        }
+    }
+}
+
+/// The bytes a model's extent holds: the model's serde encoding, the
+/// same bytes a version-1 manifest carried inline.
+pub(crate) fn model_bytes(model: &Model) -> Vec<u8> {
+    serde_json::to_vec(model).expect("models serialize infallibly")
+}
+
+/// Reads model `id` back from its extent.
+///
+/// # Errors
+///
+/// Returns [`FlashError::Image`] naming the model if the extent is out
+/// of bounds, fails its CRC, or does not decode as a model.
+pub(crate) fn read_model(store: &dyn PageStore, id: u64, extent: &ImageExtent) -> Result<Model> {
+    let named = |what: String| FlashError::Image(format!("model {id}: {what}"));
+    let bytes = store.read_extent(extent).map_err(|e| match e {
+        FlashError::Image(what) => named(what),
+        other => other,
+    })?;
+    Ok(
+        serde_json::from_slice(&bytes)
+            .map_err(|e| named(format!("extent does not decode: {e}")))?,
+    )
+}
+
+/// Encodes `manifest` as version 1 wrote it: `models` inline.
+#[cfg(test)]
+pub(crate) fn encode_v1(manifest: &ImageManifest, models: &[(u64, Model)]) -> Vec<u8> {
+    let v2 = ImageManifest {
+        manifest_version: 1,
+        models: Vec::new(),
+        ..manifest.clone()
+    };
+    let inline = format!("\"models\":{}", serde_json::to_string(models).unwrap());
+    String::from_utf8(v2.encode())
+        .unwrap()
+        .replacen("\"models\":[]", &inline, 1)
+        .into_bytes()
 }
 
 /// Version of the cluster layout encoding. Bumped on any incompatible
@@ -265,6 +356,43 @@ mod tests {
     fn rejects_garbage_with_image_error() {
         let err = ImageManifest::decode(b"not json at all").unwrap_err();
         assert!(matches!(err, DeepStoreError::Flash(FlashError::Image(_))));
+    }
+
+    #[test]
+    fn version_1_models_decode_inline_and_version_2_holds_references() {
+        let model = deepstore_nn::zoo::textqa().seeded(3);
+        let v1 = encode_v1(&sample(), &[(4, model.clone())]);
+        let back = ImageManifest::decode(&v1).unwrap();
+        assert_eq!(back.manifest_version, 1);
+        assert_eq!(back.models, vec![(4, StoredModel::Inline(model.clone()))]);
+        assert_eq!(
+            ImageManifest {
+                models: Vec::new(),
+                ..back
+            },
+            ImageManifest {
+                manifest_version: 1,
+                ..sample()
+            }
+        );
+        // The extent holds exactly the bytes version 1 inlined.
+        let text = String::from_utf8(v1).unwrap();
+        assert!(text.contains(std::str::from_utf8(&model_bytes(&model)).unwrap()));
+
+        let mut m = sample();
+        let extent = ImageExtent {
+            offset: u64::MAX,
+            len: u64::MAX,
+            crc: u32::MAX,
+        };
+        m.models = vec![(u64::MAX, StoredModel::Extent(extent))];
+        let bytes = m.encode();
+        assert!(
+            bytes.len() - sample().encode().len() <= 256,
+            "{}",
+            bytes.len()
+        );
+        assert_eq!(ImageManifest::decode(&bytes).unwrap(), m);
     }
 
     fn cluster_sample() -> ClusterManifest {

@@ -204,6 +204,18 @@ impl FlashArray {
         self.store.commit(manifest, clean)
     }
 
+    /// Writes `bytes` once into a fresh extent of the persistent
+    /// backend, for the next [`FlashArray::commit`]'s manifest to
+    /// reference (see [`crate::image`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlashError::Image`] if the backend is volatile or the
+    /// write fails.
+    pub fn write_extent(&mut self, bytes: &[u8]) -> Result<crate::ImageExtent> {
+        self.store.write_extent(bytes)
+    }
+
     /// Captures the semantic state (programmed set, erase counts,
     /// retirement queue, operation counters) for an image manifest.
     pub fn state_snapshot(&self) -> FlashStateSnapshot {

@@ -7,18 +7,30 @@
 //! offset 512    header slot B (512 bytes, CRC-protected)
 //! offset 4096   page region: total_pages × page_bytes, mmap'ed
 //!               PROT_READ|PROT_WRITE, MAP_SHARED (sparse on disk)
-//! after pages   manifest area: the engine's serialized manifest,
-//!               relocated on every commit so the live copy is never
-//!               overwritten in place
+//! after pages   extent area: the engine's serialized manifest, relocated
+//!               on every commit so the live copy is never overwritten in
+//!               place, and write-once extents (the loaded models) that
+//!               the manifest references by offset, length and CRC
 //! ```
+//!
+//! Everything past the page region is placed by one first-fit rule
+//! ([`ImageFile::write_extent`] and [`ImageFile::commit`] share it): the
+//! lowest offset where the bytes overlap neither the live manifest nor
+//! any live extent. The live extents are those the committed manifest
+//! references (the engine hands them down after decoding it, see
+//! [`ImageFile::set_live_extents`]) plus every extent written since.
 //!
 //! # Commit protocol (crash safety)
 //!
 //! A commit publishes a consistent snapshot with write-ahead ordering:
 //!
+//! 0. Extents the new manifest is the first to reference were written
+//!    before the commit started (nothing is synced yet).
 //! 1. `msync` the page region (all page payloads reach the file).
-//! 2. Write the new manifest at an offset that does not overlap the
-//!    currently-referenced manifest, then `fsync`.
+//! 2. Write the new manifest at an offset that overlaps neither the
+//!    currently-referenced manifest nor a live extent, then `fsync` —
+//!    which also makes step 0's extents durable, so they cost no fsync
+//!    of their own.
 //! 3. Write the *inactive* header slot (slots alternate by generation
 //!    parity) with the new generation, manifest pointer, manifest CRC
 //!    and a header CRC, then `fsync`.
@@ -27,7 +39,9 @@
 //! manifest) authoritative; a torn header write fails its CRC and the
 //! other slot wins. [`ImageFile::open`] validates both slots and uses
 //! the highest-generation slot whose header *and* manifest CRCs check
-//! out, so recovery is simply "state = last committed manifest".
+//! out, so recovery is simply "state = last committed manifest". An
+//! extent written for a commit that never published is referenced by
+//! no manifest, so after the reopen its bytes are free space again.
 //!
 //! The `clean` header flag records whether the device was closed with
 //! [`clean == true`]; an open that finds `clean == false` reports a
@@ -55,6 +69,7 @@
 use crate::geometry::SsdGeometry;
 use crate::store::PageStore;
 use crate::{FlashError, Result};
+use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 
@@ -321,9 +336,22 @@ impl Header {
     }
 }
 
+/// A write-once byte range of the image past the page region, holding
+/// an immutable object (a loaded model) that manifests reference instead
+/// of re-encoding it on every commit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ImageExtent {
+    /// Byte offset in the image file.
+    pub offset: u64,
+    /// Length in bytes.
+    pub len: u64,
+    /// CRC-32 of the extent's bytes.
+    pub crc: u32,
+}
+
 /// A single-file persistent device image: header slots, mmap'ed page
-/// region and the committed manifest. See the module docs for the
-/// format and the commit protocol.
+/// region, the committed manifest and its extents. See the module docs
+/// for the format and the commit protocol.
 #[derive(Debug)]
 pub struct ImageFile {
     file: File,
@@ -334,6 +362,9 @@ pub struct ImageFile {
     generation: u64,
     manifest_offset: u64,
     manifest_len: u64,
+    /// Extents no write may overlap: the committed manifest's plus
+    /// every extent written since (the next manifest references them).
+    extents: Vec<ImageExtent>,
 }
 
 impl ImageFile {
@@ -388,11 +419,14 @@ impl ImageFile {
             generation: 1,
             manifest_offset: PAGE_REGION_OFFSET + page_region_len,
             manifest_len: 0,
+            extents: Vec::new(),
         })
     }
 
     /// Opens an existing image, returning the image, the last committed
-    /// manifest bytes, and whether the image was closed cleanly.
+    /// manifest bytes, and whether the image was closed cleanly. The
+    /// image knows no live extents until the caller, having decoded the
+    /// manifest, hands them down with [`ImageFile::set_live_extents`].
     ///
     /// Both header slots are validated (magic, CRC, format version) and
     /// the highest-generation slot whose manifest also passes its CRC
@@ -456,6 +490,7 @@ impl ImageFile {
                 generation: header.generation,
                 manifest_offset: header.manifest_offset,
                 manifest_len: header.manifest_len,
+                extents: Vec::new(),
             };
             return Ok((image, manifest, header.clean));
         }
@@ -500,15 +535,12 @@ impl ImageFile {
     pub fn commit(&mut self, manifest: &[u8], clean: bool) -> Result<()> {
         // 1. Page payloads reach the file before anything references them.
         self.sync_pages()?;
-        // 2. Write the manifest somewhere that does not overlap the live
-        //    one, so a crash mid-write cannot corrupt committed state.
-        let base = self.page_region_end();
+        // 2. Write the manifest somewhere that overlaps neither the live
+        //    one nor a live extent, so a crash mid-write cannot corrupt
+        //    committed state. The sync also covers extents written since
+        //    the last commit.
         let manifest_len = manifest.len() as u64;
-        let offset = if self.manifest_len == 0 || self.manifest_offset >= base + manifest_len {
-            base
-        } else {
-            align4k(self.manifest_offset + self.manifest_len).max(base)
-        };
+        let offset = self.place(manifest_len);
         sys::write_all_at(&self.file, manifest, offset).map_err(|e| io_err("write manifest", e))?;
         self.file
             .sync_all()
@@ -538,6 +570,98 @@ impl ImageFile {
         self.manifest_offset = offset;
         self.manifest_len = manifest_len;
         Ok(())
+    }
+
+    /// First-fit placement past the page region: the lowest offset at
+    /// which `len` bytes overlap neither the live manifest nor a live
+    /// extent. A candidate that collides moves to the next 4 KiB
+    /// boundary after the occupied range.
+    fn place(&self, len: u64) -> u64 {
+        let mut taken: Vec<(u64, u64)> = self
+            .extents
+            .iter()
+            .map(|e| (e.offset, e.len))
+            .chain([(self.manifest_offset, self.manifest_len)])
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        taken.sort_unstable();
+        let mut at = self.page_region_end();
+        for (start, n) in taken {
+            if at + len <= start {
+                break;
+            }
+            at = at.max(align4k(start + n));
+        }
+        at
+    }
+
+    /// Declares the extents the committed manifest references, so that
+    /// no later extent or manifest write lands on them. The caller
+    /// decodes the manifest [`ImageFile::open`] returned and hands its
+    /// extents down before writing anything; any other bytes past the
+    /// page region (an extent whose commit never published) are free.
+    pub fn set_live_extents(&mut self, extents: Vec<ImageExtent>) {
+        self.extents = extents;
+    }
+
+    /// Writes `bytes` once into a fresh extent, placed by the module's
+    /// first-fit rule, and returns where it landed. Nothing is synced: the
+    /// next [`ImageFile::commit`]'s fsync makes the extent durable
+    /// before its header publishes a manifest that references it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlashError::Image`] if the write fails.
+    pub fn write_extent(&mut self, bytes: &[u8]) -> Result<ImageExtent> {
+        let extent = ImageExtent {
+            offset: self.place(bytes.len() as u64),
+            len: bytes.len() as u64,
+            crc: crc32(bytes),
+        };
+        sys::write_all_at(&self.file, bytes, extent.offset)
+            .map_err(|e| io_err("write extent", e))?;
+        self.extents.push(extent);
+        Ok(extent)
+    }
+
+    /// Reads an extent back.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlashError::Image`] if the extent reaches into the
+    /// header or page region, runs past the end of the file, or fails
+    /// its CRC.
+    pub fn read_extent(&self, extent: &ImageExtent) -> Result<Vec<u8>> {
+        let ImageExtent { offset, len, crc } = *extent;
+        let describe = || format!("extent {offset}+{len}");
+        if offset < self.page_region_end() {
+            return Err(FlashError::Image(format!(
+                "{} starts inside the header or page region (which ends at {})",
+                describe(),
+                self.page_region_end()
+            )));
+        }
+        let file_len = self
+            .file
+            .metadata()
+            .map_err(|e| io_err("stat image", e))?
+            .len();
+        // Checked before allocating, so a corrupt length cannot ask for
+        // more memory than the file holds.
+        if offset.checked_add(len).is_none_or(|end| end > file_len) {
+            return Err(FlashError::Image(format!(
+                "{} runs past the end of the {file_len}-byte image",
+                describe()
+            )));
+        }
+        let len = usize::try_from(len)
+            .map_err(|_| FlashError::Image(format!("{} is too large", describe())))?;
+        let mut bytes = vec![0u8; len];
+        sys::read_exact_at(&self.file, &mut bytes, offset).map_err(|e| io_err("read extent", e))?;
+        if crc32(&bytes) != crc {
+            return Err(FlashError::Image(format!("{} fails its CRC", describe())));
+        }
+        Ok(bytes)
     }
 
     fn page_range(&self, idx: u64, count: u64) -> std::ops::Range<usize> {
@@ -619,6 +743,12 @@ impl MmapStore {
     pub fn image(&self) -> &ImageFile {
         &self.image
     }
+
+    /// Hands down the extents the committed manifest references (see
+    /// [`ImageFile::set_live_extents`]).
+    pub fn set_live_extents(&mut self, extents: Vec<ImageExtent>) {
+        self.image.set_live_extents(extents);
+    }
 }
 
 impl PageStore for MmapStore {
@@ -646,6 +776,14 @@ impl PageStore for MmapStore {
 
     fn commit(&mut self, manifest: &[u8], clean: bool) -> Result<()> {
         self.image.commit(manifest, clean)
+    }
+
+    fn write_extent(&mut self, bytes: &[u8]) -> Result<ImageExtent> {
+        self.image.write_extent(bytes)
+    }
+
+    fn read_extent(&self, extent: &ImageExtent) -> Result<Vec<u8>> {
+        self.image.read_extent(extent)
     }
 
     fn is_persistent(&self) -> bool {
@@ -829,6 +967,100 @@ mod tests {
         drop(store);
         let (_, manifest, _) = MmapStore::open(&path).unwrap();
         assert_eq!(manifest, b"manifest-7");
+    }
+
+    fn overlaps(a: (u64, u64), b: (u64, u64)) -> bool {
+        a.0 < b.0 + b.1 && b.0 < a.0 + a.1
+    }
+
+    #[test]
+    fn extents_roundtrip_and_never_overlap_live_bytes() {
+        let path = temp_image("extents");
+        let _guard = Cleanup(path.clone());
+        let g = SsdConfig::small().geometry;
+        let (first, second) = {
+            let mut store = MmapStore::create(&path, g).unwrap();
+            store.commit(b"empty", false).unwrap();
+            let first = store.write_extent(&[7u8; 5000]).unwrap();
+            let second = store.write_extent(b"second").unwrap();
+            for i in 0..6u32 {
+                store
+                    .commit(format!("manifest-{i}").as_bytes(), i == 5)
+                    .unwrap();
+                let live = (store.image.manifest_offset, store.image.manifest_len);
+                for e in [first, second] {
+                    assert!(!overlaps(live, (e.offset, e.len)), "commit {i}");
+                }
+            }
+            assert!(!overlaps(
+                (first.offset, first.len),
+                (second.offset, second.len)
+            ));
+            assert!(first.offset >= PAGE_REGION_OFFSET + g.total_bytes());
+            (first, second)
+        };
+        let (mut store, manifest, clean) = MmapStore::open(&path).unwrap();
+        assert_eq!((manifest.as_slice(), clean), (&b"manifest-5"[..], true));
+        store.set_live_extents(vec![first, second]);
+        assert_eq!(store.read_extent(&first).unwrap(), vec![7u8; 5000]);
+        assert_eq!(store.read_extent(&second).unwrap(), b"second");
+        let third = store.write_extent(b"third").unwrap();
+        for e in [first, second] {
+            assert!(!overlaps((third.offset, third.len), (e.offset, e.len)));
+        }
+    }
+
+    #[test]
+    fn extent_of_an_unpublished_commit_is_free_space_after_reopen() {
+        let path = temp_image("orphan");
+        let _guard = Cleanup(path.clone());
+        let g = SsdConfig::small().geometry;
+        let orphan = {
+            let mut store = MmapStore::create(&path, g).unwrap();
+            store.commit(b"gen2", false).unwrap();
+            // Written, but the process dies before a commit publishes it.
+            store.write_extent(&[1u8; 9000]).unwrap()
+        };
+        let (mut store, _, _) = MmapStore::open(&path).unwrap();
+        store.set_live_extents(Vec::new());
+        let reused = store.write_extent(&[2u8; 9000]).unwrap();
+        assert_eq!(reused.offset, orphan.offset);
+    }
+
+    #[test]
+    fn corrupt_extents_are_typed_errors() {
+        let path = temp_image("bad-extent");
+        let _guard = Cleanup(path.clone());
+        let g = SsdConfig::small().geometry;
+        let mut store = MmapStore::create(&path, g).unwrap();
+        let good = store.write_extent(b"payload").unwrap();
+        store.commit(b"m", false).unwrap();
+        let file_len = std::fs::metadata(&path).unwrap().len();
+        for bad in [
+            ImageExtent { offset: 0, ..good },
+            ImageExtent {
+                offset: PAGE_REGION_OFFSET,
+                ..good
+            },
+            ImageExtent {
+                len: file_len,
+                ..good
+            },
+            ImageExtent {
+                len: u64::MAX,
+                ..good
+            },
+            ImageExtent {
+                crc: good.crc ^ 1,
+                ..good
+            },
+        ] {
+            assert!(
+                matches!(store.read_extent(&bad), Err(FlashError::Image(_))),
+                "{bad:?}"
+            );
+        }
+        assert_eq!(store.read_extent(&good).unwrap(), b"payload");
     }
 
     #[test]

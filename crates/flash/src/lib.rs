@@ -49,7 +49,7 @@ pub mod trace;
 pub use array::{FlashOpCounts, FlashStateSnapshot};
 pub use fault::{FaultOutcome, FaultPlan, OutageSummary};
 pub use geometry::{PageAddr, SsdGeometry};
-pub use image::{ImageFile, MmapStore, IMAGE_FORMAT_VERSION};
+pub use image::{ImageExtent, ImageFile, MmapStore, IMAGE_FORMAT_VERSION};
 pub use obs::{FlashEventCounts, FlashMetrics};
 pub use store::{HeapStore, PageStore};
 pub use timing::{FlashTiming, ReadRetryPolicy, SimDuration};

@@ -15,6 +15,7 @@
 //! program writes the payload zero-padded to the page size, and reads of
 //! a programmed page return exactly those `page_bytes` bytes.
 
+use crate::image::ImageExtent;
 use crate::Result;
 use std::collections::HashMap;
 use std::fmt::Debug;
@@ -66,11 +67,35 @@ pub trait PageStore: Send + Sync + Debug {
     /// persistent or the commit fails.
     fn commit(&mut self, manifest: &[u8], clean: bool) -> Result<()>;
 
+    /// Writes `bytes` once into a fresh extent of the image, where no
+    /// live manifest or extent lies, for the next manifest to reference.
+    /// The next [`PageStore::commit`] makes it durable (see
+    /// [`crate::image`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::FlashError::Image`] if the backend is not
+    /// persistent or the write fails.
+    fn write_extent(&mut self, bytes: &[u8]) -> Result<ImageExtent>;
+
+    /// Reads back an extent a manifest references, checking its bounds
+    /// and CRC.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::FlashError::Image`] if the backend is not
+    /// persistent or the extent is out of bounds or corrupt.
+    fn read_extent(&self, extent: &ImageExtent) -> Result<Vec<u8>>;
+
     /// Whether commits survive process exit.
     fn is_persistent(&self) -> bool;
 
     /// Short backend name for diagnostics ("heap" / "mmap").
     fn backend(&self) -> &'static str;
+}
+
+fn no_image(what: &str) -> crate::FlashError {
+    crate::FlashError::Image(format!("the in-memory backend cannot {what}"))
 }
 
 /// The in-memory backend: sparse page payloads on the heap.
@@ -112,9 +137,15 @@ impl PageStore for HeapStore {
     }
 
     fn commit(&mut self, _manifest: &[u8], _clean: bool) -> Result<()> {
-        Err(crate::FlashError::Image(
-            "the in-memory backend cannot commit an image".into(),
-        ))
+        Err(no_image("commit an image"))
+    }
+
+    fn write_extent(&mut self, _bytes: &[u8]) -> Result<ImageExtent> {
+        Err(no_image("write an image extent"))
+    }
+
+    fn read_extent(&self, _extent: &ImageExtent) -> Result<Vec<u8>> {
+        Err(no_image("read an image extent"))
     }
 
     fn is_persistent(&self) -> bool {
@@ -165,5 +196,12 @@ mod tests {
         assert_eq!(s.backend(), "heap");
         assert!(s.flush().is_ok());
         assert!(s.commit(b"{}", true).is_err());
+        assert!(s.write_extent(b"model").is_err());
+        let extent = ImageExtent {
+            offset: 0,
+            len: 0,
+            crc: 0,
+        };
+        assert!(s.read_extent(&extent).is_err());
     }
 }
