@@ -84,13 +84,14 @@ pub struct ScanFaults {
 /// channel order (the counts are commutative sums over the physically
 /// determined shard plan, so they are identical at every `parallelism`
 /// setting). One unit is one per-request, per-feature admission
-/// decision: `pruned` decisions skipped the exact f32 path because the
-/// feature's int8 score upper bound fell *strictly* below that
-/// request's running top-K threshold; `rescored` decisions cleared (or
-/// tied) the bound check and went through exact scoring. Features
-/// scored before a request's sorter fills (no threshold yet), and
-/// requests the cascade does not apply to (exact opt-out, non-foldable
-/// model), count as neither.
+/// decision on a readable feature: `pruned` decisions skipped the exact
+/// f32 path because the feature's int8 score upper bound fell
+/// *strictly* below that request's threshold (its floor or its shard's
+/// running top-K threshold, whichever is higher); `rescored` decisions
+/// cleared (or tied) the bound check and went through exact scoring.
+/// Features scored while a request has no threshold yet (no floor and
+/// a sorter not yet full), and requests the cascade does not apply to
+/// (exact opt-out, non-foldable model), count as neither.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CascadeStats {
     /// Per-request feature decisions that skipped exact scoring.
@@ -789,29 +790,34 @@ impl Engine {
         Ok(out)
     }
 
-    /// Decodes feature `idx` straight out of borrowed flash pages into a
-    /// reusable `f32` buffer — the scan's page-sequential fast path. No
-    /// intermediate `Vec<u8>` and no `Tensor` are materialized: each page
-    /// is read once via [`FlashArray::read`]'s borrowed slice, kept in
+    /// Reads feature `idx` straight out of borrowed flash pages and, when
+    /// `out` is given, decodes it into that reusable `f32` buffer — the
+    /// scan's page-sequential walker. No intermediate `Vec<u8>` and no
+    /// `Tensor` are materialized: each page is read once via
+    /// [`FlashArray::read_with_stats`]'s borrowed slice, kept in
     /// `cached_page` so consecutive features resident in the same page
     /// reuse it, and an f32 whose four bytes straddle a page boundary is
-    /// assembled through a small carry buffer.
+    /// assembled through a small carry buffer. With `out = None` the walk
+    /// issues exactly the same reads, so page and fault accounting do
+    /// not depend on whether the feature is decoded.
     ///
     /// A page that fails ECC is not cached (the next feature touching it
     /// re-reads and re-fails, matching the per-feature read semantics of
     /// [`Engine::read_feature`]).
-    fn decode_feature_into<'a>(
+    fn read_feature_into<'a>(
         &'a self,
         meta: &DbMeta,
         idx: u64,
         cached_page: &mut Option<(usize, &'a [u8])>,
-        out: &mut Vec<f32>,
+        mut out: Option<&mut Vec<f32>>,
         faults: &mut ReadFaultStats,
     ) -> FlashResult<()> {
         let page_bytes = self.cfg.ssd.geometry.page_bytes;
         let (mut page_idx, mut offset) = self.feature_location(meta, idx);
-        out.clear();
-        out.reserve(meta.feature_bytes / 4);
+        if let Some(out) = out.as_deref_mut() {
+            out.clear();
+            out.reserve(meta.feature_bytes / 4);
+        }
         let mut carry = [0u8; 4];
         let mut carry_len = 0usize;
         let mut remaining = meta.feature_bytes;
@@ -831,26 +837,28 @@ impl Engine {
                 }
             };
             let take = remaining.min(page_bytes - offset);
-            let mut chunk = &page[offset..offset + take];
-            if carry_len > 0 {
-                // Finish the f32 whose bytes straddled the previous page.
-                let need = (4 - carry_len).min(chunk.len());
-                carry[carry_len..carry_len + need].copy_from_slice(&chunk[..need]);
-                carry_len += need;
-                chunk = &chunk[need..];
-                if carry_len == 4 {
-                    out.push(f32::from_le_bytes(carry));
-                    carry_len = 0;
+            if let Some(out) = out.as_deref_mut() {
+                let mut chunk = &page[offset..offset + take];
+                if carry_len > 0 {
+                    // Finish the f32 whose bytes straddled the previous page.
+                    let need = (4 - carry_len).min(chunk.len());
+                    carry[carry_len..carry_len + need].copy_from_slice(&chunk[..need]);
+                    carry_len += need;
+                    chunk = &chunk[need..];
+                    if carry_len == 4 {
+                        out.push(f32::from_le_bytes(carry));
+                        carry_len = 0;
+                    }
                 }
-            }
-            if carry_len == 0 {
-                let mut quads = chunk.chunks_exact(4);
-                for q in &mut quads {
-                    out.push(f32::from_le_bytes([q[0], q[1], q[2], q[3]]));
+                if carry_len == 0 {
+                    let mut quads = chunk.chunks_exact(4);
+                    for q in &mut quads {
+                        out.push(f32::from_le_bytes([q[0], q[1], q[2], q[3]]));
+                    }
+                    let tail = quads.remainder();
+                    carry[..tail.len()].copy_from_slice(tail);
+                    carry_len = tail.len();
                 }
-                let tail = quads.remainder();
-                carry[..tail.len()].copy_from_slice(tail);
-                carry_len = tail.len();
             }
             remaining -= take;
             offset = 0;
@@ -948,7 +956,7 @@ impl Engine {
     }
 
     /// The map-reduce scan (§4.7.1), and the engine's only scan loop:
-    /// walks each channel shard's pages **once**, scores every decoded
+    /// walks each channel shard's pages **once**, scores every admitted
     /// feature against all `(model, query, k, exact)` requests of the
     /// batch with a per-request, per-shard top-K sorter (map), and
     /// merges the shard sorters in channel order (reduce). Returns one
@@ -985,20 +993,27 @@ impl Engine {
     /// **Cascade.** `exact = true` forces every feature through the
     /// exact f32 path for that request; `exact = false` lets the int8
     /// bound-then-refine cascade skip exact scoring for features that
-    /// provably cannot enter its top-K. Per decoded feature, each
-    /// request with an applicable bound and a full sorter makes an
-    /// admission decision; a model group runs its fused exact scorer
-    /// iff **any** member admits the feature (members whose bound
-    /// stayed below their threshold are still offered the exact score,
-    /// which their sorter rejects by construction — score ≤ bound <
-    /// threshold). The ranking is bit-identical in both modes, and a
-    /// pruned feature's flash pages are still decoded, so fault
-    /// accounting is identical too. The cascade applies only when the
-    /// model folds to a linear functional of the feature (see
-    /// [`deepstore_nn::BoundScorer`]) and the int8 sidecar covers the
-    /// database (it always does for databases written through
-    /// [`Engine::write_db`]); otherwise every feature is rescored and
-    /// the stats stay zero.
+    /// provably cannot enter its top-K. The pass runs in two phases.
+    /// The *bound pass* computes every feature's int8 `(lb, ub)` from
+    /// the in-RAM sidecar, stores `ub`, and keeps the K-th largest `lb`
+    /// as the request's **floor**: a feature with `ub < floor` is beaten
+    /// strictly by K features scoring `≥ lb ≥ floor`, so it cannot enter
+    /// the top-K under any tie-break. That proof needs its K witnesses to
+    /// be readable, so the floor applies only while no fault plan is
+    /// armed. The *page pass* then decides admission before each read:
+    /// a request prunes a feature iff `ub` is strictly below the larger
+    /// of its floor and its shard's running K-th best. A model group
+    /// runs its fused exact scorer iff **any** member admits the feature
+    /// (members that pruned it are still offered the exact score; it
+    /// ranks below their whole top-K, so it displaces none of it). A
+    /// feature no request admits is read, not decoded: its pages go
+    /// through the same reads, so page counts, fault accounting and
+    /// coverage are identical in both modes, and so is the ranking. The
+    /// cascade applies only when the model folds to a linear functional
+    /// of the feature (see [`deepstore_nn::BoundScorer`]) and the int8
+    /// sidecar covers the database (it always does for databases written
+    /// through [`Engine::write_db`]); otherwise every feature is decoded
+    /// and rescored and the stats stay zero.
     ///
     /// # Errors
     ///
@@ -1035,38 +1050,36 @@ impl Engine {
             }
         }
 
-        // Cascade inputs, built once per pass and shared (read-only)
-        // across worker shards: the per-db int8 sidecar plus one folded
-        // bound scorer per applicable request.
+        // Phase 1, the bound pass: one int8 sidecar sweep per applicable
+        // request, shared (read-only) across worker shards. The floor is
+        // trusted only when no read can fail (see the doc comment).
         let quants: Option<&[FeatureQuant]> = self
             .quant
             .get(&db)
             .filter(|q| q.len() as u64 == meta.num_features)
             .map(Vec::as_slice);
-        let bounds: Vec<Option<BoundScorer>> = requests
+        let trust_floor = self.array.faults().is_empty();
+        let passes: Vec<Option<BoundPass>> = requests
             .iter()
-            .map(|&(model, query, _, exact)| {
-                if exact || quants.is_none() {
-                    None
-                } else {
-                    BoundScorer::new(model, query)
-                }
+            .map(|&(model, query, k, exact)| {
+                let quants = quants.filter(|_| !exact)?;
+                let scorer = BoundScorer::new(model, query)?;
+                Some(BoundPass::new(&scorer, quants, k, trust_floor))
             })
             .collect();
 
-        // Map: each worker owns its scorers (one scratch arena per model
-        // group) and one feature buffer, decodes features
-        // page-sequentially out of borrowed flash pages (each page is
-        // read once per shard, with a carry buffer for values straddling
-        // page boundaries), and scores them with the allocation-free
-        // scratch path. After the first feature of a shard, the loop
-        // performs zero heap allocations.
+        // Phase 2, the page pass. Each worker owns its scorers (one
+        // scratch arena per model group) and one feature buffer, walks
+        // its shard's borrowed flash pages (each page is read once per
+        // shard, with a carry buffer for values straddling page
+        // boundaries), and scores admitted features with the
+        // allocation-free scratch path. After the first feature of a
+        // shard, the loop performs zero heap allocations.
         //
-        // The cascade check sits between decode and score: a pruned
-        // feature still costs its flash reads (the pass is
-        // page-sequential anyway, and identical fault accounting is
-        // part of the bit-identity contract) but skips the f32
-        // inference, which dominates scan compute.
+        // Admission runs before the read: a feature no request admits
+        // still costs its flash reads (identical fault accounting is
+        // part of the bit-identity contract) but skips both the f32
+        // decode and the inference.
         let scan_one = |shard: &[u64]| -> FlashResult<(Vec<TopKSorter>, ScanFaults, CascadeStats)> {
             let mut sorters: Vec<TopKSorter> = requests
                 .iter()
@@ -1084,14 +1097,34 @@ impl Engine {
             let mut scores: Vec<f32> = Vec::with_capacity(requests.len());
             let mut feature: Vec<f32> = Vec::with_capacity(meta.feature_bytes / 4);
             let mut cached_page: Option<(usize, &[u8])> = None;
+            let mut admitted: Vec<bool> = vec![false; groups.len()];
             for &idx in shard {
-                match self.decode_feature_into(
-                    meta,
-                    idx,
-                    &mut cached_page,
-                    &mut feature,
-                    &mut faults.reads,
-                ) {
+                // Admission: a group runs its fused exact scorer iff any
+                // member admits the feature. Every member's decision is
+                // evaluated (no short-circuit) so the cascade counters
+                // are a function of the offered set alone, like the
+                // sorter contents; they count once the read succeeds.
+                let mut decided = CascadeStats::default();
+                for ((_, ix), admit) in groups.iter().zip(&mut admitted) {
+                    *admit = false;
+                    for &req_i in ix {
+                        let Some(pass) = &passes[req_i] else {
+                            *admit = true;
+                            continue;
+                        };
+                        match pass.threshold(sorters[req_i].threshold()) {
+                            Some(thr) if pass.ub[idx as usize] < thr => decided.pruned += 1,
+                            Some(_) => {
+                                decided.rescored += 1;
+                                *admit = true;
+                            }
+                            None => *admit = true,
+                        }
+                    }
+                }
+                let decode = admitted.contains(&true).then_some(&mut feature);
+                match self.read_feature_into(meta, idx, &mut cached_page, decode, &mut faults.reads)
+                {
                     Ok(()) => {}
                     Err(FlashError::UncorrectableEcc(_)) => {
                         // Degrade gracefully: skip the unreadable feature.
@@ -1100,26 +1133,10 @@ impl Engine {
                     }
                     Err(e) => return Err(e),
                 }
-                for ((model, ix), scorer) in groups.iter().zip(&mut scorers) {
-                    // Admission: run the group's fused exact scorer iff
-                    // any member admits the feature. Every member's
-                    // decision is evaluated (no short-circuit) so the
-                    // cascade counters are a function of the offered
-                    // set alone, like the sorter contents.
-                    let mut admit = false;
-                    for &req_i in ix {
-                        match (&bounds[req_i], sorters[req_i].threshold(), quants) {
-                            (Some(bs), Some(thr), Some(q)) => {
-                                if bs.upper_bound(&q[idx as usize]) < thr {
-                                    cascade.pruned += 1;
-                                } else {
-                                    cascade.rescored += 1;
-                                    admit = true;
-                                }
-                            }
-                            _ => admit = true,
-                        }
-                    }
+                cascade.merge(&decided);
+                for (((model, ix), scorer), &admit) in
+                    groups.iter().zip(&mut scorers).zip(&admitted)
+                {
                     if !admit {
                         continue;
                     }
@@ -1174,7 +1191,7 @@ impl Engine {
     /// its first page lives on. Unsealed features whose pages are not
     /// allocated yet fall into shard 0, where the read reports the
     /// proper error. Within a shard the indices stay ascending, so the
-    /// page-sequential decoder touches each flash page exactly once.
+    /// page-sequential walker touches each flash page exactly once.
     ///
     /// Assigning by *first* page also makes the fault accounting exact
     /// by construction: a feature straddling a block boundary spans
@@ -1204,6 +1221,47 @@ pub(crate) fn check_request_shape(meta: &DbMeta, model: &Model, query: &Tensor) 
         }
     }
     Ok(())
+}
+
+/// One bounded request's bound pass over a database's int8 sidecar.
+struct BoundPass {
+    /// Every feature's score upper bound, indexed by feature.
+    ub: Vec<f32>,
+    /// The K-th largest lower bound, when the floor may be trusted and
+    /// the database holds at least K features.
+    floor: Option<f32>,
+}
+
+impl BoundPass {
+    fn new(scorer: &BoundScorer, quants: &[FeatureQuant], k: usize, trust_floor: bool) -> Self {
+        // The K best lower bounds seen so far; a NaN bound is never a
+        // witness (it would break the sorter's order).
+        let mut witnesses = TopKSorter::new(if trust_floor { k } else { 0 });
+        let ub = quants
+            .iter()
+            .zip(0u64..)
+            .map(|(fq, idx)| {
+                let (lb, ub) = scorer.bounds(fq);
+                if witnesses.k() > 0 && witnesses.threshold().map_or(!lb.is_nan(), |t| lb > t) {
+                    witnesses.offer(lb, idx);
+                }
+                ub
+            })
+            .collect();
+        BoundPass {
+            ub,
+            floor: witnesses.threshold(),
+        }
+    }
+
+    /// The pruning threshold given a shard sorter's running K-th best:
+    /// the higher of that and the floor.
+    fn threshold(&self, running: Option<f32>) -> Option<f32> {
+        match (self.floor, running) {
+            (Some(floor), Some(running)) => Some(floor.max(running)),
+            (floor, running) => floor.or(running),
+        }
+    }
 }
 
 /// Runs a per-shard map step over the shard plan, returning one result
@@ -1516,7 +1574,7 @@ mod tests {
         let mut out = Vec::new();
         let mut stats = ReadFaultStats::new();
         for (i, f) in fs.iter().enumerate() {
-            e.decode_feature_into(meta, i as u64, &mut cached, &mut out, &mut stats)
+            e.read_feature_into(meta, i as u64, &mut cached, Some(&mut out), &mut stats)
                 .unwrap();
             assert_eq!(out, f.data(), "feature {i}");
         }

@@ -30,7 +30,6 @@
 //! assert!(score.is_finite());
 //! ```
 
-pub mod batch;
 pub mod graph;
 pub(crate) mod kernels;
 pub mod layer;
@@ -41,8 +40,6 @@ pub mod quant;
 pub mod scratch;
 pub mod tensor;
 pub mod zoo;
-
-pub use batch::Batch;
 
 /// Name of the compute-kernel backend this process dispatches to:
 /// `"avx"`, `"sse2"` or `"scalar"`. Selection is made once per process

@@ -300,15 +300,6 @@ impl Model {
         }
         Ok(x)
     }
-
-    /// Scores a batch of dataset feature vectors against one query.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Model::similarity`]; fails on the first mismatching item.
-    pub fn similarity_batch(&self, query: &Tensor, items: &[Tensor]) -> Result<Vec<f32>> {
-        items.iter().map(|it| self.similarity(query, it)).collect()
-    }
 }
 
 /// Builder for [`Model`] (C-BUILDER).
@@ -497,17 +488,6 @@ mod tests {
         let q = Tensor::from_slice(&[0.0; 3]);
         let d = m.random_feature(2);
         assert!(m.similarity(&q, &d).is_err());
-    }
-
-    #[test]
-    fn batch_scores_match_individual_scores() {
-        let m = toy().seeded(5);
-        let q = m.random_feature(0);
-        let items: Vec<Tensor> = (1..5).map(|i| m.random_feature(i)).collect();
-        let batch = m.similarity_batch(&q, &items).unwrap();
-        for (i, item) in items.iter().enumerate() {
-            assert_eq!(batch[i], m.similarity(&q, item).unwrap());
-        }
     }
 
     #[test]

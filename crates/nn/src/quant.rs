@@ -8,11 +8,12 @@
 //!   plus the scalars (`scale`, `abs_sum`, `max_abs`) the bound
 //!   arithmetic consumes.
 //! * [`BoundScorer`] — a per-(model, query) folded linear functional
-//!   with a **provable upper bound** on the exact f32 similarity score:
-//!   `upper_bound(feature) >= similarity(query, feature)` for every
-//!   feature, always. The scan prunes a feature only when its bound is
-//!   *strictly below* the running K-th best exact score, so recall@K is
-//!   exactly 1.0 by construction, not empirically.
+//!   with **provable lower and upper bounds** on the exact f32
+//!   similarity score: `lb <= similarity(query, feature) <= ub` for
+//!   every feature, always. The scan prunes a feature only when its
+//!   upper bound is *strictly below* a K-th best score that K other
+//!   features provably reach (exact scores, or lower bounds), so
+//!   recall@K is exactly 1.0 by construction, not empirically.
 //!
 //! # Eligibility: linear-foldable models
 //!
@@ -47,11 +48,12 @@
 //!   network in f32 with its own summation order; a standard running
 //!   error analysis (propagated per layer alongside a magnitude bound,
 //!   both affine in the feature's `max_abs`) bounds how far that f32
-//!   value can sit above the real-arithmetic score.
+//!   value can sit from the real-arithmetic score, on either side.
 //!
-//! Every bound-side computation runs in f64 with a safety factor, and
-//! the final downcast rounds *up* — so the published f32 bound can only
-//! be looser, never unsound.
+//! Both terms bound an absolute difference, so `ã ∓ pad` brackets the
+//! exact score. Every bound-side computation runs in f64 with a safety
+//! factor, and the final downcasts round *outward* — so the published
+//! f32 bounds can only be looser, never unsound.
 
 use crate::layer::MergeOp;
 use crate::{Activation, ElementWiseOp, Model, Tensor};
@@ -129,9 +131,9 @@ fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
         .sum()
 }
 
-/// A folded, quantized upper-bound scorer for one (model, query) pair.
+/// A folded, quantized bound scorer for one (model, query) pair.
 ///
-/// Built once per scan ([`BoundScorer::new`]); [`BoundScorer::upper_bound`]
+/// Built once per scan ([`BoundScorer::new`]); [`BoundScorer::bounds`]
 /// then costs one int8 dot plus a handful of f64 flops per feature.
 /// Read-only after construction, so one instance is shared by every
 /// scan shard.
@@ -382,11 +384,13 @@ impl BoundScorer {
         })
     }
 
-    /// A sound f32 upper bound on the exact similarity score of the
-    /// feature this sidecar entry was built from: one int8 dot plus a
-    /// few f64 flops. See the module docs for the error budget.
+    /// Sound f32 `(lower, upper)` bounds on the exact similarity score
+    /// of the feature this sidecar entry was built from: one int8 dot,
+    /// a few f64 flops, and `approx ∓ pad`. Both error terms of the
+    /// module docs bound an absolute difference, so one pad serves both
+    /// sides.
     #[must_use]
-    pub fn upper_bound(&self, fq: &FeatureQuant) -> f32 {
+    pub fn bounds(&self, fq: &FeatureQuant) -> (f32, f32) {
         debug_assert_eq!(fq.q.len(), self.n);
         let dot = f64::from(dot_i8(&self.gq, &fq.q));
         let s_x = fq.scale as f64;
@@ -396,10 +400,20 @@ impl BoundScorer {
         let slack = self.err_const + self.err_coeff * fq.max_abs;
         // SAFETY factor again on the whole pad: absorbs the f64 rounding
         // of this very expression.
-        let ub = approx + SAFETY * (e_quant + 1e-30) + slack;
-        // Round *up* into f32: a nearest-cast can undershoot by half an
-        // ulp, so take the next representable value.
-        (ub as f32).next_up()
+        let pad = SAFETY * (e_quant + 1e-30) + slack;
+        // Round *outward* into f32: a nearest-cast can miss by half an
+        // ulp, so take the next representable value on each side.
+        (
+            ((approx - pad) as f32).next_down(),
+            ((approx + pad) as f32).next_up(),
+        )
+    }
+
+    /// A sound f32 upper bound on the exact similarity score:
+    /// [`BoundScorer::bounds`]'s upper half.
+    #[must_use]
+    pub fn upper_bound(&self, fq: &FeatureQuant) -> f32 {
+        self.bounds(fq).1
     }
 
     /// The feature length this scorer was folded for.
@@ -481,11 +495,11 @@ mod tests {
                         let item = model.random_feature(1000 + fi);
                         let fq = quantize_feature(item.data());
                         let exact = model.similarity(&query, &item).unwrap();
-                        let ub = bs.upper_bound(&fq);
+                        let (lb, ub) = bs.bounds(&fq);
                         assert!(
-                            ub >= exact,
-                            "bound {ub} < exact {exact} (merge {merge:?}, dims {dims:?}, \
-                             seed {seed}, feature {fi})"
+                            lb <= exact && exact <= ub,
+                            "exact {exact} outside [{lb}, {ub}] (merge {merge:?}, \
+                             dims {dims:?}, seed {seed}, feature {fi})"
                         );
                     }
                 }

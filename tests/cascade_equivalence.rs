@@ -7,24 +7,31 @@
 //!   feature, the int8 upper bound is ≥ the exact f32 similarity —
 //!   always, not statistically. This is what makes recall@K exactly
 //!   1.0 by construction: a feature is pruned only when its bound
-//!   (hence its score) falls strictly below the running K-th best.
+//!   (hence its score) falls strictly below the running K-th best, or
+//!   below the database-wide floor (the K-th largest lower bound).
 //! * **Bit-identity.** The cascade's ranked top-K — ids, scores,
 //!   order — equals the exact path's bit-for-bit, at every
 //!   `parallelism` setting (1/2/4/auto), with and without armed fault
 //!   plans degrading coverage. So do the fault counts: pruned
 //!   features still stream their flash pages.
 //!
+//! Two fixed cases pin the floor: it is wired (fault-free scans prune
+//! against the whole database) and it is gated (an armed fault plan
+//! can hide its witnesses, so it is not trusted then).
+//!
 //! Run with `DEEPSTORE_FORCE_SCALAR=1` to exercise the scalar kernel
 //! dispatch arm; CI runs both.
 
 use deepstore_core::config::DeepStoreConfig;
 use deepstore_core::engine::{DbId, Engine};
-use deepstore_core::{DeepStore, QueryRequest};
+use deepstore_core::{DeepStore, DeepStoreError, QueryRequest};
 use deepstore_flash::fault::FaultPlan;
+use deepstore_flash::FlashError;
 use deepstore_nn::{
     quantize_feature, zoo, Activation, BoundScorer, ElementWiseOp, MergeOp, Model, ModelBuilder,
     ModelGraph, Tensor,
 };
+use deepstore_systolic::topk::TopKSorter;
 use proptest::prelude::*;
 
 /// Worker counts exercised against the serial cascade. `0` means "one
@@ -183,6 +190,134 @@ proptest! {
                 Some(b) => prop_assert_eq!(b, stats),
             }
         }
+    }
+}
+
+/// The floor is wired: on a fault-free, multi-channel database every
+/// feature gets an admission decision from the first one on, a request
+/// rescores no feature whose upper bound sits below the K-th largest
+/// lower bound of the *whole* database (computed here from
+/// `BoundScorer::bounds`, independently of the engine), the counts do
+/// not depend on the worker count, and pruning skips no page read.
+#[test]
+fn floor_prunes_against_the_whole_database() {
+    const K: usize = 10;
+    let n = 2_000u64;
+    let (mut engine, model, db) = engine_with("textqa", 5, n, 1);
+    let meta = engine.db_meta(db).unwrap();
+    assert!(
+        meta.pages
+            .iter()
+            .any(|p| p.channel != meta.pages[0].channel),
+        "test premise: the database spans several channel shards"
+    );
+    let probe = model.random_feature(0xF1002);
+    let scorer = BoundScorer::new(&model, &probe).expect("textqa folds");
+    let bounds: Vec<(f32, f32)> = (0..n)
+        .map(|i| {
+            scorer.bounds(&quantize_feature(
+                engine.read_feature(db, i).unwrap().data(),
+            ))
+        })
+        .collect();
+    let mut lower: Vec<f32> = bounds.iter().map(|&(lb, _)| lb).collect();
+    lower.sort_by(|a, b| b.total_cmp(a));
+    let floor = lower[K - 1];
+    let admissible = bounds.iter().filter(|&&(_, ub)| ub >= floor).count() as u64;
+
+    let reads = engine.flash_op_counts().reads;
+    let (exact, _, _) = engine.scan_top_k_with(db, &model, &probe, K, true).unwrap();
+    let exact_reads = engine.flash_op_counts().reads - reads;
+    let mut baseline = None;
+    for workers in WORKER_COUNTS {
+        engine.set_parallelism(workers);
+        let reads = engine.flash_op_counts().reads;
+        let (cascade, _, stats) = engine
+            .scan_top_k_with(db, &model, &probe, K, false)
+            .unwrap();
+        assert_eq!(engine.flash_op_counts().reads - reads, exact_reads);
+        assert_eq!(cascade, exact, "ranking diverged at parallelism {workers}");
+        assert_eq!(stats.pruned + stats.rescored, n);
+        assert!(
+            stats.rescored <= admissible,
+            "rescored {} features, but only {admissible} have ub >= floor {floor}",
+            stats.rescored
+        );
+        assert_eq!(
+            *baseline.get_or_insert(stats),
+            stats,
+            "parallelism {workers}"
+        );
+    }
+}
+
+/// The floor is a proof that needs K *readable* witnesses. Plant the K
+/// best of a large pool on the database's first page, followed by the
+/// pool's worst, and fail that page permanently. An ungated floor would
+/// prune every survivor against the lost witnesses (the premise below
+/// checks that); the scan must instead rank the survivors exactly as
+/// brute force over the readable features does.
+#[test]
+fn floor_is_not_trusted_when_its_witnesses_are_unreadable() {
+    const K: usize = 8;
+    let model = zoo::textqa().seeded_metric(3);
+    let probe = model.random_feature(0xF1001);
+    let mut pool: Vec<(f32, Tensor)> = (0..4_000u64)
+        .map(|i| {
+            let f = model.random_feature(i);
+            (model.similarity(&probe, &f).unwrap(), f)
+        })
+        .collect();
+    pool.sort_by(|a, b| b.0.total_cmp(&a.0));
+    // A 16 KB page holds twenty whole 800 B features: the K best all
+    // sit on page 0.
+    let features: Vec<Tensor> = pool[..K]
+        .iter()
+        .chain(&pool[pool.len() - 300..])
+        .map(|(_, f)| f.clone())
+        .collect();
+    let n = features.len() as u64;
+    let mut engine = Engine::new(DeepStoreConfig::small());
+    let db = engine.write_db(&features).unwrap();
+    engine.seal_db(db).unwrap();
+    let geometry = engine.config().ssd.geometry;
+    let first_page = engine.db_meta(db).unwrap().pages[0];
+    engine.inject_faults(FaultPlan::none().fail_page(&geometry, first_page));
+
+    let mut expected = TopKSorter::new(K);
+    let mut survivors = Vec::new();
+    for idx in 0..n {
+        match engine.read_feature(db, idx) {
+            Ok(f) => {
+                expected.offer(model.similarity(&probe, &f).unwrap(), idx);
+                survivors.push(f);
+            }
+            Err(DeepStoreError::Flash(FlashError::UncorrectableEcc(_))) => {}
+            Err(e) => panic!("unexpected read error: {e}"),
+        }
+    }
+    let coverage = survivors.len() as f64 / n as f64;
+    assert!(coverage < 1.0, "the fault plan hides features");
+
+    let scorer = BoundScorer::new(&model, &probe).expect("textqa folds");
+    let ungated_floor = features[..K]
+        .iter()
+        .map(|f| scorer.bounds(&quantize_feature(f.data())).0)
+        .fold(f32::INFINITY, f32::min);
+    assert!(
+        survivors
+            .iter()
+            .all(|f| scorer.bounds(&quantize_feature(f.data())).1 < ungated_floor),
+        "test premise: a floor over the lost witnesses would prune every survivor"
+    );
+
+    for workers in WORKER_COUNTS {
+        engine.set_parallelism(workers);
+        let (top, faults, _) = engine
+            .scan_top_k_with(db, &model, &probe, K, false)
+            .unwrap();
+        assert_eq!(faults.skipped, n - survivors.len() as u64);
+        assert_eq!(top, expected.ranked(), "parallelism {workers}");
     }
 }
 
