@@ -3,7 +3,7 @@
 
 use std::process::Command;
 
-const EXPERIMENTS: [&str; 18] = [
+const EXPERIMENTS: [&str; 17] = [
     "table1",
     "fig2",
     "fig6",
@@ -19,7 +19,6 @@ const EXPERIMENTS: [&str; 18] = [
     "ablation_dataflow",
     "ablation_prefetch",
     "ablation_qc_policy",
-    "ablation_gc",
     "throughput",
     "recall",
 ];

@@ -598,8 +598,8 @@ fn print_device_stats(s: &deepstore_core::DeviceStats) {
         s.flash.bus_transfers
     );
     println!(
-        "  reliability: {} ecc failures, {} gc runs ({} blocks), {} features skipped",
-        s.flash.ecc_failures, s.flash.gc_runs, s.flash.gc_blocks_reclaimed, s.unreadable_skipped
+        "  reliability: {} ecc failures, {} features skipped",
+        s.flash.ecc_failures, s.unreadable_skipped
     );
     println!(
         "  cascade    : {} feature decisions pruned, {} rescored",

@@ -298,8 +298,9 @@ impl DeepStore {
     /// rebuilds the int8 cascade sidecars by decoding features straight
     /// from the mapping. The query cache starts cold. The image is
     /// marked in-use (dirty) until [`DeepStore::close`]; an image whose
-    /// manifest still carries its models inline (version 1) is rewritten
-    /// as version 2 by that same commit.
+    /// manifest still carries an FTL free list (versions 1 and 2) or its
+    /// models inline (version 1) is rewritten as version 3 by that same
+    /// commit.
     ///
     /// Check [`DeepStore::opened_dirty`] to learn whether the previous
     /// owner exited without a clean close — state is then the last
@@ -1529,7 +1530,91 @@ mod tests {
     }
 
     #[test]
-    fn version_1_image_opens_bit_identically_and_flushes_as_version_2() {
+    fn empty_paper_default_manifest_is_a_few_kilobytes() {
+        // Built in memory: a paper-default image file is 1 TiB long.
+        let store = DeepStore::from_engine(Engine::new(DeepStoreConfig::paper_default()));
+        let bytes = store.build_manifest().encode().len();
+        assert!(bytes <= 64 * 1024, "{bytes} B");
+    }
+
+    #[test]
+    fn version_2_image_opens_bit_identically_and_flushes_as_version_3() {
+        use deepstore_flash::fault::FaultPlan;
+        use deepstore_flash::ftl::PhysicalBlock;
+        let model = zoo::textqa().seeded(42);
+        let features: Vec<Tensor> = (0..48).map(|i| model.random_feature(i)).collect();
+        for faulted in [false, true] {
+            let (path, _cleanup) = temp_image("v2");
+            let mut store = DeepStore::create(&path, persistent_cfg()).unwrap();
+            let db = store.write_db(&features).unwrap();
+            let mid = store.load_model(&ModelGraph::from_model(&model)).unwrap();
+            if faulted {
+                // A scan trips permanent faults; recovery remaps their
+                // pages into fresh blocks and retires the failing ones.
+                let geometry = store.config().ssd.geometry;
+                store.inject_faults(FaultPlan::random(&geometry, 0.25, 11));
+                answers(&mut store, db, &[(mid, &model)]);
+                assert!(store.recover_faults().blocks_retired > 0);
+                store.inject_faults(FaultPlan::none());
+            }
+            store.flush().unwrap();
+            let manifest = store.build_manifest();
+            assert_eq!(manifest.ftl.retired.is_empty(), !faulted);
+            let expected = answers(&mut store, db, &[(mid, &model)]);
+            let v2 = crate::persist::encode_v2(&manifest);
+            store.engine.commit(&v2, true).unwrap();
+            drop(store);
+
+            let mut back = DeepStore::open(&path).unwrap();
+            assert_eq!(answers(&mut back, db, &[(mid, &model)]), expected);
+            back.close().unwrap();
+            let (_, bytes, _) = MmapStore::open(&path).unwrap();
+            let reopened = ImageManifest::decode(&bytes).unwrap();
+            assert_eq!(reopened.manifest_version, MANIFEST_VERSION);
+            // Everything but the counters the probes moved is unchanged.
+            assert_eq!(
+                ImageManifest {
+                    flash: manifest.flash.clone(),
+                    next_query: manifest.next_query,
+                    ..reopened
+                },
+                manifest
+            );
+
+            // A free list that is not the stripe order past its first
+            // block, or that leaves blocks to a garbage collector, is
+            // refused typed.
+            let text = String::from_utf8(v2).unwrap();
+            let block = |block| {
+                serde_json::to_string(&PhysicalBlock {
+                    channel: 0,
+                    chip: 0,
+                    plane: 0,
+                    block,
+                })
+                .unwrap()
+            };
+            let outside = manifest.cfg.ssd.geometry.blocks_per_plane;
+            for hostile in [
+                text.replacen("\"free\":[", &format!("\"free\":[{},", block(1)), 1),
+                text.replacen("\"free\":[", &format!("\"free\":[{},", block(outside)), 1),
+                text.replacen(
+                    "\"invalidated\":[]",
+                    &format!("\"invalidated\":[{}]", block(0)),
+                    1,
+                ),
+            ] {
+                assert_ne!(hostile, text);
+                assert!(matches!(
+                    ImageManifest::decode(hostile.as_bytes()),
+                    Err(DeepStoreError::Flash(FlashError::Image(_)))
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn version_1_image_opens_bit_identically_and_flushes_as_version_3() {
         let (path, _cleanup) = temp_image("v1");
         let cfg = persistent_cfg();
         let model = zoo::textqa().seeded(42);

@@ -378,12 +378,12 @@ impl Engine {
                 }
             }
             let replacement = if lost == 0 && !recovered.is_empty() {
-                self.ftl.allocate(&mut self.array).ok()
+                self.ftl.allocate().ok()
             } else {
                 None
             };
             match replacement {
-                Some((_, fresh)) => {
+                Some(fresh) => {
                     let remapped = recovered.len() as u64;
                     for (db, pos, page, bytes) in recovered {
                         let new_addr = fresh.page(page);
@@ -550,7 +550,8 @@ impl Engine {
         self.next_db
     }
 
-    /// The flash array's telemetry hooks (ECC failures, GC, bus waits).
+    /// The flash array's telemetry hooks (ECC failures, bus waits,
+    /// retries).
     pub fn flash_metrics(&self) -> &FlashMetrics {
         self.array.metrics()
     }
@@ -721,10 +722,7 @@ impl Engine {
         let pages_per_block = self.cfg.ssd.geometry.pages_per_block;
         let addr = match self.dbs.get(&db).expect("caller verified db").cursor {
             Some(addr) => addr,
-            None => {
-                let (_, phys) = self.ftl.allocate(&mut self.array)?;
-                phys.page(0)
-            }
+            None => self.ftl.allocate()?.page(0),
         };
         self.array.program(addr, data)?;
         let meta = self.dbs.get_mut(&db).expect("caller verified db");

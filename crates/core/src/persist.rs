@@ -6,8 +6,9 @@
 //! manifest — everything *semantic* the device needs to come back after
 //! a reopen with bit-identical behavior: the configuration, the flash
 //! array's programmed-page/erase-count/op-counter state, the FTL's
-//! allocation state, every database's metadata and unsealed write
-//! buffer, where each loaded model is stored, and the id counters.
+//! stripe cursor and retired blocks, every database's metadata and
+//! unsealed write buffer, where each loaded model is stored, and the id
+//! counters.
 //!
 //! The manifest is serialized as JSON. All map-like state is encoded as
 //! sorted `Vec<(key, value)>` pairs, which keeps the encoding
@@ -19,8 +20,16 @@
 //! write-once image extent, and every manifest from then on carries only
 //! the extent's offset, length and CRC — a few dozen bytes in place of
 //! the weights as decimal text. Version-1 manifests, which carried every
-//! model inline, still decode; the first commit after opening one
-//! rewrites it as version 2.
+//! model inline, still decode.
+//!
+//! The FTL is a cursor. Versions 1 and 2 persisted the free list of a
+//! garbage-collecting allocator — one JSON object per free block, 23.8 MB
+//! on the paper's geometry — although nothing ever freed a block, so the
+//! list was always the stripe order from some position on, minus the
+//! retired blocks. Version 3 persists that position and the retired set;
+//! older manifests are checked to have that shape and converted on
+//! decode, and the first commit after opening one rewrites it as
+//! version 3.
 //!
 //! What is deliberately **not** persisted:
 //!
@@ -40,24 +49,24 @@
 use crate::config::DeepStoreConfig;
 use crate::engine::DbMeta;
 use crate::error::Result;
-use deepstore_flash::ftl::FtlSnapshot;
+use deepstore_flash::ftl::{BlockFtl, FtlSnapshot, PhysicalBlock};
 use deepstore_flash::{FlashError, FlashStateSnapshot, ImageExtent, PageStore};
 use deepstore_nn::Model;
 use serde::{Deserialize, Serialize, Value};
 
 /// Version of the manifest encoding. Bumped on any incompatible change;
-/// [`ImageManifest::decode`] rejects other versions — except version 1,
-/// which it still reads — with
+/// [`ImageManifest::decode`] rejects other versions — except versions 1
+/// and 2, which it still reads — with
 /// [`crate::DeepStoreError::VersionMismatch`]. Independent of the image
 /// *container* version ([`deepstore_flash::IMAGE_FORMAT_VERSION`]),
 /// which covers the header/page-region layout underneath.
-pub const MANIFEST_VERSION: u32 = 2;
+pub const MANIFEST_VERSION: u32 = 3;
 
 /// How a manifest holds one loaded model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum StoredModel {
     /// The model's serde encoding in a write-once image extent: what
-    /// every version-2 commit writes.
+    /// every commit since version 2 writes.
     Extent(ImageExtent),
     /// The model itself, inline: how a version-1 manifest held it.
     Inline(Model),
@@ -73,8 +82,7 @@ pub struct ImageManifest {
     /// Flash-array semantic state (programmed pages, erase counts,
     /// retirement queue, op counters).
     pub flash: FlashStateSnapshot,
-    /// FTL allocation state (map, free list in pop order, wear,
-    /// invalidated and retired blocks, counters).
+    /// FTL allocation state (stripe cursor and retired blocks).
     pub ftl: FtlSnapshot,
     /// Per-database metadata, sorted by database id.
     pub dbs: Vec<DbMeta>,
@@ -103,15 +111,17 @@ impl ImageManifest {
     }
 
     /// Parses a manifest previously produced by [`ImageManifest::encode`],
-    /// or a version-1 manifest, whose models come back as
-    /// [`StoredModel::Inline`] (its version field stays 1).
+    /// or by version 1 or 2. Their FTL free list comes back as the
+    /// equivalent cursor, and a version-1 manifest's models come back as
+    /// [`StoredModel::Inline`]; the version field keeps the old number.
     ///
     /// # Errors
     ///
     /// * [`crate::DeepStoreError::VersionMismatch`] if the manifest was
-    ///   written by an encoding version other than 1 or 2.
+    ///   written by an encoding version other than 1, 2 or 3.
     /// * [`crate::DeepStoreError::Flash`] wrapping [`FlashError::Image`]
-    ///   if the bytes do not parse.
+    ///   if the bytes do not parse, or a version-1/2 free list is not the
+    ///   stripe order from its first block on minus the retired blocks.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let parse_err = |e: serde::DeError| FlashError::Image(format!("manifest parse: {e}"));
         let mut value = serde::parse_value(bytes).map_err(parse_err)?;
@@ -120,7 +130,11 @@ impl ImageManifest {
             .map(|fields| u32::from_value(serde::field(fields, "manifest_version")));
         match version {
             Some(Ok(MANIFEST_VERSION)) => {}
-            Some(Ok(1)) => inline_v1_models(&mut value),
+            Some(Ok(2)) => cursor_from_free_list(&mut value)?,
+            Some(Ok(1)) => {
+                cursor_from_free_list(&mut value)?;
+                inline_v1_models(&mut value);
+            }
             Some(Ok(found)) => {
                 return Err(FlashError::VersionMismatch {
                     expected: MANIFEST_VERSION,
@@ -136,10 +150,10 @@ impl ImageManifest {
     }
 }
 
-/// Version 1 differs from version 2 only in its `models` pairs, which
-/// hold `[id, model]` where version 2 holds `[id, stored model]`: wrap
-/// each model as [`StoredModel::Inline`]. Anything shaped otherwise is
-/// left for the full parse to reject.
+/// Version 1's `models` pairs hold `[id, model]` where later versions
+/// hold `[id, stored model]`: wrap each model as
+/// [`StoredModel::Inline`]. Anything shaped otherwise is left for the
+/// full parse to reject.
 fn inline_v1_models(manifest: &mut Value) {
     let Value::Obj(fields) = manifest else {
         return;
@@ -155,6 +169,68 @@ fn inline_v1_models(manifest: &mut Value) {
             }
         }
     }
+}
+
+/// Versions 1 and 2 persisted the FTL as a free list in allocation
+/// order, beside a logical map, wear and GC counters. An engine that
+/// never frees a block can only have left that list as the stripe order
+/// from its first block on, minus the retired blocks, with nothing
+/// invalidated: check exactly that, and rewrite the `ftl` field as the
+/// cursor at the first free block (or the end of the stripe if none is
+/// free) plus the same retired set. The map, wear and counters carry
+/// nothing the cursor needs.
+///
+/// # Errors
+///
+/// Returns [`FlashError::Image`] for any other shape.
+fn cursor_from_free_list(manifest: &mut Value) -> std::result::Result<(), FlashError> {
+    let bad = |what: String| FlashError::Image(format!("free-list FTL state: {what}"));
+    let Value::Obj(fields) = manifest else {
+        return Err(bad("the manifest is not an object".into()));
+    };
+    let geometry = DeepStoreConfig::from_value(serde::field(fields, "cfg"))
+        .map_err(|e| bad(format!("cfg: {e}")))?
+        .ssd
+        .geometry;
+    let Some((_, ftl)) = fields.iter_mut().find(|(name, _)| name == "ftl") else {
+        return Err(bad("missing".into()));
+    };
+    let old = ftl
+        .as_object()
+        .ok_or_else(|| bad(format!("expected an object, got {}", ftl.kind())))?;
+    let blocks = |name: &str| {
+        Vec::<PhysicalBlock>::from_value(serde::field(old, name))
+            .map_err(|e| bad(format!("{name}: {e}")))
+    };
+    let (free, invalidated, retired) =
+        (blocks("free")?, blocks("invalidated")?, blocks("retired")?);
+    if !invalidated.is_empty() {
+        return Err(bad(format!(
+            "{} invalidated blocks await garbage collection",
+            invalidated.len()
+        )));
+    }
+    let stripe = BlockFtl::new(geometry);
+    let next = match free.first() {
+        Some(&first) => stripe
+            .stripe_position(first)
+            .ok_or_else(|| bad(format!("free block {first:?} lies outside {geometry:?}")))?,
+        None => stripe.stripe_len(),
+    };
+    let snapshot = FtlSnapshot { next, retired };
+    let mut cursor = BlockFtl::from_snapshot(geometry, &snapshot);
+    if !(free.iter().all(|&block| cursor.allocate() == Ok(block)) && cursor.allocate().is_err()) {
+        return Err(bad(
+            "the free list is not the stripe order from its first block on minus the retired blocks"
+                .into(),
+        ));
+    }
+    let retired = serde::field(old, "retired").clone();
+    *ftl = Value::Obj(vec![
+        ("next".to_string(), Value::U64(next)),
+        ("retired".to_string(), retired),
+    ]);
+    Ok(())
 }
 
 /// The bytes a model's extent holds: the model's serde encoding, the
@@ -181,19 +257,48 @@ pub(crate) fn read_model(store: &dyn PageStore, id: u64, extent: &ImageExtent) -
     )
 }
 
-/// Encodes `manifest` as version 1 wrote it: `models` inline.
+/// Encodes `manifest` as version 2 wrote it: the FTL as a free list.
+#[cfg(test)]
+pub(crate) fn encode_v2(manifest: &ImageManifest) -> Vec<u8> {
+    encode_free_list(&ImageManifest {
+        manifest_version: 2,
+        ..manifest.clone()
+    })
+    .into_bytes()
+}
+
+/// Encodes `manifest` as version 1 wrote it: the FTL as a free list and
+/// `models` inline.
 #[cfg(test)]
 pub(crate) fn encode_v1(manifest: &ImageManifest, models: &[(u64, Model)]) -> Vec<u8> {
-    let v2 = ImageManifest {
+    let v1 = ImageManifest {
         manifest_version: 1,
         models: Vec::new(),
         ..manifest.clone()
     };
     let inline = format!("\"models\":{}", serde_json::to_string(models).unwrap());
-    String::from_utf8(v2.encode())
-        .unwrap()
+    encode_free_list(&v1)
         .replacen("\"models\":[]", &inline, 1)
         .into_bytes()
+}
+
+/// `manifest` encoded with its FTL as versions 1 and 2 wrote it: the
+/// free list its cursor would hand out, nothing invalidated, and the
+/// retired set. Those versions also carried a logical map, a wear table
+/// and counters; decoding never reads them, so they are left out.
+#[cfg(test)]
+fn encode_free_list(manifest: &ImageManifest) -> String {
+    let mut cursor = BlockFtl::from_snapshot(manifest.cfg.ssd.geometry, &manifest.ftl);
+    let free: Vec<PhysicalBlock> = std::iter::from_fn(|| cursor.allocate().ok()).collect();
+    let free_list = format!(
+        "\"ftl\":{{\"free\":{},\"invalidated\":[],\"retired\":{}}}",
+        serde_json::to_string(&free).unwrap(),
+        serde_json::to_string(&manifest.ftl.retired).unwrap(),
+    );
+    let cursor = format!("\"ftl\":{}", serde_json::to_string(&manifest.ftl).unwrap());
+    String::from_utf8(manifest.encode())
+        .unwrap()
+        .replacen(&cursor, &free_list, 1)
 }
 
 /// Version of the cluster layout encoding. Bumped on any incompatible
@@ -312,13 +417,8 @@ mod tests {
                 },
             },
             ftl: FtlSnapshot {
-                map: Vec::new(),
-                free: Vec::new(),
-                wear: Vec::new(),
-                invalidated: Vec::new(),
+                next: 5,
                 retired: Vec::new(),
-                next_logical: 5,
-                gc_runs: 1,
             },
             dbs: Vec::new(),
             write_buffers: vec![(1, vec![1, 2, 3])],

@@ -46,7 +46,7 @@ pub const VERSION: u8 = 1;
 /// the frame-header [`VERSION`]: the header byte gates frame *parsing*,
 /// this gates command *semantics*. A peer announcing a different value
 /// is rejected with [`WireError::VersionMismatch`].
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 /// Frame header length: magic(4) + version(1) + opcode(1) + len(4).
 pub const HEADER_LEN: usize = 10;
 /// Largest payload a peer may declare. A stream reader that trusted the
@@ -892,8 +892,9 @@ impl<'a> HostClient<DirectChannel<'a>> {
         }
     }
 
-    /// The borrowed device (diagnostics/tests).
-    pub fn device_mut(&mut self) -> &mut Device {
+    /// The borrowed device.
+    #[cfg(test)]
+    pub(crate) fn device_mut(&mut self) -> &mut Device {
         self.chan.device
     }
 }
@@ -902,11 +903,6 @@ impl<C: CommandChannel> HostClient<C> {
     /// Wraps an arbitrary command channel (a served connection).
     pub fn over(chan: C) -> Self {
         HostClient { chan }
-    }
-
-    /// The underlying channel.
-    pub fn channel_mut(&mut self) -> &mut C {
-        &mut self.chan
     }
 
     fn round_trip(&mut self, cmd: &Command) -> Result<Response, ProtoError> {
@@ -1081,27 +1077,13 @@ impl<C: CommandChannel> HostClient<C> {
     /// Returns [`ProtoError::Device`] for bad handles or unsupported
     /// levels (the whole batch is rejected before any scan runs).
     pub fn query_batch(&mut self, requests: &[QueryRequest]) -> Result<Vec<QueryId>, ProtoError> {
-        self.query_batch_traced(requests, 0, 0).map(|(ids, _)| ids)
-    }
-
-    /// Batched `query` with an explicit request id and
-    /// scheduled-arrival lag (see [`HostClient::query_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`HostClient::query_batch`].
-    pub fn query_batch_traced(
-        &mut self,
-        requests: &[QueryRequest],
-        request_id: u64,
-        sched_lag_ns: u64,
-    ) -> Result<(Vec<QueryId>, u64), ProtoError> {
+        // Request id 0: the server assigns one at admission.
         match self.round_trip(&Command::QueryBatch {
             requests: requests.to_vec(),
-            request_id,
-            sched_lag_ns,
+            request_id: 0,
+            sched_lag_ns: 0,
         })? {
-            Response::BatchSubmitted { ids, request_id } => Ok((ids, request_id)),
+            Response::BatchSubmitted { ids, .. } => Ok(ids),
             other => Err(ProtoError::BadPayload(format!("unexpected {other:?}"))),
         }
     }

@@ -71,8 +71,8 @@ pub struct DeviceStats {
     pub degraded_queries: u64,
     /// Per-stage simulated-time totals.
     pub stages: StageTotals,
-    /// Flash event counts (page reads, programs, erases, ECC, GC, bus
-    /// waits).
+    /// Flash event counts (page reads, programs, erases, ECC, bus waits,
+    /// retries, remaps).
     pub flash: FlashEventCounts,
     /// The full engine + API metrics snapshot.
     pub metrics: MetricsSnapshot,

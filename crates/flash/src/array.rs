@@ -506,7 +506,7 @@ impl FlashArray {
         }
     }
 
-    /// The array's telemetry hooks (ECC failures, GC, bus waits).
+    /// The array's telemetry hooks (ECC failures, bus waits, retries).
     pub fn metrics(&self) -> &FlashMetrics {
         &self.metrics
     }
@@ -520,8 +520,6 @@ impl FlashArray {
             programs: ops.programs,
             erases: ops.erases,
             ecc_failures: self.metrics.ecc_failures(),
-            gc_runs: self.metrics.gc_runs(),
-            gc_blocks_reclaimed: self.metrics.gc_blocks_reclaimed(),
             bus_wait_ns: self.metrics.bus_wait_ns(),
             bus_transfers: self.metrics.bus_transfers(),
             read_retries: self.metrics.read_retries(),

@@ -10,8 +10,8 @@
 //!   pages, 32 channels × 4 chips × 8 planes, 3.2 GB/s external bandwidth).
 //! * [`mod@array`] — a functional flash array that stores real bytes with
 //!   erase-before-program semantics.
-//! * [`ftl`] — a block-level flash translation layer with greedy garbage
-//!   collection and wear-leveling counters (§2.2, §4.4).
+//! * [`ftl`] — a block-level flash translation layer: a cursor over the
+//!   channel stripe plus the set of retired bad blocks (§2.2, §4.4).
 //! * [`layout`] — feature-database striping across channels and chips
 //!   (§4.4) in either packed or page-aligned-per-feature form.
 //! * [`stream`] — an event-driven model of streaming page reads with
@@ -35,7 +35,6 @@
 pub mod array;
 pub mod fault;
 pub mod ftl;
-pub mod gc;
 pub mod geometry;
 pub mod host;
 pub mod image;
@@ -44,7 +43,6 @@ pub mod obs;
 pub mod store;
 pub mod stream;
 pub mod timing;
-pub mod trace;
 
 pub use array::{FlashOpCounts, FlashStateSnapshot};
 pub use fault::{FaultOutcome, FaultPlan, OutageSummary};

@@ -2,11 +2,11 @@
 //!
 //! [`FlashMetrics`] is the collection point for flash events that the
 //! pre-existing [`crate::array::FlashArray`] operation counters do not
-//! cover: uncorrectable-ECC failures, garbage-collection passes, and
-//! channel-bus arbitration waits from the timing model. Every hook body
-//! is compiled out when the `obs` cargo feature is off — the type, its
-//! accessors and [`FlashEventCounts`] stay available (reporting zeros)
-//! so no API surface changes between configurations.
+//! cover: uncorrectable-ECC failures, channel-bus arbitration waits from
+//! the timing model, read retries and the recovery pipeline's remaps.
+//! Every hook body is compiled out when the `obs` cargo feature is off —
+//! the type, its accessors and [`FlashEventCounts`] stay available
+//! (reporting zeros) so no API surface changes between configurations.
 //!
 //! All storage is [`deepstore_obs::Counter`] (single relaxed atomic
 //! adds), so counts are deterministic under any host thread
@@ -19,8 +19,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Default)]
 pub struct FlashMetrics {
     ecc_failures: Counter,
-    gc_runs: Counter,
-    gc_blocks_reclaimed: Counter,
     bus_wait_ns: Counter,
     bus_transfers: Counter,
     read_retries: Counter,
@@ -35,8 +33,6 @@ impl Clone for FlashMetrics {
     fn clone(&self) -> Self {
         let copy = FlashMetrics::default();
         copy.ecc_failures.add(self.ecc_failures.get());
-        copy.gc_runs.add(self.gc_runs.get());
-        copy.gc_blocks_reclaimed.add(self.gc_blocks_reclaimed.get());
         copy.bus_wait_ns.add(self.bus_wait_ns.get());
         copy.bus_transfers.add(self.bus_transfers.get());
         copy.read_retries.add(self.read_retries.get());
@@ -61,18 +57,6 @@ impl FlashMetrics {
     pub fn on_ecc_failure(&self) {
         #[cfg(feature = "obs")]
         self.ecc_failures.incr();
-    }
-
-    /// A garbage-collection pass reclaimed `blocks` blocks.
-    #[inline]
-    pub fn on_gc(&self, blocks: u64) {
-        #[cfg(feature = "obs")]
-        {
-            self.gc_runs.incr();
-            self.gc_blocks_reclaimed.add(blocks);
-        }
-        #[cfg(not(feature = "obs"))]
-        let _ = blocks;
     }
 
     /// The timing model charged `wait_ns` of channel-bus arbitration
@@ -143,18 +127,6 @@ impl FlashMetrics {
         self.ecc_failures.get()
     }
 
-    /// GC passes run so far.
-    #[must_use]
-    pub fn gc_runs(&self) -> u64 {
-        self.gc_runs.get()
-    }
-
-    /// Blocks reclaimed by GC so far.
-    #[must_use]
-    pub fn gc_blocks_reclaimed(&self) -> u64 {
-        self.gc_blocks_reclaimed.get()
-    }
-
     /// Total simulated bus-arbitration wait (ns) charged so far.
     #[must_use]
     pub fn bus_wait_ns(&self) -> u64 {
@@ -216,10 +188,6 @@ pub struct FlashEventCounts {
     pub erases: u64,
     /// Reads that failed ECC.
     pub ecc_failures: u64,
-    /// Garbage-collection passes.
-    pub gc_runs: u64,
-    /// Blocks reclaimed by GC.
-    pub gc_blocks_reclaimed: u64,
     /// Simulated channel-bus arbitration wait, in nanoseconds.
     pub bus_wait_ns: u64,
     /// Page transfers covered by the bus-wait total.

@@ -1,8 +1,9 @@
 //! Robustness of the durable formats against hostile bytes: the twin of
 //! `proto_fuzz` for what a device leaves on disk.
 //!
-//! The contract under attack: an image manifest (version 2, or a
-//! version-1 one with its models inline) or a cluster manifest that is
+//! The contract under attack: an image manifest (version 3, a version-2
+//! one with its FTL as a free list, or a version-1 one that also has its
+//! models inline) or a cluster manifest that is
 //! truncated, corrupted or stamped with a future version decodes to a
 //! typed error — [`DeepStoreError::VersionMismatch`] or
 //! [`FlashError::Image`] — and never panics; and [`DeepStore::open`] on
@@ -17,6 +18,7 @@ use deepstore::core::{
     DeepStore, DeepStoreCluster, DeepStoreConfig, DeepStoreError, ImageManifest, StoredModel,
     MANIFEST_VERSION,
 };
+use deepstore::flash::ftl::{BlockFtl, PhysicalBlock};
 use deepstore::flash::{FlashError, ImageExtent, MmapStore, PageStore};
 use deepstore::nn::{Activation, Model, ModelBuilder, ModelGraph, Tensor};
 use rand::rngs::StdRng;
@@ -81,7 +83,35 @@ fn committed_manifest(path: &Path) -> Vec<u8> {
     MmapStore::open(path).unwrap().1
 }
 
-/// `manifest` as version 1 wrote it: the same fields, `models` inline.
+/// `manifest` encoded with its FTL as versions 1 and 2 wrote it: the
+/// free list its cursor would hand out, nothing invalidated, and the
+/// retired set. Those versions also carried a logical map, a wear table
+/// and counters; decoding never reads them, so they are left out.
+fn with_free_list(manifest: &ImageManifest) -> String {
+    let mut cursor = BlockFtl::from_snapshot(manifest.cfg.ssd.geometry, &manifest.ftl);
+    let free: Vec<PhysicalBlock> = std::iter::from_fn(|| cursor.allocate().ok()).collect();
+    let free_list = format!(
+        "\"ftl\":{{\"free\":{},\"invalidated\":[],\"retired\":{}}}",
+        serde_json::to_string(&free).unwrap(),
+        serde_json::to_string(&manifest.ftl.retired).unwrap(),
+    );
+    let cursor = format!("\"ftl\":{}", serde_json::to_string(&manifest.ftl).unwrap());
+    String::from_utf8(manifest.encode())
+        .unwrap()
+        .replacen(&cursor, &free_list, 1)
+}
+
+/// `manifest` as version 2 wrote it: the FTL as a free list.
+fn as_version_2(manifest: &ImageManifest) -> Vec<u8> {
+    with_free_list(&ImageManifest {
+        manifest_version: 2,
+        ..manifest.clone()
+    })
+    .into_bytes()
+}
+
+/// `manifest` as version 1 wrote it: the FTL as a free list, `models`
+/// inline.
 fn as_version_1(manifest: &ImageManifest, models: &[(u64, Model)]) -> Vec<u8> {
     let stripped = ImageManifest {
         manifest_version: 1,
@@ -89,28 +119,37 @@ fn as_version_1(manifest: &ImageManifest, models: &[(u64, Model)]) -> Vec<u8> {
         ..manifest.clone()
     };
     let inline = format!("\"models\":{}", serde_json::to_string(models).unwrap());
-    String::from_utf8(stripped.encode())
-        .unwrap()
+    with_free_list(&stripped)
         .replacen("\"models\":[]", &inline, 1)
         .into_bytes()
 }
 
-/// The v2 manifest of a real image and its version-1 twin.
-fn image_manifests() -> (Vec<u8>, Vec<u8>) {
+/// The v3 manifest of a real image and its version-2 and version-1
+/// twins.
+fn image_manifests() -> (Vec<u8>, Vec<u8>, Vec<u8>) {
     let (path, _cleanup) = real_image("manifests");
-    let v2 = committed_manifest(&path);
-    let manifest = ImageManifest::decode(&v2).unwrap();
+    let v3 = committed_manifest(&path);
+    let manifest = ImageManifest::decode(&v3).unwrap();
     assert_eq!(manifest.manifest_version, MANIFEST_VERSION);
     assert_eq!(manifest.dbs.len(), 2);
     assert!(matches!(
         manifest.models.as_slice(),
         [(1, StoredModel::Extent(_))]
     ));
-    assert_eq!(manifest.encode(), v2, "decode must re-encode identically");
+    assert_eq!(manifest.encode(), v3, "decode must re-encode identically");
+    let v2 = as_version_2(&manifest);
+    let back = ImageManifest::decode(&v2).unwrap();
+    assert_eq!(
+        ImageManifest {
+            manifest_version: MANIFEST_VERSION,
+            ..back
+        },
+        manifest
+    );
     let v1 = as_version_1(&manifest, &[(1, tiny_model())]);
     let back = ImageManifest::decode(&v1).unwrap();
     assert_eq!(back.models, vec![(1, StoredModel::Inline(tiny_model()))]);
-    (v2, v1)
+    (v3, v2, v1)
 }
 
 /// The layout manifest of a real three-drive, two-replica cluster.
@@ -154,7 +193,8 @@ fn attack<T: std::fmt::Debug>(bytes: &[u8], decode: impl Fn(&[u8]) -> Result<T, 
 
 #[test]
 fn image_manifests_survive_truncation_and_corruption() {
-    let (v2, v1) = image_manifests();
+    let (v3, v2, v1) = image_manifests();
+    attack(&v3, ImageManifest::decode);
     attack(&v2, ImageManifest::decode);
     attack(&v1, ImageManifest::decode);
 }
@@ -166,8 +206,8 @@ fn cluster_manifest_survives_truncation_and_corruption() {
 
 #[test]
 fn future_versions_are_typed_mismatches() {
-    let (v2, v1) = image_manifests();
-    for (bytes, from) in [(&v2, MANIFEST_VERSION), (&v1, 1)] {
+    let (v3, v2, v1) = image_manifests();
+    for (bytes, from) in [(&v3, MANIFEST_VERSION), (&v2, 2), (&v1, 1)] {
         let text = String::from_utf8(bytes.clone()).unwrap();
         for found in [0, MANIFEST_VERSION + 1, 99, u32::MAX] {
             let stamped = text.replacen(
@@ -203,7 +243,7 @@ fn open_damaged(tag: &str, damage: Damage) -> String {
     let (mut store, bytes, _) = MmapStore::open(&path).unwrap();
     let mut manifest = ImageManifest::decode(&bytes).unwrap();
     let StoredModel::Extent(extent) = manifest.models[0].1 else {
-        panic!("a version-2 manifest references its model");
+        panic!("a version-3 manifest references its model");
     };
     store.set_live_extents(vec![extent]);
     manifest.models[0].1 = StoredModel::Extent(damage(&path, extent));

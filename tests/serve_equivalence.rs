@@ -15,9 +15,9 @@
 //! fault outcomes are deterministic per page read; and the query cache
 //! is disabled, so no cross-query state survives. Merging other
 //! clients' requests into the same engine pass therefore cannot change
-//! anyone's bits. (Wear-out plans are excluded — wear counts reads, so
-//! it is genuinely order-dependent; everything else in the fault model
-//! is fair game.)
+//! anyone's bits. (Wear-out plans are excluded — they read erase
+//! counts, and nothing in the engine erases, so they would add only
+//! fault-free cases; everything else in the fault model is fair game.)
 //!
 //! Scenario recording mirrors `tests/chaos.rs`: a failing case appends
 //! its full scenario to `target/chaos-seeds/<property>.txt`.
