@@ -12,10 +12,9 @@ use deepstore_core::config::{AcceleratorConfig, AcceleratorLevel, DeepStoreConfi
 use deepstore_core::dse::sram_variant;
 use deepstore_energy::{EnergyBreakdown, EnergyModel};
 use deepstore_workloads::App;
-use serde::Serialize;
 
 /// Evaluation of one accelerator level on one application.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LevelEvaluation {
     /// The level.
     pub level: AcceleratorLevel,
@@ -34,7 +33,7 @@ pub struct LevelEvaluation {
 }
 
 /// Evaluation of one application across all systems.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AppEvaluation {
     /// Application name.
     pub app: String,

@@ -12,11 +12,10 @@
 use deepstore_baseline::{GpuSsdSystem, ScanSpec};
 use deepstore_core::accel::{channel_level_scan, ScanWorkload};
 use deepstore_core::config::DeepStoreConfig;
-use deepstore_core::qcache::{lookup_time_for, QueryCache, QueryCacheConfig};
+use deepstore_core::qcache::{lookup_time_for, QueryCache, QueryCacheConfig, ReplacementPolicy};
 use deepstore_nn::zoo;
 use deepstore_systolic::topk::ScoredFeature;
 use deepstore_workloads::{QueryStream, TraceDistribution};
-use serde::Serialize;
 
 /// The §6.5 database: 100 M images × 2 KB TIR features = ~192 GB.
 pub const QC_DB_BYTES: u64 = 100_000_000 * 2048;
@@ -26,7 +25,7 @@ pub const POOL_SIZE: usize = 100_000;
 pub const CLUSTERS: usize = 4_000;
 
 /// Parameters of one query-cache run.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct QcRunConfig {
     /// Cache capacity in entries.
     pub capacity: usize,
@@ -57,7 +56,7 @@ impl QcRunConfig {
 }
 
 /// Outcome of one run: measured miss rate plus modeled timings.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct QcRunResult {
     /// Measured miss rate over the measurement window.
     pub miss_rate: f64,
@@ -88,9 +87,9 @@ impl QcRunResult {
     }
 }
 
-/// Runs the functional cache over the stream and measures the miss rate
-/// in the measurement window.
-pub fn measure_miss_rate(run: &QcRunConfig) -> f64 {
+/// Runs the functional cache, evicting by `policy`, over the stream and
+/// measures the miss rate in the measurement window.
+pub fn measure_miss_rate(run: &QcRunConfig, policy: ReplacementPolicy) -> f64 {
     let tir = zoo::tir();
     let mut stream = QueryStream::new(
         tir.feature_len(),
@@ -105,7 +104,8 @@ pub fn measure_miss_rate(run: &QcRunConfig) -> f64 {
         // The RBF QCN's scores already encode confidence; the stream's
         // perturbations were calibrated against accuracy 1.0 (DESIGN.md).
         qcn_accuracy: 1.0,
-    });
+    })
+    .with_policy(policy);
     let dummy: Vec<ScoredFeature> = vec![ScoredFeature {
         score: 1.0,
         feature_id: 0,
@@ -126,7 +126,7 @@ pub fn measure_miss_rate(run: &QcRunConfig) -> f64 {
 
 /// Full run: measured miss rate combined with the timing models.
 pub fn run(runc: &QcRunConfig) -> QcRunResult {
-    let miss_rate = measure_miss_rate(runc);
+    let miss_rate = measure_miss_rate(runc, ReplacementPolicy::Lru);
     let tir = zoo::tir();
     let cfg = DeepStoreConfig::paper_default();
 
@@ -164,14 +164,15 @@ mod tests {
     use super::*;
 
     fn quick(threshold: f64, dist: TraceDistribution, capacity: usize) -> f64 {
-        measure_miss_rate(&QcRunConfig {
+        let run = QcRunConfig {
             capacity: capacity.min(400),
             threshold,
             distribution: dist,
             warmup: 200,
             measured: 600,
             seed: 7,
-        })
+        };
+        measure_miss_rate(&run, ReplacementPolicy::Lru)
     }
 
     #[test]

@@ -1,13 +1,18 @@
-//! Report rendering: aligned text tables and CSV output.
-//!
-//! Every experiment binary prints the rows/series the paper's table or
-//! figure reports, and mirrors them into `results/<name>.csv` for
-//! machine consumption.
+//! Reports: the rows/series a paper table or figure shows, rendered as an
+//! aligned text table for the terminal and as CSV for `results/`.
 
 use std::fmt::Display;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+
+/// One CSV an experiment produces.
+#[derive(Debug)]
+pub struct Report {
+    /// File stem under `results/`.
+    pub name: String,
+    /// Heading printed above the table.
+    pub title: String,
+    /// The rows.
+    pub table: Table,
+}
 
 /// A simple text-table builder with aligned columns.
 #[derive(Debug, Default)]
@@ -89,34 +94,6 @@ impl Table {
         }
         out
     }
-}
-
-/// The `results/` directory (relative to the workspace root, falling back
-/// to the current directory).
-pub fn results_dir() -> PathBuf {
-    // The binaries run from the workspace root under `cargo run`.
-    let candidates = [Path::new("results"), Path::new("../results")];
-    for c in candidates {
-        if c.is_dir() {
-            return c.to_path_buf();
-        }
-    }
-    PathBuf::from("results")
-}
-
-/// Prints a titled table and writes it to `results/<name>.csv`.
-pub fn emit(name: &str, title: &str, table: &Table) {
-    println!("== {title} ==");
-    println!("{}", table.render());
-    let dir = results_dir();
-    if fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{name}.csv"));
-        if let Ok(mut f) = fs::File::create(&path) {
-            let _ = f.write_all(table.to_csv().as_bytes());
-            println!("[written {}]", path.display());
-        }
-    }
-    println!();
 }
 
 /// Formats a float with the given precision, rendering `NaN` as "-".

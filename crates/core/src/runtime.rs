@@ -23,7 +23,7 @@
 //!
 //! The runtime produces per-query latency records (arrival, start,
 //! completion, queueing) and aggregate statistics (throughput, mean/p50/
-//! p95/p99 latency) used by the `throughput` experiment binary.
+//! p95/p99 latency) that `deepstore-cli replay` reports.
 
 use crate::api::{DeepStore, QueryRequest};
 use crate::error::Result;

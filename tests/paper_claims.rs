@@ -11,6 +11,8 @@ use deepstore::core::AcceleratorLevel;
 use deepstore::core::DeepStoreConfig;
 use deepstore::nn::zoo;
 use deepstore::workloads::{App, APP_NAMES};
+use std::collections::BTreeMap;
+use std::path::Path;
 
 /// §3 / Figure 2: storage I/O is 56–90% of query execution time.
 #[test]
@@ -202,4 +204,94 @@ fn claim_peak_energy_efficiency() {
     }
     assert_eq!(best.0, "textqa");
     assert!((40.0..=150.0).contains(&best.1), "peak eff = {:.1}", best.1);
+}
+
+/// A committed `results/<name>.csv` as named numeric columns. The
+/// query-cache claims below read these instead of re-running the
+/// simulation: `tests/experiments_golden.rs` ties the files to the code.
+fn results_csv(name: &str) -> BTreeMap<String, Vec<f64>> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("results")
+        .join(format!("{name}.csv"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let mut lines = text.lines();
+    let header: Vec<&str> = lines.next().expect("CSV header").split(',').collect();
+    let mut columns: BTreeMap<String, Vec<f64>> =
+        header.iter().map(|h| (h.to_string(), Vec::new())).collect();
+    for line in lines {
+        for (h, cell) in header.iter().zip(line.split(',')) {
+            let value = cell
+                .parse()
+                .unwrap_or_else(|e| panic!("{name}: {cell}: {e}"));
+            columns.get_mut(*h).expect("header column").push(value);
+        }
+    }
+    columns
+}
+
+fn non_increasing(series: &[f64]) -> bool {
+    series.windows(2).all(|w| w[1] <= w[0])
+}
+
+/// §6.5 / Figure 13: relaxing the error threshold never raises the miss
+/// rate, and Zipf(0.7) queries miss less than uniform ones at every
+/// threshold above 0.
+#[test]
+fn claim_query_cache_threshold_sweep() {
+    let uniform = results_csv("fig13_uniform");
+    let zipf = results_csv("fig13_zipf07");
+    assert_eq!(uniform["threshold_pct"], zipf["threshold_pct"]);
+    let (u, z) = (&uniform["miss_rate_pct"], &zipf["miss_rate_pct"]);
+    assert!(non_increasing(u), "uniform: {u:?}");
+    assert!(non_increasing(z), "zipf07: {z:?}");
+    for (i, threshold) in uniform["threshold_pct"].iter().enumerate() {
+        if *threshold > 0.0 {
+            assert!(
+                z[i] < u[i],
+                "{threshold}%: zipf {} !< uniform {}",
+                z[i],
+                u[i]
+            );
+        }
+    }
+}
+
+/// §6.5 / Figure 14: a larger cache never misses more, and more skew
+/// misses less: Zipf(0.8) <= Zipf(0.7) <= uniform at every capacity.
+#[test]
+fn claim_query_cache_capacity_sweep() {
+    let fig14 = results_csv("fig14");
+    let (u, z7, z8) = (
+        &fig14["uniform_pct"],
+        &fig14["zipf07_pct"],
+        &fig14["zipf08_pct"],
+    );
+    for series in [u, z7, z8] {
+        assert!(non_increasing(series), "{series:?}");
+    }
+    for (i, entries) in fig14["entries"].iter().enumerate() {
+        assert!(
+            z8[i] <= z7[i] && z7[i] <= u[i],
+            "{entries} entries: {} / {} / {}",
+            z8[i],
+            z7[i],
+            u[i]
+        );
+    }
+}
+
+/// §6.5: "DeepStore benefits 10x more because of the significantly lower
+/// miss penalty" — at the 20% threshold, DeepStore+QC's speedup is within
+/// 0.7-1.5x of ten times Traditional+QC's, under both distributions.
+#[test]
+fn claim_query_cache_benefits_deepstore_10x_more() {
+    for name in ["fig13_uniform", "fig13_zipf07"] {
+        let fig13 = results_csv(name);
+        let at = fig13["threshold_pct"]
+            .iter()
+            .position(|&t| t == 20.0)
+            .expect("20% row");
+        let ratio = fig13["deepstore_qc_x"][at] / fig13["traditional_qc_x"][at];
+        assert!((7.0..=15.0).contains(&ratio), "{name}: {ratio:.2}x");
+    }
 }
