@@ -5,7 +5,8 @@
 //! over the per-query service times at paper scale (25 GiB TIR database):
 //! it reports the maximum throughput and the mean and p99 latency at 50%
 //! and 90% utilization per accelerator level, with and without the query
-//! cache. It runs no scheduler; `deepstore-cli replay` drives the runtime.
+//! cache. It runs no scheduler; `deepstore-cli replay` drives the serve
+//! engine on a simulated clock.
 
 use crate::report::{num, Report, Table};
 use deepstore_core::accel::scan;

@@ -4,20 +4,20 @@ use crate::args::{ArgError, Flags};
 use deepstore_baseline::GpuSsdSystem;
 use deepstore_core::accel::scan;
 use deepstore_core::config::{AcceleratorLevel, DeepStoreConfig};
-use deepstore_core::proto::{Device, HostClient};
-use deepstore_core::runtime::Runtime;
-use deepstore_core::serve::{serve, QuotaConfig, ServeConfig, TcpClient, TcpTransport};
+use deepstore_core::proto::{Command, Device, HostClient, Response};
+use deepstore_core::serve::{serve, simulate, QuotaConfig, ServeConfig, TcpClient, TcpTransport};
 use deepstore_core::{
-    ClusterQueryRequest, DeepStore, DeepStoreCluster, QueryRequest, ScanWorkload,
+    ClusterQueryRequest, DbId, DeepStore, DeepStoreCluster, ModelId, QueryRequest, ScanWorkload,
 };
 use deepstore_flash::SimDuration;
-use deepstore_nn::{zoo, ModelGraph};
+use deepstore_nn::{zoo, Model, ModelGraph};
 use deepstore_workloads::loadgen::{
     plan, run_open_loop, ArrivalProcess, LoadPlanConfig, LoadTarget,
 };
 use deepstore_workloads::replay::QueryTrace;
 use deepstore_workloads::{QueryStream, TraceDistribution, APP_NAMES};
 use std::error::Error;
+use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Usage text printed on errors.
@@ -55,7 +55,8 @@ commands:
   trace      [--queries N] [--qps F] [--seed S] --out <file>
                                           generate a Poisson query trace
   replay     --trace <file> [--features N] [--parallelism P]
-             [--batch-window-us W]        replay a trace through the runtime
+             [--batch-window-us W]        replay a trace through the serve
+                                          engine on a simulated clock
   serve      [--app <name>] [--features N] [--port P] [--addr-file <file>]
              [--duration-ms MS] [--queue-depth D] [--quota-qps F]
              [--quota-burst F] [--batch-window-us W] [--parallelism P]
@@ -117,8 +118,10 @@ of the most recent request summaries with per-stage timings — as JSON
 responses and on p99 SLO breach when `serve --slo-p99-us` is set
 (`--dump-dir` writes those dumps to disk, `--recorder-capacity` sizes
 the ring).
-`replay --batch-window-us` lets the runtime coalesce queries arriving
-within the window into shared passes (0 or omitted = serial).
+`replay` runs the trace through the same engine pass `serve` uses, on
+a simulated clock: queries that arrive while a pass runs share the
+next one, and `--batch-window-us` also holds each pass open that long
+for later arrivals (0 or omitted = no window).
 `serve` builds a drive from the app's model, binds a TCP listener
 (`--port 0` picks a free port; `--addr-file` writes the bound address)
 and serves concurrent clients, coalescing co-pending queries into
@@ -306,8 +309,8 @@ fn cmd_open(args: &[String]) -> CmdResult {
     );
     let req = QueryRequest::new(
         model.random_feature(probe_seed),
-        deepstore_core::ModelId(model_id),
-        deepstore_core::DbId(db),
+        ModelId(model_id),
+        DbId(db),
     )
     .k(k)
     .level(level);
@@ -375,18 +378,11 @@ fn cmd_query(args: &[String]) -> CmdResult {
     let (mut store, db, mid) = match flags.opt("image") {
         Some(image) => {
             let store = DeepStore::open(std::path::Path::new(image))?;
-            let db = deepstore_core::DbId(flags.num_or("db", 1)?);
-            let mid = deepstore_core::ModelId(flags.num_or("model", 1)?);
+            let db = DbId(flags.num_or("db", 1)?);
+            let mid = ModelId(flags.num_or("model", 1)?);
             (store, db, mid)
         }
-        None => {
-            let mut store =
-                DeepStore::in_memory(DeepStoreConfig::small().with_parallelism(parallelism));
-            let fs: Vec<_> = (0..features).map(|i| model.random_feature(i)).collect();
-            let db = store.write_db(&fs)?;
-            let mid = store.load_model(&ModelGraph::from_model(&model))?;
-            (store, db, mid)
-        }
+        None => in_memory_store(&model, features, parallelism)?,
     };
     if flags.opt("trace").is_some() {
         store.enable_tracing();
@@ -649,6 +645,20 @@ fn cmd_dump(args: &[String]) -> CmdResult {
     Ok(())
 }
 
+/// An in-memory drive holding `features` random features of `model`,
+/// with `model` loaded: the database and model ids.
+fn in_memory_store(
+    model: &Model,
+    features: u64,
+    parallelism: usize,
+) -> Result<(DeepStore, DbId, ModelId), Box<dyn Error>> {
+    let mut store = DeepStore::in_memory(DeepStoreConfig::small().with_parallelism(parallelism));
+    let fs: Vec<_> = (0..features).map(|i| model.random_feature(i)).collect();
+    let db = store.write_db(&fs)?;
+    let mid = store.load_model(&ModelGraph::from_model(model))?;
+    Ok((store, db, mid))
+}
+
 fn cmd_trace(args: &[String]) -> CmdResult {
     let flags = Flags::parse(args)?;
     flags.expect_only(&["queries", "qps", "seed", "out"])?;
@@ -671,6 +681,13 @@ fn cmd_trace(args: &[String]) -> CmdResult {
 }
 
 fn cmd_replay(args: &[String]) -> CmdResult {
+    print!("{}", replay_report(args)?);
+    Ok(())
+}
+
+/// What `replay` prints: the trace replayed through the serve engine's
+/// pass on a simulated clock ([`simulate`]).
+fn replay_report(args: &[String]) -> Result<String, Box<dyn Error>> {
     let flags = Flags::parse(args)?;
     flags.expect_only(&[
         "trace",
@@ -700,46 +717,83 @@ fn cmd_replay(args: &[String]) -> CmdResult {
         .ok_or_else(|| ArgError(format!("no zoo model with feature length {dim}")))?
         .seeded(7);
 
-    let mut store = DeepStore::in_memory(DeepStoreConfig::small().with_parallelism(parallelism));
-    let fs: Vec<_> = (0..features).map(|i| model.random_feature(i)).collect();
-    let db = store.write_db(&fs)?;
-    let mid = store.load_model(&ModelGraph::from_model(&model))?;
-    let mut rt = Runtime::new(store);
-    if batch_window_us > 0 {
-        rt.set_batch_window(Some(SimDuration::from_micros(batch_window_us)));
+    let (store, db, mid) = in_memory_store(&model, features, parallelism)?;
+    let arrivals = trace
+        .entries
+        .iter()
+        .map(|e| {
+            let query = Command::Query {
+                qfv: e.qfv.clone(),
+                k,
+                model: mid,
+                db,
+                level,
+                exact: false,
+                request_id: 0,
+                sched_lag_ns: 0,
+            };
+            (e.arrival.as_nanos(), query)
+        })
+        .collect();
+    let cfg = ServeConfig {
+        batch_window: (batch_window_us > 0).then(|| Duration::from_micros(batch_window_us)),
+        ..ServeConfig::default()
+    };
+    let sim = simulate(store, cfg, arrivals);
+    let mut cache_hits = 0;
+    for resp in &sim.responses {
+        let Response::QuerySubmitted { id, .. } = resp else {
+            return Err(format!("replayed query failed: {resp:?}").into());
+        };
+        cache_hits += u64::from(sim.store.peek_results(*id).is_some_and(|r| r.cache_hit));
     }
-    for e in &trace.entries {
-        rt.submit_at(
-            e.arrival,
-            QueryRequest::new(e.qfv.clone(), mid, db).k(k).level(level),
-        );
-    }
-    rt.run_to_completion()?;
-    let s = rt.stats()?;
-    println!(
-        "replayed {} queries ({} offered qps) against model `{}`:",
-        s.completed,
+    let completed = sim.times.len();
+    let mut out = format!(
+        "replayed {completed} queries ({} offered qps) against model `{}`:\n",
         trace.offered_qps,
         model.name()
     );
-    if let Some(w) = rt.batch_window() {
-        let batched = rt.records().iter().filter(|r| r.batch_size > 1).count();
-        println!(
-            "  batching   : {w} window, {batched}/{} queries coalesced",
-            s.completed
-        );
+    if batch_window_us > 0 {
+        writeln!(
+            out,
+            "  batching   : {} window, {}/{completed} queries coalesced",
+            SimDuration::from_micros(batch_window_us),
+            sim.stats.coalesced_queries
+        )?;
     }
-    println!("  cache hits : {}/{}", s.cache_hits, s.completed);
-    println!("  throughput : {:.2} qps (simulated)", s.throughput_qps);
-    println!(
-        "  latency    : mean {}  p50 {}  p95 {}  p99 {}",
-        s.mean_latency, s.p50_latency, s.p95_latency, s.p99_latency
-    );
-    let skipped = rt.store().unreadable_skipped();
+    let (qps, [mean, p50, p95, p99]) = latency_summary(&sim.times);
+    writeln!(
+        out,
+        "  cache hits : {cache_hits}/{completed}\n  \
+         throughput : {qps:.2} qps (simulated)\n  \
+         latency    : mean {mean}  p50 {p50}  p95 {p95}  p99 {p99}"
+    )?;
+    let skipped = sim.store.unreadable_skipped();
     if skipped > 0 {
-        println!("  skipped    : {skipped} unreadable features");
+        writeln!(out, "  skipped    : {skipped} unreadable features")?;
     }
-    Ok(())
+    Ok(out)
+}
+
+/// A replay's simulated throughput — queries per second from the first
+/// arrival to the last completion — and its mean, p50, p95 and p99
+/// end-to-end latency, from the `(arrival, start, done)` ns of a
+/// non-empty, arrival-ordered run.
+fn latency_summary(times: &[(u64, u64, u64)]) -> (f64, [SimDuration; 4]) {
+    let mut latencies: Vec<u64> = times
+        .iter()
+        .map(|&(arrival, _, done)| done - arrival)
+        .collect();
+    latencies.sort_unstable();
+    let pct = |p: f64| {
+        let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
+        SimDuration::from_nanos(latencies[idx])
+    };
+    let last = times.iter().map(|t| t.2).max().unwrap_or(0);
+    let makespan = SimDuration::from_nanos(last - times[0].0);
+    let qps = times.len() as f64 / makespan.as_secs_f64().max(1e-12);
+    let mean = SimDuration::from_nanos(latencies.iter().sum::<u64>() / latencies.len() as u64);
+    (qps, [mean, pct(0.50), pct(0.95), pct(0.99)])
 }
 
 fn cmd_serve(args: &[String]) -> CmdResult {
@@ -786,17 +840,10 @@ fn cmd_serve(args: &[String]) -> CmdResult {
     let (store, db, mid) = match flags.opt("image") {
         Some(image) => (
             DeepStore::open(std::path::Path::new(image))?,
-            deepstore_core::DbId(1),
-            deepstore_core::ModelId(1),
+            DbId(1),
+            ModelId(1),
         ),
-        None => {
-            let mut store =
-                DeepStore::in_memory(DeepStoreConfig::small().with_parallelism(parallelism));
-            let fs: Vec<_> = (0..features).map(|i| model.random_feature(i)).collect();
-            let db = store.write_db(&fs)?;
-            let mid = store.load_model(&ModelGraph::from_model(&model))?;
-            (store, db, mid)
-        }
+        None => in_memory_store(&model, features, parallelism)?,
     };
 
     let cfg = ServeConfig {
@@ -907,8 +954,8 @@ fn cmd_loadgen(args: &[String]) -> CmdResult {
         connections,
         &offered,
         LoadTarget {
-            model: deepstore_core::ModelId(model_id),
-            db: deepstore_core::DbId(db),
+            model: ModelId(model_id),
+            db: DbId(db),
             k,
             level,
         },
@@ -1273,19 +1320,45 @@ mod tests {
             path_s,
         ]))
         .unwrap();
-        run(&argv(&["replay", "--trace", path_s, "--features", "32"])).unwrap();
+        let replay = |extra: &[&str]| {
+            let mut args = argv(&["--trace", path_s, "--features", "32"]);
+            args.extend(argv(extra));
+            replay_report(&args).unwrap()
+        };
+        // The simulated clock makes a replay's output reproducible, and
+        // parallelism only changes host wall-clock time.
+        let first = replay(&[]);
+        assert!(first.starts_with("replayed 12 queries"), "{first}");
+        assert_eq!(first, replay(&[]));
+        assert_eq!(first, replay(&["--parallelism", "4"]));
         // With a batching window the replay still completes.
-        run(&argv(&[
-            "replay",
-            "--trace",
-            path_s,
-            "--features",
-            "32",
-            "--batch-window-us",
-            "500",
-        ]))
-        .unwrap();
+        let windowed = replay(&["--batch-window-us", "500"]);
+        assert!(windowed.contains("500.000us window"), "{windowed}");
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn replay_rejects_out_of_order_trace() {
+        let path = std::env::temp_dir().join("deepstore_cli_test_unordered_trace.json");
+        let path_s = path.to_str().unwrap();
+        run(&argv(&["trace", "--queries", "4", "--out", path_s])).unwrap();
+        let mut trace = QueryTrace::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
+        trace.entries.swap(0, 1);
+        std::fs::write(&path, trace.to_bytes()).unwrap();
+        assert!(run(&argv(&["replay", "--trace", path_s, "--features", "16"])).is_err());
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn latency_summary_is_exact() {
+        // Latencies 100, 290 and 300 ns over a 320 ns makespan.
+        let times = [(0, 0, 100), (10, 100, 300), (20, 300, 320)];
+        let (qps, [mean, p50, p95, p99]) = latency_summary(&times);
+        assert_eq!(qps, 3.0 / 320e-9);
+        assert_eq!(mean, SimDuration::from_nanos(230));
+        assert_eq!(p50, SimDuration::from_nanos(290));
+        assert_eq!(p95, SimDuration::from_nanos(300));
+        assert_eq!(p99, SimDuration::from_nanos(300));
     }
 
     #[test]

@@ -52,7 +52,6 @@ pub mod error;
 pub mod persist;
 pub mod proto;
 pub mod qcache;
-pub mod runtime;
 pub mod serve;
 pub mod telemetry;
 

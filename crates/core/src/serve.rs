@@ -21,6 +21,10 @@
 //!   regardless of grouping, merging arbitrary clients' requests
 //!   preserves bit-identical answers — the property
 //!   `tests/serve_equivalence.rs` checks against armed fault plans.
+//!   That one engine pass has two drivers: the threaded [`serve`], and
+//!   [`simulate`], which runs timestamped commands through it on a
+//!   simulated clock (the paper's query engine scheduling work on the
+//!   accelerators, §4.7.1).
 //!
 //! * **Admission control before the queue.** A bounded pending queue
 //!   rejects with a typed `Overloaded` frame when full (backpressure,
@@ -350,8 +354,12 @@ impl crate::proto::CommandChannel for TcpClient {
 // Clock and per-tenant token buckets
 // ---------------------------------------------------------------------------
 
-/// The clock quota refill runs on. Production uses wall time; tests
-/// use a manually advanced counter so refill is deterministic.
+/// The clock quota refill runs on. It also drives the batch window's
+/// deadline and the latency stamps (queue wait, service, end to end)
+/// that the histograms and the flight recorder hold. Production uses
+/// wall time; tests and [`simulate`] use a manually advanced counter,
+/// so refill, which jobs share a pass, and every recorded latency are
+/// deterministic.
 #[derive(Debug, Clone)]
 pub enum ServeClock {
     /// Wall-clock time measured from the given epoch.
@@ -451,9 +459,9 @@ pub struct ServeConfig {
     /// Capacity of the bounded pending-job queue. A full queue rejects
     /// with `Overloaded` instead of blocking the connection thread.
     pub queue_depth: usize,
-    /// How long the engine holds the first job of a batch open to let
-    /// co-pending queries join the same flash pass. `None` coalesces
-    /// only jobs that are already queued.
+    /// How long, on [`ServeConfig::clock`], the engine holds the first
+    /// job of a batch open to let co-pending queries join the same
+    /// flash pass. `None` coalesces only jobs that are already queued.
     pub batch_window: Option<Duration>,
     /// Per-tenant quotas; `None` admits everyone.
     pub quota: Option<QuotaConfig>,
@@ -463,7 +471,8 @@ pub struct ServeConfig {
     /// Artificial per-engine-pass service delay. Test-only knob that
     /// makes backpressure deterministic by slowing the consumer.
     pub engine_delay: Option<Duration>,
-    /// The clock quota refill runs on.
+    /// The clock quota refill, the batch window and the latency stamps
+    /// run on.
     pub clock: ServeClock,
     /// Force every served query onto the exact scoring path,
     /// overriding the per-request cascade flag: the server rewrites
@@ -922,33 +931,16 @@ impl ServeObs {
     fn render_exposition(&self, inner: &StatsInner) -> String {
         let mut out = String::new();
         let p = "deepstore_serve_";
-        let counters: [(&str, u64); 10] = [
-            ("connections", inner.connections.load(Ordering::SeqCst)),
-            ("frames", inner.frames.load(Ordering::SeqCst)),
-            (
-                "queries_admitted",
-                inner.queries_admitted.load(Ordering::SeqCst),
-            ),
-            (
-                "rejected_overloaded",
-                inner.rejected_overloaded.load(Ordering::SeqCst),
-            ),
-            (
-                "rejected_quota",
-                inner.rejected_quota.load(Ordering::SeqCst),
-            ),
-            (
-                "malformed_frames",
-                inner.malformed_frames.load(Ordering::SeqCst),
-            ),
-            (
-                "engine_batches",
-                inner.engine_batches.load(Ordering::SeqCst),
-            ),
-            (
-                "coalesced_queries",
-                inner.coalesced_queries.load(Ordering::SeqCst),
-            ),
+        let s = inner.snapshot();
+        let counters = [
+            ("connections", s.connections),
+            ("frames", s.frames),
+            ("queries_admitted", s.queries_admitted),
+            ("rejected_overloaded", s.rejected_overloaded),
+            ("rejected_quota", s.rejected_quota),
+            ("malformed_frames", s.malformed_frames),
+            ("engine_batches", s.engine_batches),
+            ("coalesced_queries", s.coalesced_queries),
             ("errors", self.errors.get()),
             ("degraded_queries", self.degraded.get()),
         ];
@@ -1036,6 +1028,33 @@ struct Job {
     admitted_ns: u64,
     /// Scheduled-arrival lag carried in the frame.
     sched_lag_ns: u64,
+}
+
+impl Job {
+    /// A job for `cmd`, admitted at `admitted_ns`, plus the receiver its
+    /// response arrives on. A query that arrived without a request id
+    /// gets one here, so every query pass is joinable across the
+    /// response frame, the engine trace, and the flight recorder.
+    fn new(
+        mut cmd: Command,
+        obs: &ServeObs,
+        tenant: Arc<TenantObs>,
+        admitted_ns: u64,
+    ) -> (Job, Receiver<Response>) {
+        if cmd.request_id() == Some(0) {
+            cmd.set_request_id(obs.assign_request_id());
+        }
+        let (reply, rx) = mpsc::channel();
+        let job = Job {
+            request_id: cmd.request_id().unwrap_or(0),
+            sched_lag_ns: cmd.sched_lag_ns(),
+            cmd,
+            reply,
+            tenant,
+            admitted_ns,
+        };
+        (job, rx)
+    }
 }
 
 struct Shared {
@@ -1154,30 +1173,12 @@ fn conn_loop<C: Connection>(mut conn: C, shared: Arc<Shared>) {
                     })
                 }
             }
-            Ok(mut cmd) => {
-                // Assign a request id at admission if the client did
-                // not stamp one, so every query pass is joinable across
-                // the response frame, the engine trace, and the flight
-                // recorder.
-                if cmd.request_id() == Some(0) {
-                    cmd.set_request_id(shared.obs.assign_request_id());
-                }
-                let request_id = cmd.request_id().unwrap_or(0);
-                let sched_lag_ns = cmd.sched_lag_ns();
-                let (reply_tx, reply_rx) = mpsc::channel();
-                match shared.admit(
-                    &client,
-                    Job {
-                        cmd,
-                        reply: reply_tx,
-                        request_id,
-                        tenant: tenant.clone(),
-                        admitted_ns: shared.clock.now_ns(),
-                        sched_lag_ns,
-                    },
-                ) {
+            Ok(cmd) => {
+                let now = shared.clock.now_ns();
+                let (job, reply) = Job::new(cmd, &shared.obs, tenant.clone(), now);
+                match shared.admit(&client, job) {
                     Err(rejection) => rejection,
-                    Ok(()) => reply_rx.recv().unwrap_or_else(|_| {
+                    Ok(()) => reply.recv().unwrap_or_else(|_| {
                         Response::Error(WireError::Device("server dropped the request".to_string()))
                     }),
                 }
@@ -1189,9 +1190,15 @@ fn conn_loop<C: Connection>(mut conn: C, shared: Arc<Shared>) {
     }
 }
 
-/// Drain the job queue until every sender is gone, merging co-pending
-/// query jobs into shared flash passes. Returns the device so the
+/// The threaded driver: drain the job queue until every sender is
+/// gone, one [`engine_pass`] per batch. Returns the device so the
 /// caller can recover the store after shutdown.
+///
+/// A pass takes the head job plus every job already queued, then, with
+/// a [`ServeConfig::batch_window`], every job admitted before the
+/// window's deadline on [`ServeConfig::clock`]. A wall clock sleeps to
+/// the deadline; a manual clock only moves when its driver advances
+/// it, so the deadline is re-checked every [`ServeConfig::poll`].
 fn engine_loop(
     rx: Receiver<Job>,
     mut device: Device,
@@ -1199,161 +1206,190 @@ fn engine_loop(
     stats: Arc<StatsInner>,
     obs: Arc<ServeObs>,
 ) -> Device {
+    let window_ns = cfg.batch_window.map(duration_ns);
     while let Ok(first) = rx.recv() {
         let mut jobs = vec![first];
         while let Ok(job) = rx.try_recv() {
             jobs.push(job);
         }
-        if let Some(window) = cfg.batch_window {
-            let deadline = Instant::now() + window;
-            loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match rx.recv_timeout(deadline - now) {
+        if let Some(window_ns) = window_ns {
+            let deadline = cfg.clock.now_ns().saturating_add(window_ns);
+            while let Some(left) = deadline.checked_sub(cfg.clock.now_ns()).filter(|&l| l > 0) {
+                let wait = match cfg.clock {
+                    ServeClock::Wall(_) => Duration::from_nanos(left),
+                    ServeClock::Manual(_) => cfg.poll,
+                };
+                match rx.recv_timeout(wait) {
                     Ok(job) => jobs.push(job),
-                    Err(_) => break,
+                    Err(RecvTimeoutError::Timeout) => {}
+                    Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
         }
         if let Some(delay) = cfg.engine_delay {
             thread::sleep(delay);
         }
-        stats.engine_batches.fetch_add(1, Ordering::SeqCst);
         // Queue wait ends here for every job in the batch; service time
         // starts. One stamp per batch keeps merged jobs comparable.
         let picked_ns = cfg.clock.now_ns();
-
-        let mut replies: Vec<Option<Response>> = (0..jobs.len()).map(|_| None).collect();
-        let query_jobs: Vec<usize> = jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| j.cmd.query_cost() > 0)
-            .map(|(i, _)| i)
-            .collect();
-        if query_jobs.len() >= 2 {
-            // Merge every co-pending query into one engine batch; the
-            // engine groups by (db, model, level) internally and
-            // answers each request exactly as if issued alone. Request
-            // ids ride along so the merged trace stays joinable per
-            // originating frame.
-            let mut all: Vec<QueryRequest> = Vec::new();
-            let mut rids: Vec<u64> = Vec::new();
-            let mut spans: Vec<(usize, usize, usize, bool)> = Vec::new();
-            for &i in &query_jobs {
-                match &jobs[i].cmd {
-                    Command::Query {
-                        qfv,
-                        k,
-                        model,
-                        db,
-                        level,
-                        exact,
-                        ..
-                    } => {
-                        spans.push((i, all.len(), 1, true));
-                        let mut req = QueryRequest::new(qfv.clone(), *model, *db)
-                            .k(*k)
-                            .level(*level);
-                        if *exact || cfg.force_exact {
-                            req = req.exact();
-                        }
-                        all.push(req);
-                        rids.push(jobs[i].request_id);
-                    }
-                    Command::QueryBatch { requests, .. } => {
-                        spans.push((i, all.len(), requests.len(), false));
-                        all.extend(requests.iter().cloned().map(|r| {
-                            if cfg.force_exact {
-                                r.exact()
-                            } else {
-                                r
-                            }
-                        }));
-                        rids.extend(std::iter::repeat_n(jobs[i].request_id, requests.len()));
-                    }
-                    _ => unreachable!("query_cost > 0 only for query commands"),
-                }
-            }
-            if let Ok(ids) = device.store_mut().query_batch_tagged(&all, &rids) {
-                stats
-                    .coalesced_queries
-                    .fetch_add(all.len() as u64, Ordering::SeqCst);
-                for (i, start, len, single) in spans {
-                    replies[i] = Some(if single {
-                        Response::QuerySubmitted {
-                            id: ids[start],
-                            request_id: jobs[i].request_id,
-                        }
-                    } else {
-                        Response::BatchSubmitted {
-                            ids: ids[start..start + len].to_vec(),
-                            request_id: jobs[i].request_id,
-                        }
-                    });
-                }
-            }
-            // On a merged-batch error fall through: each job is
-            // dispatched alone below, so only the offending client
-            // sees its (typed) error.
-        }
-        for (i, job) in jobs.into_iter().enumerate() {
-            let Job {
-                cmd,
-                reply,
-                request_id,
-                tenant,
-                admitted_ns,
-                sched_lag_ns,
-            } = job;
-            let queries = cmd.query_cost();
-            let mut resp = match replies[i].take() {
-                Some(resp) => resp,
-                None => match cmd {
-                    // The flight recorder lives at the serve layer, so
-                    // answer dump requests here rather than in the
-                    // (recorder-less) device dispatch.
-                    Command::Dump => Response::Dump {
-                        json: obs.explicit_dump(),
-                    },
-                    cmd => device.dispatch(apply_force_exact(cmd, cfg.force_exact)),
-                },
-            };
-            match &mut resp {
-                Response::Stats { server, .. } => *server = Some(obs.server_stats(&stats)),
-                Response::Metrics { text } => text.push_str(&obs.render_exposition(&stats)),
-                _ => {}
-            }
-            if queries > 0 {
-                let done_ns = cfg.clock.now_ns();
-                let (outcome, coverage_milli) = query_outcome(&device, &resp);
-                obs.record_done(
-                    &tenant,
-                    request_id,
-                    queries,
-                    picked_ns.saturating_sub(admitted_ns),
-                    done_ns.saturating_sub(picked_ns),
-                    sched_lag_ns.saturating_add(done_ns.saturating_sub(admitted_ns)),
-                    coverage_milli,
-                    outcome,
-                );
-            }
-            let _ = reply.send(resp);
-        }
+        engine_pass(jobs, &mut device, &cfg, &stats, &obs, picked_ns, |_, _| {
+            cfg.clock.now_ns()
+        });
     }
     device
+}
+
+/// One engine pass, shared by [`serve`] and [`simulate`]: merge the
+/// co-pending query jobs into one engine batch, answer every job on its
+/// reply channel, and record each query job into `obs`. `picked_ns` is
+/// the pass's start on the serve clock; `stamp_done` stamps each job's
+/// completion, in job order, just before it is recorded.
+fn engine_pass(
+    mut jobs: Vec<Job>,
+    device: &mut Device,
+    cfg: &ServeConfig,
+    stats: &StatsInner,
+    obs: &ServeObs,
+    picked_ns: u64,
+    mut stamp_done: impl FnMut(&Device, &Response) -> u64,
+) {
+    stats.engine_batches.fetch_add(1, Ordering::SeqCst);
+    if cfg.force_exact {
+        jobs.iter_mut().for_each(|job| force_exact(&mut job.cmd));
+    }
+
+    let mut replies: Vec<Option<Response>> = (0..jobs.len()).map(|_| None).collect();
+    let query_jobs: Vec<usize> = jobs
+        .iter()
+        .enumerate()
+        .filter(|(_, j)| j.cmd.query_cost() > 0)
+        .map(|(i, _)| i)
+        .collect();
+    if query_jobs.len() >= 2 {
+        // Merge every co-pending query into one engine batch; the
+        // engine groups by (db, model, level) internally and
+        // answers each request exactly as if issued alone. Request
+        // ids ride along so the merged trace stays joinable per
+        // originating frame.
+        let mut all: Vec<QueryRequest> = Vec::new();
+        let mut rids: Vec<u64> = Vec::new();
+        let mut spans: Vec<(usize, usize, usize, bool)> = Vec::new();
+        for &i in &query_jobs {
+            match &jobs[i].cmd {
+                Command::Query {
+                    qfv,
+                    k,
+                    model,
+                    db,
+                    level,
+                    exact,
+                    ..
+                } => {
+                    spans.push((i, all.len(), 1, true));
+                    let mut req = QueryRequest::new(qfv.clone(), *model, *db)
+                        .k(*k)
+                        .level(*level);
+                    req.exact = *exact;
+                    all.push(req);
+                    rids.push(jobs[i].request_id);
+                }
+                Command::QueryBatch { requests, .. } => {
+                    spans.push((i, all.len(), requests.len(), false));
+                    all.extend(requests.iter().cloned());
+                    rids.extend(std::iter::repeat_n(jobs[i].request_id, requests.len()));
+                }
+                _ => unreachable!("query_cost > 0 only for query commands"),
+            }
+        }
+        if let Ok(ids) = device.store_mut().query_batch_tagged(&all, &rids) {
+            stats
+                .coalesced_queries
+                .fetch_add(all.len() as u64, Ordering::SeqCst);
+            for (i, start, len, single) in spans {
+                replies[i] = Some(if single {
+                    Response::QuerySubmitted {
+                        id: ids[start],
+                        request_id: jobs[i].request_id,
+                    }
+                } else {
+                    Response::BatchSubmitted {
+                        ids: ids[start..start + len].to_vec(),
+                        request_id: jobs[i].request_id,
+                    }
+                });
+            }
+        }
+        // On a merged-batch error fall through: each job is
+        // dispatched alone below, so only the offending client
+        // sees its (typed) error.
+    }
+    for (i, job) in jobs.into_iter().enumerate() {
+        let Job {
+            cmd,
+            reply,
+            request_id,
+            tenant,
+            admitted_ns,
+            sched_lag_ns,
+        } = job;
+        let queries = cmd.query_cost();
+        let mut resp = match replies[i].take() {
+            Some(resp) => resp,
+            None => match cmd {
+                // The flight recorder lives at the serve layer, so
+                // answer dump requests here rather than in the
+                // (recorder-less) device dispatch.
+                Command::Dump => Response::Dump {
+                    json: obs.explicit_dump(),
+                },
+                cmd => device.dispatch(cmd),
+            },
+        };
+        match &mut resp {
+            Response::Stats { server, .. } => *server = Some(obs.server_stats(stats)),
+            Response::Metrics { text } => text.push_str(&obs.render_exposition(stats)),
+            _ => {}
+        }
+        let done_ns = stamp_done(device, &resp);
+        if queries > 0 {
+            let (outcome, coverage_milli) = query_outcome(device, &resp);
+            obs.record_done(
+                &tenant,
+                request_id,
+                queries,
+                picked_ns.saturating_sub(admitted_ns),
+                done_ns.saturating_sub(picked_ns),
+                sched_lag_ns.saturating_add(done_ns.saturating_sub(admitted_ns)),
+                coverage_milli,
+                outcome,
+            );
+        }
+        let _ = reply.send(resp);
+    }
+}
+
+/// A duration in whole nanoseconds, saturating.
+fn duration_ns(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The query ids a query job's response carries: none for an error.
+fn submitted_ids(resp: &Response) -> &[QueryId] {
+    match resp {
+        Response::QuerySubmitted { id, .. } => std::slice::from_ref(id),
+        Response::BatchSubmitted { ids, .. } => ids,
+        _ => &[],
+    }
 }
 
 /// Classifies a query job's response for the flight recorder: the
 /// outcome plus the worst per-query coverage in milli-units (1000 =
 /// full coverage).
 fn query_outcome(device: &Device, resp: &Response) -> (RequestOutcome, u64) {
-    let ids: &[QueryId] = match resp {
-        Response::QuerySubmitted { id, .. } => std::slice::from_ref(id),
-        Response::BatchSubmitted { ids, .. } => ids,
-        _ => return (RequestOutcome::Error, 0),
-    };
+    let ids = submitted_ids(resp);
+    if ids.is_empty() {
+        return (RequestOutcome::Error, 0);
+    }
     let mut worst = 1000u64;
     let mut degraded = false;
     for id in ids {
@@ -1371,43 +1407,13 @@ fn query_outcome(device: &Device, resp: &Response) -> (RequestOutcome, u64) {
     }
 }
 
-/// Rewrites query commands onto the exact scoring path when the
-/// server's [`ServeConfig::force_exact`] knob is set; every other
-/// command (and `force = false`) passes through untouched.
-fn apply_force_exact(cmd: Command, force: bool) -> Command {
-    if !force {
-        return cmd;
-    }
+/// Rewrites a query command onto the exact scoring path
+/// ([`ServeConfig::force_exact`]); any other command is left as is.
+fn force_exact(cmd: &mut Command) {
     match cmd {
-        Command::Query {
-            qfv,
-            k,
-            model,
-            db,
-            level,
-            exact: _,
-            request_id,
-            sched_lag_ns,
-        } => Command::Query {
-            qfv,
-            k,
-            model,
-            db,
-            level,
-            exact: true,
-            request_id,
-            sched_lag_ns,
-        },
-        Command::QueryBatch {
-            requests,
-            request_id,
-            sched_lag_ns,
-        } => Command::QueryBatch {
-            requests: requests.into_iter().map(QueryRequest::exact).collect(),
-            request_id,
-            sched_lag_ns,
-        },
-        other => other,
+        Command::Query { exact, .. } => *exact = true,
+        Command::QueryBatch { requests, .. } => requests.iter_mut().for_each(|r| r.exact = true),
+        _ => {}
     }
 }
 
@@ -1439,12 +1445,6 @@ impl ServerHandle {
     /// counters, and the flight recorder.
     pub fn obs(&self) -> &ServeObs {
         &self.obs
-    }
-
-    /// The serve-layer Prometheus exposition page, as served by
-    /// [`Command::Metrics`].
-    pub fn serve_exposition(&self) -> String {
-        self.obs.render_exposition(&self.stats)
     }
 
     /// Stop accepting, let in-flight jobs drain (every admitted job is
@@ -1539,6 +1539,106 @@ pub fn serve<T: Transport>(mut transport: T, store: DeepStore, cfg: ServeConfig)
         stats,
         obs,
         endpoint,
+    }
+}
+
+/// What [`simulate`] hands back.
+#[derive(Debug)]
+pub struct Simulation {
+    /// The store, after the last pass.
+    pub store: DeepStore,
+    /// Each job's response, in arrival order.
+    pub responses: Vec<Response>,
+    /// Each job's `(arrival, start, done)` in simulated ns, in arrival
+    /// order: when it arrived, when its pass started, when it completed.
+    pub times: Vec<(u64, u64, u64)>,
+    /// The server counters (engine passes, coalesced queries, ...).
+    pub stats: ServerStats,
+    /// Stage histograms and the flight recorder, in simulated ns.
+    pub obs: ServeObs,
+}
+
+/// Run `arrivals`, `(arrival_ns, command)` pairs in non-decreasing
+/// order, through the serve engine's own pass on a simulated clock, on
+/// the calling thread: the discrete-event twin of [`serve`].
+///
+/// A pass starts at `max(fabric_free, head arrival) + batch_window` and
+/// takes every job that has arrived by then. A query job completes at
+/// that start plus its result's simulated `elapsed` (the slowest, for a
+/// batch); any other job completes at the start. The fabric frees at
+/// the pass's latest completion, so a regular `readDB`/`appendDB`
+/// arriving mid-pass starts when the pass ends: the §4.5 busy signal.
+///
+/// `cfg.clock` is replaced by a manual clock set to each pass's start
+/// and then to each job's completion before that job is recorded, so
+/// the run is deterministic. Every job is admitted, as the tenant
+/// `simulate`; queue depth, quotas and `engine_delay` do not apply.
+///
+/// # Panics
+///
+/// Panics if the arrivals are out of order.
+pub fn simulate(
+    store: DeepStore,
+    mut cfg: ServeConfig,
+    arrivals: Vec<(u64, Command)>,
+) -> Simulation {
+    assert!(
+        arrivals.windows(2).all(|w| w[0].0 <= w[1].0),
+        "arrivals must be in non-decreasing order"
+    );
+    let (clock, now) = ServeClock::manual();
+    cfg.clock = clock;
+    let window_ns = cfg.batch_window.map_or(0, duration_ns);
+    let stats = StatsInner::default();
+    let obs = ServeObs::new(&cfg);
+    let tenant = obs.tenant("simulate");
+    let mut device = Device::with_store(store);
+    let (mut responses, mut times) = (Vec::new(), Vec::new());
+    let mut fabric_free = 0;
+    let mut arrivals = arrivals.into_iter().peekable();
+    while let Some(&(head_ns, _)) = arrivals.peek() {
+        let start = fabric_free.max(head_ns).saturating_add(window_ns);
+        now.store(start, Ordering::SeqCst);
+        let (mut jobs, mut replies) = (Vec::new(), Vec::new());
+        while let Some((arrival, cmd)) = arrivals.next_if(|(a, _)| *a <= start) {
+            let cost = cmd.query_cost();
+            stats.queries_admitted.fetch_add(cost, Ordering::SeqCst);
+            tenant.accepted.add(cost);
+            let (job, reply) = Job::new(cmd, &obs, tenant.clone(), arrival);
+            jobs.push(job);
+            replies.push((arrival, reply));
+        }
+        let mut dones = Vec::with_capacity(jobs.len());
+        engine_pass(
+            jobs,
+            &mut device,
+            &cfg,
+            &stats,
+            &obs,
+            start,
+            |device, resp| {
+                let done = submitted_ids(resp)
+                    .iter()
+                    .filter_map(|id| device.store().peek_results(*id))
+                    .map(|r| start + r.elapsed.as_nanos())
+                    .fold(start, u64::max);
+                now.store(done, Ordering::SeqCst);
+                dones.push(done);
+                done
+            },
+        );
+        for ((arrival, reply), done) in replies.into_iter().zip(dones) {
+            fabric_free = fabric_free.max(done);
+            times.push((arrival, start, done));
+            responses.push(reply.recv().expect("every job is answered in its pass"));
+        }
+    }
+    Simulation {
+        store: device.into_store(),
+        responses,
+        times,
+        stats: obs.server_stats(&stats),
+        obs,
     }
 }
 
@@ -1910,6 +2010,243 @@ mod tests {
             assert_eq!(good_result.top_k, solo.top_k);
             drop(handle);
         }
+    }
+
+    /// The threaded batch window runs on the serve clock: on a manual
+    /// clock, which jobs share a pass depends on the clock alone.
+    #[test]
+    fn batch_window_runs_on_the_serve_clock() {
+        let start = |clock| {
+            let (store, _) = seeded_store(16);
+            let (transport, connector) = channel_transport();
+            let cfg = ServeConfig {
+                batch_window: Some(Duration::from_secs(1)),
+                clock,
+                ..ServeConfig::default()
+            };
+            (serve(transport, store, cfg), connector)
+        };
+        let send = |connector: &ChannelConnector, i: u64| {
+            let mut host = HostClient::over(connector.connect().unwrap());
+            let (mid, db) = (crate::api::ModelId(1), crate::engine::DbId(1));
+            thread::spawn(move || {
+                host.query(&probe(i), 3, mid, db, AcceleratorLevel::Ssd, false)
+                    .unwrap()
+            })
+        };
+        // Polls `done` for well under the window's wall length, so a
+        // window timed on the wall clock cannot pass.
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            let t0 = Instant::now();
+            while !done() {
+                assert!(t0.elapsed() < Duration::from_millis(750), "no {what}");
+                thread::sleep(Duration::from_millis(1));
+            }
+        };
+        // Each step passes any deadline the engine can have set.
+        let step = |time: &AtomicU64| time.fetch_add(2_000_000_000, Ordering::SeqCst);
+
+        // Advancing the clock past A's deadline closes its window, so B,
+        // admitted after that, runs in a pass of its own.
+        let (clock, time) = ServeClock::manual();
+        let (handle, connector) = start(clock);
+        let a = send(&connector, 0);
+        wait_for("admission", &|| handle.stats().queries_admitted == 1);
+        wait_for("pass for A", &|| {
+            step(&time);
+            handle.stats().engine_batches == 1
+        });
+        let b = send(&connector, 1);
+        wait_for("pass for B", &|| {
+            step(&time);
+            handle.stats().engine_batches == 2
+        });
+        a.join().unwrap();
+        b.join().unwrap();
+        let (_, stats) = handle.shutdown();
+        assert_eq!(stats.engine_batches, 2);
+        assert_eq!(stats.coalesced_queries, 0);
+
+        // Without advancing, two jobs admitted inside the window share
+        // one pass.
+        let (clock, time) = ServeClock::manual();
+        let (handle, connector) = start(clock);
+        let (a, b) = (send(&connector, 0), send(&connector, 1));
+        wait_for("admissions", &|| handle.stats().queries_admitted == 2);
+        wait_for("shared pass", &|| {
+            step(&time);
+            handle.stats().engine_batches == 1
+        });
+        a.join().unwrap();
+        b.join().unwrap();
+        let (_, stats) = handle.shutdown();
+        assert_eq!(stats.engine_batches, 1);
+        assert_eq!(stats.coalesced_queries, 2);
+    }
+
+    /// A single textqa query against [`seeded_store`]'s database.
+    fn query(qfv: Tensor, k: usize) -> Command {
+        Command::Query {
+            qfv,
+            k,
+            model: crate::api::ModelId(1),
+            db: crate::engine::DbId(1),
+            level: AcceleratorLevel::Channel,
+            exact: false,
+            request_id: 0,
+            sched_lag_ns: 0,
+        }
+    }
+
+    /// The results each query response of a simulation points at.
+    fn sim_results(sim: &Simulation) -> Vec<&crate::api::QueryResult> {
+        sim.responses
+            .iter()
+            .flat_map(submitted_ids)
+            .map(|id| sim.store.peek_results(*id).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn idle_arrivals_do_not_queue() {
+        let (store, _) = seeded_store(32);
+        let arrivals = vec![(0, query(probe(1), 2)), (100_000_000, query(probe(2), 2))];
+        let sim = simulate(store, ServeConfig::default(), arrivals);
+        let (arrival, start, _) = sim.times[1];
+        assert_eq!(start, arrival);
+        assert_eq!(sim.stats.engine_batches, 2);
+    }
+
+    #[test]
+    fn batch_window_coalesces_co_pending_queries() {
+        let window = 50_000;
+        // Serial baseline: the same four queries, a second apart.
+        let arrivals = |gap: u64| {
+            (0..4)
+                .map(|i| (i * gap, query(probe(300 + i), 3)))
+                .collect()
+        };
+        let (store, _) = seeded_store(32);
+        let serial = simulate(store, ServeConfig::default(), arrivals(1_000_000_000));
+        let serial_fabric: u64 = serial
+            .times
+            .iter()
+            .map(|&(_, start, done)| done - start)
+            .sum();
+
+        let (store, _) = seeded_store(32);
+        let cfg = ServeConfig {
+            batch_window: Some(Duration::from_nanos(window)),
+            ..ServeConfig::default()
+        };
+        let sim = simulate(store, cfg, arrivals(1_000));
+        // All four joined one pass starting a window after the lead's
+        // arrival.
+        assert_eq!(sim.stats.engine_batches, 1);
+        assert_eq!(sim.stats.coalesced_queries, 4);
+        assert!(sim.times.iter().all(|&(_, start, _)| start == window));
+        // The shared pass occupies the fabric for less time than four
+        // back-to-back scans (the window itself is added latency, so
+        // compare fabric time, not makespan).
+        let batch_fabric = sim.times.iter().map(|t| t.2).max().unwrap() - window;
+        assert!(
+            batch_fabric < serial_fabric,
+            "batched fabric time {batch_fabric} !< serial {serial_fabric}"
+        );
+    }
+
+    /// §4.5: regular I/O arriving while a query's pass holds the engine
+    /// sees the busy signal and starts when that pass ends; I/O after it
+    /// passes straight through.
+    #[test]
+    fn busy_signal_defers_regular_io() {
+        let (store, features) = seeded_store(16);
+        let solo = simulate(store, ServeConfig::default(), vec![(0, query(probe(9), 2))]);
+        let busy_until = solo.times[0].2;
+        let db = crate::engine::DbId(1);
+        let read = || Command::ReadDb {
+            db,
+            start: 0,
+            num: 2,
+        };
+        let append = Command::AppendDb {
+            db,
+            features: features[..2].to_vec(),
+        };
+        let (store, _) = seeded_store(16);
+        let arrivals = vec![
+            (0, query(probe(9), 2)),
+            (busy_until / 2, read()),
+            (busy_until / 2, append),
+            (busy_until + 1_000, read()),
+        ];
+        let sim = simulate(store, ServeConfig::default(), arrivals);
+        assert_eq!(sim.times[0].2, busy_until);
+        assert_eq!(sim.times[1].1, busy_until);
+        assert_eq!(sim.times[2].1, busy_until);
+        assert_eq!(sim.times[3].1, busy_until + 1_000);
+        assert!(matches!(sim.responses[1], Response::Features(_)));
+        assert!(matches!(sim.responses[2], Response::Appended));
+    }
+
+    #[test]
+    fn device_stats_cover_scheduled_queries() {
+        let (store, _) = seeded_store(16);
+        let arrivals = (0..3)
+            .map(|i| (i * 1_000, query(probe(600 + i), 2)))
+            .collect();
+        let sim = simulate(store, ServeConfig::default(), arrivals);
+        // q0 runs alone; q1 and q2 arrive during its pass and share the
+        // next one.
+        assert_eq!(sim.stats.engine_batches, 2);
+        let ds = sim.store.stats();
+        assert!(ds.flash.page_reads > 0);
+        if cfg!(feature = "obs") {
+            assert_eq!(ds.queries, 3);
+            assert_eq!(ds.batches, 2);
+            assert!(ds.stages.scan_ns > 0);
+        }
+    }
+
+    #[test]
+    fn degraded_queries_are_recorded_in_schedule_stats() {
+        let model = zoo::tir().seeded(3);
+        let mut store = DeepStore::in_memory(DeepStoreConfig::small());
+        store.disable_qc();
+        // Two blocks on two channels: one dead channel halves coverage.
+        let features: Vec<Tensor> = (0..256).map(|i| model.random_feature(i)).collect();
+        store.write_db(&features).unwrap();
+        store.load_model(&ModelGraph::from_model(&model)).unwrap();
+        store.inject_faults(deepstore_flash::fault::FaultPlan::none().dead_channel(0));
+        let arrivals = (0..3)
+            .map(|i| (i * 1_000, query(model.random_feature(700 + i), 2)))
+            .collect();
+        let sim = simulate(store, ServeConfig::default(), arrivals);
+        assert!(sim_results(&sim).iter().all(|r| r.degraded));
+        assert_eq!(sim.stats.per_tenant[0].degraded, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-decreasing")]
+    fn out_of_order_arrivals_panic() {
+        let (store, _) = seeded_store(4);
+        let arrivals = vec![(10_000, query(probe(0), 1)), (0, query(probe(1), 1))];
+        simulate(store, ServeConfig::default(), arrivals);
+    }
+
+    #[test]
+    fn cache_hits_recorded_in_stats() {
+        let (mut store, _) = seeded_store(16);
+        store.set_qc(crate::qcache::QueryCacheConfig {
+            capacity: 4,
+            threshold: 0.10,
+            qcn_accuracy: 1.0,
+        });
+        let arrivals = (0..3).map(|i| (i * 1_000, query(probe(5), 2))).collect();
+        let sim = simulate(store, ServeConfig::default(), arrivals);
+        let results = sim_results(&sim);
+        assert_eq!(results.len(), 3);
+        assert_eq!(results.iter().filter(|r| r.cache_hit).count(), 2);
     }
 
     /// CPU ns this thread has run, by the scheduler's accounting (`None`

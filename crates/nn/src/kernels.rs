@@ -28,50 +28,53 @@
 //!   chains) per AVX register. No FMA is ever used — a fused
 //!   multiply-add rounds once where the contract rounds twice.
 //!
-//! Backend selection happens at runtime: SSE2 is part of the x86_64
-//! baseline, AVX is detected with `is_x86_feature_detected!`, and
-//! setting `DEEPSTORE_FORCE_SCALAR=1` in the environment (read once per
-//! process) forces the scalar backend everywhere — CI runs the whole
-//! equivalence suite under that override so both arms stay green.
+//! The backend is one [`Backend`] value, resolved once per process:
+//! setting `DEEPSTORE_FORCE_SCALAR=1` in the environment forces the
+//! scalar backend everywhere (CI runs the whole equivalence suite under
+//! that override so both arms stay green); otherwise SSE2, part of the
+//! x86_64 baseline, or AVX when `is_x86_feature_detected!` finds it.
 
 use std::sync::OnceLock;
 
-/// True when `DEEPSTORE_FORCE_SCALAR` is set (to anything but `0`):
-/// every kernel dispatches to the scalar backend. Read once per process.
-fn force_scalar() -> bool {
-    static FORCE: OnceLock<bool> = OnceLock::new();
-    *FORCE.get_or_init(|| std::env::var_os("DEEPSTORE_FORCE_SCALAR").is_some_and(|v| v != *"0"))
+/// The kernel backend a process dispatches to. Each level includes the
+/// ones below it: the AVX backend runs the SSE2 dot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Backend {
+    Scalar,
+    Sse2,
+    Avx,
 }
 
-/// True when the AVX (f32x8) backend is usable for this process.
-#[cfg(target_arch = "x86_64")]
-fn use_avx() -> bool {
-    static AVX: OnceLock<bool> = OnceLock::new();
-    !force_scalar() && *AVX.get_or_init(|| std::arch::is_x86_feature_detected!("avx"))
-}
-
-/// True when the SSE2 (f32x4) backend is usable for this process.
-/// SSE2 is architecturally guaranteed on x86_64, so this is just the
-/// scalar-override check.
-#[cfg(target_arch = "x86_64")]
-fn use_sse() -> bool {
-    !force_scalar()
+impl Backend {
+    /// This process's backend, resolved on first use.
+    fn get() -> Backend {
+        static BACKEND: OnceLock<Backend> = OnceLock::new();
+        *BACKEND.get_or_init(|| {
+            if std::env::var_os("DEEPSTORE_FORCE_SCALAR").is_some_and(|v| v != *"0") {
+                return Backend::Scalar;
+            }
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx") {
+                return Backend::Avx;
+            }
+            if cfg!(target_arch = "x86_64") {
+                Backend::Sse2
+            } else {
+                Backend::Scalar
+            }
+        })
+    }
 }
 
 /// Name of the kernel backend this process dispatches to: `"avx"`,
 /// `"sse2"` or `"scalar"`. Surfaced through
 /// [`crate::kernel_backend`] for benches and stats.
 pub(crate) fn backend_name() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if use_avx() {
-            return "avx";
-        }
-        if use_sse() {
-            return "sse2";
-        }
+    match Backend::get() {
+        Backend::Avx => "avx",
+        Backend::Sse2 => "sse2",
+        Backend::Scalar => "scalar",
     }
-    "scalar"
 }
 
 /// Lane width of the fused multi-query dense kernel: eight queries are
@@ -111,7 +114,7 @@ pub(crate) fn tail_accumulate<const L: usize>(acc: &mut [f32; L], w_tail: &[f32]
 pub(crate) fn dot_unrolled(w: &[f32], x: &[f32]) -> f32 {
     debug_assert_eq!(w.len(), x.len());
     #[cfg(target_arch = "x86_64")]
-    if use_sse() {
+    if Backend::get() >= Backend::Sse2 {
         // SAFETY: SSE2 is baseline on x86_64.
         return unsafe { simd::dot_sse2(w, x) };
     }
@@ -149,8 +152,8 @@ pub(crate) fn dense_into(w: &[f32], b: &[f32], x: &[f32], out: &mut Vec<f32>) {
 /// computation with the lane loop in hardware.
 pub(crate) fn dense_into_multi(w: &[f32], bias: &[f32], xt: &[f32], out: &mut Vec<f32>) {
     #[cfg(target_arch = "x86_64")]
-    if use_avx() {
-        // SAFETY: AVX support was verified by `use_avx`.
+    if Backend::get() == Backend::Avx {
+        // SAFETY: `Backend::Avx` is only chosen when AVX is detected.
         unsafe { simd::dense_into_multi_avx(w, bias, xt, out) };
         return;
     }
@@ -214,8 +217,8 @@ pub(crate) fn conv2d_into(
     out: &mut Vec<f32>,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if use_avx() && d.stride.1 == 1 {
-        // SAFETY: AVX support was verified by `use_avx`.
+    if Backend::get() == Backend::Avx && d.stride.1 == 1 {
+        // SAFETY: `Backend::Avx` is only chosen when AVX is detected.
         unsafe { simd::conv2d_into_avx(x, kernel, bias, d, out) };
         return;
     }

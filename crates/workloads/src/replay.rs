@@ -99,11 +99,25 @@ impl QueryTrace {
     ///
     /// # Errors
     ///
-    /// Returns a description of the parse failure or a version mismatch.
+    /// Returns a description of the parse failure, a version mismatch,
+    /// or the first entry that arrives before its predecessor.
     pub fn from_bytes(bytes: &[u8]) -> Result<QueryTrace, String> {
         let t: QueryTrace = serde_json::from_slice(bytes).map_err(|e| e.to_string())?;
         if t.version != Self::VERSION {
             return Err(format!("unsupported trace version {}", t.version));
+        }
+        if let Some(i) = t
+            .entries
+            .windows(2)
+            .position(|w| w[1].arrival < w[0].arrival)
+        {
+            return Err(format!(
+                "trace entry {} arrives at {}, before entry {} at {}",
+                i + 1,
+                t.entries[i + 1].arrival,
+                i,
+                t.entries[i].arrival
+            ));
         }
         Ok(t)
     }
@@ -163,6 +177,14 @@ mod tests {
         t.version = 9;
         assert!(QueryTrace::from_bytes(&t.to_bytes()).is_err());
         assert!(QueryTrace::from_bytes(b"junk").is_err());
+    }
+
+    #[test]
+    fn out_of_order_arrivals_rejected() {
+        let mut t = QueryTrace::generate(&mut stream(), 5, 10.0, 7);
+        t.entries.swap(1, 2);
+        let err = QueryTrace::from_bytes(&t.to_bytes()).unwrap_err();
+        assert!(err.contains("entry 2"), "{err}");
     }
 
     #[test]

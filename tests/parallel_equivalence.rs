@@ -3,17 +3,18 @@
 //! The scan's contract is that `parallelism` is purely a host wall-clock
 //! knob: for any database, query and `k`, the ranked results — ids,
 //! scores and order — are bit-identical at every worker count, and so
-//! are the simulated latencies the runtime derives from them. These
-//! tests drive that contract with randomized inputs (property tests over
-//! models, database sizes, `k` and worker counts), with injected read
-//! faults, and through the `Runtime`'s latency statistics.
+//! are the simulated latencies the serve engine's simulated-clock
+//! driver derives from them. These tests drive that contract with
+//! randomized inputs (property tests over models, database sizes, `k`
+//! and worker counts), with injected read faults, and through
+//! `serve::simulate`'s schedule and flight recorder.
 
 use deepstore_core::config::DeepStoreConfig;
 use deepstore_core::engine::{DbId, Engine};
-use deepstore_core::runtime::Runtime;
-use deepstore_core::{DeepStore, ModelId, QueryRequest};
+use deepstore_core::proto::Command;
+use deepstore_core::serve::{simulate, ServeConfig};
+use deepstore_core::{AcceleratorLevel, DeepStore};
 use deepstore_flash::fault::FaultPlan;
-use deepstore_flash::SimDuration;
 use deepstore_nn::{zoo, Model, ModelGraph, Tensor};
 use proptest::prelude::*;
 
@@ -87,46 +88,48 @@ proptest! {
     }
 }
 
-/// Builds a runtime over a sealed 64-feature textqa store.
-fn runtime_with(parallelism: usize) -> (Runtime, Model, DbId, ModelId) {
-    let model = zoo::textqa().seeded(3);
-    let mut store = DeepStore::in_memory(DeepStoreConfig::small().with_parallelism(parallelism));
-    store.disable_qc();
-    let features: Vec<Tensor> = (0..64).map(|i| model.random_feature(i)).collect();
-    let db = store.write_db(&features).unwrap();
-    let mid = store.load_model(&ModelGraph::from_model(&model)).unwrap();
-    (Runtime::new(store), model, db, mid)
-}
-
-/// Runtime regression: the per-query records (arrival, start,
-/// completion) and aggregate latency percentiles come from the simulated
+/// Regression for the simulated-clock driver: each job's `(arrival,
+/// start, done)` and the flight-recorder dump come from the simulated
 /// timing model, so they must be identical at every parallelism setting.
 #[test]
 fn runtime_latencies_identical_across_parallelism() {
     let run_at = |parallelism: usize| {
-        let (mut rt, model, db, mid) = runtime_with(parallelism);
-        for i in 0..20u64 {
-            rt.submit_at(
-                SimDuration::from_nanos(i * 50_000),
-                QueryRequest::new(model.random_feature(1_000 + i), mid, db).k(5),
-            );
-        }
-        rt.run_to_completion().unwrap();
-        let stats = rt.stats().unwrap();
-        (rt.records().to_vec(), stats)
+        let model = zoo::textqa().seeded(3);
+        let mut store =
+            DeepStore::in_memory(DeepStoreConfig::small().with_parallelism(parallelism));
+        store.disable_qc();
+        let features: Vec<Tensor> = (0..64).map(|i| model.random_feature(i)).collect();
+        let db = store.write_db(&features).unwrap();
+        let mid = store.load_model(&ModelGraph::from_model(&model)).unwrap();
+        let arrivals = (0..20u64)
+            .map(|i| {
+                let query = Command::Query {
+                    qfv: model.random_feature(1_000 + i),
+                    k: 5,
+                    model: mid,
+                    db,
+                    level: AcceleratorLevel::Channel,
+                    exact: false,
+                    request_id: 0,
+                    sched_lag_ns: 0,
+                };
+                (i * 50_000, query)
+            })
+            .collect();
+        let sim = simulate(store, ServeConfig::default(), arrivals);
+        (sim.times, sim.obs.explicit_dump())
     };
 
-    let (baseline_records, baseline_stats) = run_at(1);
+    let (baseline_times, baseline_dump) = run_at(1);
     for workers in WORKER_COUNTS {
-        let (records, stats) = run_at(workers);
+        let (times, dump) = run_at(workers);
         assert_eq!(
-            baseline_records, records,
-            "records diverged at parallelism {workers}"
+            baseline_times, times,
+            "schedule diverged at parallelism {workers}"
         );
-        assert_eq!(baseline_stats.p50_latency, stats.p50_latency);
-        assert_eq!(baseline_stats.p95_latency, stats.p95_latency);
-        assert_eq!(baseline_stats.p99_latency, stats.p99_latency);
-        assert_eq!(baseline_stats.mean_latency, stats.mean_latency);
-        assert_eq!(baseline_stats.makespan, stats.makespan);
+        assert_eq!(
+            baseline_dump, dump,
+            "flight-recorder dump diverged at parallelism {workers}"
+        );
     }
 }

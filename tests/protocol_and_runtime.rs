@@ -1,14 +1,14 @@
-//! Integration tests for the wire protocol and the runtime scheduler.
+//! Integration tests for the wire protocol and the serve engine's
+//! scheduler on a simulated clock.
 
 use deepstore::core::proto::{
     decode_command, decode_response, encode_command, Command, Device, HostClient, ProtoError,
     Response,
 };
-use deepstore::core::runtime::Runtime;
+use deepstore::core::serve::{simulate, ServeConfig, Simulation};
 use deepstore::core::{
     AcceleratorLevel, DbId, DeepStore, DeepStoreConfig, QueryCacheConfig, QueryRequest,
 };
-use deepstore::flash::SimDuration;
 use deepstore::nn::{zoo, ModelGraph, Tensor};
 use proptest::prelude::*;
 
@@ -78,8 +78,9 @@ fn device_survives_command_reordering_and_bad_handles() {
         .is_err());
 }
 
-#[test]
-fn runtime_trace_replay_produces_consistent_stats() {
+/// Replays a trace of 12 queries over 4 distinct QFVs, `gap_ns` apart,
+/// against a cached 32-feature textqa store.
+fn replay_trace(gap_ns: u64) -> Simulation {
     let model = zoo::textqa().seeded(5);
     let mut store = DeepStore::in_memory(DeepStoreConfig::small());
     store.set_qc(QueryCacheConfig {
@@ -90,28 +91,65 @@ fn runtime_trace_replay_produces_consistent_stats() {
     let features: Vec<Tensor> = (0..32).map(|i| model.random_feature(i)).collect();
     let db = store.write_db(&features).unwrap();
     let mid = store.load_model(&ModelGraph::from_model(&model)).unwrap();
+    let arrivals = (0..12u64)
+        .map(|i| {
+            let query = Command::Query {
+                qfv: model.random_feature(i % 4),
+                k: 3,
+                model: mid,
+                db,
+                level: AcceleratorLevel::Channel,
+                exact: false,
+                request_id: 0,
+                sched_lag_ns: 0,
+            };
+            (i * gap_ns, query)
+        })
+        .collect();
+    simulate(store, ServeConfig::default(), arrivals)
+}
 
-    let mut rt = Runtime::new(store);
-    // A bursty trace: 12 queries, 4 distinct QFVs (expect cache hits).
-    for i in 0..12u64 {
-        rt.submit_at(
-            SimDuration::from_micros(i * 5),
-            QueryRequest::new(model.random_feature(i % 4), mid, db).k(3),
-        );
+fn cache_hits(sim: &Simulation) -> usize {
+    sim.responses
+        .iter()
+        .filter(|resp| match resp {
+            Response::QuerySubmitted { id, .. } => sim.store.peek_results(*id).unwrap().cache_hit,
+            other => panic!("query failed: {other:?}"),
+        })
+        .count()
+}
+
+#[test]
+fn runtime_trace_replay_produces_consistent_stats() {
+    // A bursty trace, 5 µs apart: q0 runs alone, q1–q11 arrive during
+    // its pass and share the next one, so only q0's repeats (q4, q8)
+    // find it cached.
+    let burst = replay_trace(5_000);
+    assert_eq!(burst.times.len(), 12);
+    assert_eq!(cache_hits(&burst), 2);
+    assert_eq!(burst.stats.engine_batches, 2);
+    // The same trace spaced beyond one pass's service time runs
+    // serially: every repeat of a QFV hits.
+    let spaced = replay_trace(1_000_000);
+    assert_eq!(spaced.times.len(), 12);
+    let hits = cache_hits(&spaced);
+    assert!(hits >= 8, "hits = {hits}");
+    for sim in [&burst, &spaced] {
+        // Every record is internally consistent.
+        for &(arrival, start, done) in &sim.times {
+            assert!(start >= arrival);
+            assert!(done > start);
+            assert_eq!(done - arrival, (start - arrival) + (done - start));
+        }
+        // Passes are serially ordered on the fabric: a job starts with
+        // its pass-mates or after the previous job completes.
+        for w in sim.times.windows(2) {
+            assert!(w[1].1 == w[0].1 || w[1].1 >= w[0].2);
+        }
     }
-    rt.run_to_completion().unwrap();
-    let stats = rt.stats().unwrap();
-    assert_eq!(stats.completed, 12);
-    assert!(stats.cache_hits >= 8, "hits = {}", stats.cache_hits);
-    // Every record is internally consistent.
-    for r in rt.records() {
-        assert!(r.start >= r.arrival);
-        assert!(r.completion > r.start);
-        assert_eq!(r.latency(), r.queueing() + r.service());
-    }
-    // Records are serially ordered on the fabric.
-    for w in rt.records().windows(2) {
-        assert!(w[1].start >= w[0].completion);
+    // Serial jobs: each starts after the previous one completes.
+    for w in spaced.times.windows(2) {
+        assert!(w[1].1 >= w[0].2);
     }
 }
 
