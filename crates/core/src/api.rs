@@ -69,7 +69,7 @@ use crate::engine::{check_request_shape, CascadeStats, DbId, Engine, ObjectId};
 use crate::error::{DeepStoreError, Result};
 use crate::persist::{model_bytes, read_model, ImageManifest, StoredModel, MANIFEST_VERSION};
 use crate::qcache::{lookup_time_for, QueryCache, QueryCacheConfig};
-use crate::telemetry::{merge_snapshots, ApiTelemetry, DeviceStats};
+use crate::telemetry::{ApiTelemetry, DeviceStats, StageTotals};
 use deepstore_flash::layout::DbLayout;
 use deepstore_flash::stream::retry_stall;
 use deepstore_flash::{FlashError, FlashOpCounts, ImageExtent, MmapStore, SimDuration};
@@ -614,16 +614,18 @@ impl DeepStore {
     /// into fresh blocks and retires the bad blocks from the FTL. The
     /// next scan reads the remapped copies at full coverage.
     ///
-    /// Recovery is an explicit maintenance operation — like garbage
-    /// collection, it is never run implicitly by the query path, so a
-    /// sequence of queries observes one consistent (possibly degraded)
-    /// view of the database regardless of batching or parallelism. See
+    /// Recovery is an explicit maintenance operation — it is never run
+    /// implicitly by the query path, so a sequence of queries observes
+    /// one consistent (possibly degraded) view of the database
+    /// regardless of batching or parallelism. See
     /// [`Engine::recover_faults`](crate::engine::Engine::recover_faults).
     pub fn recover_faults(&mut self) -> crate::engine::RecoveryReport {
         let recovery = self.engine.recover_faults();
         if !recovery.is_empty() {
-            self.telemetry
-                .on_recovery(recovery.pages_remapped, recovery.pages_lost);
+            self.telemetry.record(|m| {
+                m.recovery_pages_remapped.add(recovery.pages_remapped);
+                m.recovery_pages_lost.add(recovery.pages_lost);
+            });
             if let Some(t) = &mut self.tracer {
                 t.instant("recovery", "fault", self.trace_clock_ns, 0)
                     .arg_u64("blocks_retired", recovery.blocks_retired)
@@ -708,10 +710,7 @@ impl DeepStore {
             return Ok(Vec::new());
         }
         let rid_of = |i: usize| request_ids.get(i).copied().unwrap_or(0);
-        self.telemetry
-            .on_tagged(request_ids.iter().filter(|&&r| r != 0).count() as u64);
         let cfg = self.engine.config();
-        self.telemetry.on_batch();
         let base = self.trace_clock_ns;
         if let Some(t) = &mut self.tracer {
             t.instant("batch", "pipeline", base, 0)
@@ -770,7 +769,10 @@ impl DeepStore {
                 );
                 elapsed[i] += lookup;
                 qc_ns[i] = lookup.as_nanos();
-                self.telemetry.on_qc_lookup(lookup.as_nanos());
+                self.telemetry.record(|m| {
+                    m.stage_qc_lookup_ns.add(lookup.as_nanos());
+                    m.qc_lookup_ns.record(lookup.as_nanos());
+                });
                 if let Some(hit) = qc.lookup(&req.qfv) {
                     cache_hit[i] = true;
                     ranked[i] = Some(hit);
@@ -828,22 +830,28 @@ impl DeepStore {
             // is functional (identical with `obs` on and off), so timing
             // and traces never depend on the telemetry feature.
             let stall = retry_stall(&cfg.ssd.timing, &group_faults.reads.retries_by_round);
-            self.engine.flash_metrics().on_retry_stall(stall.as_nanos());
+            self.engine
+                .flash_metrics()
+                .record(|m| m.read_retry_ns.add(stall.as_nanos()));
 
             // Per-shard page-walk detail: stream time and channel-bus
             // arbitration waits from the flash sim's timing model.
             let shards = shard_timings(*level, workload, cfg);
             let bus_wait: u64 = shards.iter().map(|s| s.bus_wait.as_nanos()).sum();
             let transfers: u64 = shards.iter().map(|s| s.pages).sum();
-            self.engine.flash_metrics().on_bus_wait(bus_wait, transfers);
-            self.telemetry.on_scan_group(
-                members.len() as u64,
-                group_skipped,
-                timing.flash.as_nanos(),
-                timing.compute.as_nanos(),
-                timing.weights.as_nanos(),
-                timing.elapsed.as_nanos(),
-            );
+            self.engine.flash_metrics().record(|m| {
+                m.bus_wait_ns.add(bus_wait);
+                m.bus_transfers.add(transfers);
+            });
+            self.telemetry.record(|m| {
+                m.scan_groups.incr();
+                m.unreadable_skipped.add(group_skipped);
+                m.stage_flash_ns.add(timing.flash.as_nanos());
+                m.stage_compute_ns.add(timing.compute.as_nanos());
+                m.stage_weights_ns.add(timing.weights.as_nanos());
+                m.stage_scan_ns.add(timing.elapsed.as_nanos());
+                m.scan_group_members.record(members.len() as u64);
+            });
             if let Some(t) = &mut self.tracer {
                 // Each group gets a private block of trace lanes so its
                 // spans never interleave with another group's: the
@@ -986,10 +994,19 @@ impl DeepStore {
             let id = QueryId(self.next_query);
             self.next_query += 1;
             let degraded = coverage[i] < 1.0;
-            self.telemetry.on_query(elapsed[i].as_nanos(), cache_hit[i]);
-            if degraded {
-                self.telemetry.on_degraded();
-            }
+            self.telemetry.record(|m| {
+                m.queries.incr();
+                if cache_hit[i] {
+                    m.cache_hits.incr();
+                } else {
+                    m.cache_misses.incr();
+                }
+                m.stage_total_ns.add(elapsed[i].as_nanos());
+                m.query_ns.record(elapsed[i].as_nanos());
+                if degraded {
+                    m.degraded_queries.incr();
+                }
+            });
             if let Some(t) = &mut self.tracer {
                 // One lane per request: the query span covers lookup
                 // through merge, with the cache probe nested inside it.
@@ -1023,6 +1040,13 @@ impl DeepStore {
             );
             ids.push(id);
         }
+        // Counted only once the batch has published: a refused batch
+        // is not a served one.
+        self.telemetry.record(|m| {
+            m.batches.incr();
+            m.tagged_requests
+                .add(request_ids.iter().filter(|&&r| r != 0).count() as u64);
+        });
         let batch_ns = elapsed.iter().map(|e| e.as_nanos()).max().unwrap_or(0);
         if let Some(t) = &mut self.tracer {
             t.instant("merge", "pipeline", base + batch_ns, 0);
@@ -1053,7 +1077,7 @@ impl DeepStore {
 
     /// Device-wide telemetry: query/batch/cache counters, per-stage
     /// simulated-time totals, flash event counts and the full metrics
-    /// snapshot (engine registry followed by the API registry).
+    /// snapshot (the engine's table followed by the API's).
     ///
     /// The snapshot is deterministic: all counters are driven by the
     /// simulated timing model and physical data placement, so the same
@@ -1062,24 +1086,29 @@ impl DeepStore {
     /// counters read zero.
     #[must_use]
     pub fn stats(&self) -> DeviceStats {
-        let engine_metrics = self.engine.metrics_snapshot();
-        let pruned_features = engine_metrics.counter("scan.pruned_features").unwrap_or(0);
-        let rescored_features = engine_metrics
-            .counter("scan.rescored_features")
-            .unwrap_or(0);
+        let (scan, t) = (self.engine.metrics(), &self.telemetry);
+        let mut metrics = scan.snapshot();
+        metrics.merge(&t.snapshot());
         DeviceStats {
-            queries: self.telemetry.queries(),
-            batches: self.telemetry.batches(),
-            cache_hits: self.telemetry.cache_hits(),
-            cache_misses: self.telemetry.cache_misses(),
-            scan_groups: self.telemetry.scan_groups(),
+            queries: t.queries.get(),
+            batches: t.batches.get(),
+            cache_hits: t.cache_hits.get(),
+            cache_misses: t.cache_misses.get(),
+            scan_groups: t.scan_groups.get(),
             unreadable_skipped: self.engine.unreadable_skipped(),
-            pruned_features,
-            rescored_features,
-            degraded_queries: self.telemetry.degraded_queries(),
-            stages: self.telemetry.stage_totals(),
+            pruned_features: scan.features_pruned.get(),
+            rescored_features: scan.features_rescored.get(),
+            degraded_queries: t.degraded_queries.get(),
+            stages: StageTotals {
+                qc_lookup_ns: t.stage_qc_lookup_ns.get(),
+                flash_ns: t.stage_flash_ns.get(),
+                compute_ns: t.stage_compute_ns.get(),
+                weights_ns: t.stage_weights_ns.get(),
+                scan_ns: t.stage_scan_ns.get(),
+                total_ns: t.stage_total_ns.get(),
+            },
             flash: self.engine.flash_event_counts(),
-            metrics: merge_snapshots(vec![engine_metrics, self.telemetry.snapshot()]),
+            metrics,
         }
     }
 

@@ -870,12 +870,15 @@ impl DeepStoreCluster {
             covered_total as f64 / total as f64
         };
         let degraded = covered_total < total;
-        self.telemetry.on_query(
-            partitions.len() as u64,
-            failovers_total,
-            elapsed.as_nanos(),
-            degraded,
-        );
+        self.telemetry.record(|m| {
+            m.queries.incr();
+            m.partitions_scanned.add(partitions.len() as u64);
+            m.replica_failovers.add(failovers_total);
+            if degraded {
+                m.degraded_queries.incr();
+            }
+            m.query_ns.record(elapsed.as_nanos());
+        });
         let top_k = merged
             .ranked()
             .into_iter()
@@ -955,7 +958,10 @@ impl DeepStoreCluster {
                     report.unrecoverable += 1;
                     self.dbs[dbi].partitions[pi].replicas = healthy;
                     min_rep = 0;
-                    self.telemetry.on_partition_rebalanced(0, 0);
+                    self.telemetry.record(|m| {
+                        m.partition_replication.record(0);
+                        m.moved_bytes_per_partition.record(0);
+                    });
                     continue;
                 }
                 // Re-replicate from the first healthy copy onto the
@@ -992,18 +998,21 @@ impl DeepStoreCluster {
                 }
                 min_rep = min_rep.min(healthy.len() as u64);
                 max_rep = max_rep.max(healthy.len() as u64);
-                self.telemetry
-                    .on_partition_rebalanced(healthy.len() as u64, moved_for_partition);
+                self.telemetry.record(|m| {
+                    m.partition_replication.record(healthy.len() as u64);
+                    m.moved_bytes_per_partition.record(moved_for_partition);
+                });
                 self.dbs[dbi].partitions[pi].replicas = healthy;
             }
         }
         report.min_replication = if min_rep == u64::MAX { 0 } else { min_rep };
         report.max_replication = max_rep;
-        self.telemetry.on_rebalance(
-            report.moved_bytes,
-            report.re_replicated,
-            report.dropped_replicas,
-        );
+        self.telemetry.record(|m| {
+            m.rebalances.incr();
+            m.moved_bytes.add(report.moved_bytes);
+            m.re_replicated.add(report.re_replicated);
+            m.dropped_replicas.add(report.dropped_replicas);
+        });
         Ok(report)
     }
 }

@@ -25,7 +25,6 @@ use deepstore_flash::{
     FlashError, FlashOpCounts, FlashStateSnapshot, HeapStore, PageStore, Result as FlashResult,
 };
 use deepstore_nn::{quantize_feature, BoundScorer, FeatureQuant, Model, MultiQueryScorer, Tensor};
-use deepstore_obs::MetricsSnapshot;
 use deepstore_systolic::topk::{ScoredFeature, TopKSorter};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -393,7 +392,10 @@ impl Engine {
                         self.dbs.get_mut(&db).expect("victim db exists").pages[pos] = new_addr;
                     }
                     report.pages_remapped += remapped;
-                    self.array.metrics().on_remap(remapped);
+                    self.array.metrics().record(|m| {
+                        m.remapped_pages.add(remapped);
+                        m.retired_blocks.incr();
+                    });
                 }
                 None => {
                     // No remap source or no spare capacity: every victim
@@ -403,7 +405,7 @@ impl Engine {
             }
             if lost > 0 {
                 report.pages_lost += lost;
-                self.array.metrics().on_lost(lost);
+                self.array.metrics().record(|m| m.lost_pages.add(lost));
             }
             self.ftl.retire(old);
             report.blocks_retired += 1;
@@ -550,7 +552,7 @@ impl Engine {
         self.next_db
     }
 
-    /// The flash array's telemetry hooks (ECC failures, bus waits,
+    /// The flash array's metric table (ECC failures, bus waits,
     /// retries).
     pub fn flash_metrics(&self) -> &FlashMetrics {
         self.array.metrics()
@@ -561,9 +563,9 @@ impl Engine {
         self.array.event_counts()
     }
 
-    /// A deterministic snapshot of the engine's scan counters.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+    /// The engine's scan metric table.
+    pub fn metrics(&self) -> &ScanMetrics {
+        &self.metrics
     }
 
     /// Creates a database from feature vectors (the `writeDB` API).
@@ -1175,9 +1177,18 @@ impl Engine {
         }
         self.unreadable_skipped
             .fetch_add(faults.skipped, Ordering::Relaxed);
-        self.metrics
-            .on_batch_scan(requests.len() as u64, meta.num_features, faults.skipped);
-        self.metrics.on_cascade(cascade.pruned, cascade.rescored);
+        // One pass: `requests.len()` requests (one for a single query)
+        // shared it, and the cascade's per-query decisions are summed
+        // over the shards first.
+        self.metrics.record(|m| {
+            m.batch_scans.incr();
+            m.batch_queries.add(requests.len() as u64);
+            m.features_scanned.add(meta.num_features - faults.skipped);
+            m.features_skipped.add(faults.skipped);
+            m.scan_features.record(meta.num_features);
+            m.features_pruned.add(cascade.pruned);
+            m.features_rescored.add(cascade.rescored);
+        });
         Ok((
             merged.into_iter().map(|m| m.ranked()).collect(),
             faults,

@@ -667,38 +667,6 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, ProtoError> {
     serde_json::from_slice(payload).map_err(|e| ProtoError::BadPayload(e.to_string()))
 }
 
-/// Opcode of a standalone cluster rebalance-report frame. Cluster
-/// tooling ships [`crate::cluster::RebalanceReport`]s (moved bytes, replication factor,
-/// unrecoverable partitions) between processes with the same framing as
-/// the command set, but the frame is not a [`Command`]: a cluster sits
-/// *in front of* its member devices, so the report never transits a
-/// single device's command stream.
-pub const REBALANCE_REPORT_OPCODE: u8 = 0x0D;
-
-/// Serializes a cluster rebalance report into a wire frame
-/// ([`REBALANCE_REPORT_OPCODE`]).
-pub fn encode_rebalance_report(report: &crate::cluster::RebalanceReport) -> Vec<u8> {
-    let payload = serde_json::to_vec(report).expect("reports always serialize");
-    frame(REBALANCE_REPORT_OPCODE, &payload)
-}
-
-/// Parses a rebalance-report frame.
-///
-/// # Errors
-///
-/// Returns a [`ProtoError`] describing any framing or payload problem;
-/// command and response opcodes arriving here are
-/// [`ProtoError::UnknownOpcode`].
-pub fn decode_rebalance_report(
-    bytes: &[u8],
-) -> Result<crate::cluster::RebalanceReport, ProtoError> {
-    let (opcode, payload) = unframe(bytes)?;
-    if opcode != REBALANCE_REPORT_OPCODE {
-        return Err(ProtoError::UnknownOpcode(opcode));
-    }
-    serde_json::from_slice(payload).map_err(|e| ProtoError::BadPayload(e.to_string()))
-}
-
 /// The device-side endpoint: a [`DeepStore`] behind the wire protocol.
 #[derive(Debug)]
 pub struct Device {
@@ -1291,42 +1259,6 @@ mod tests {
             };
             assert_eq!(decode_command(&encode_command(&cmd)).unwrap(), cmd);
         }
-    }
-
-    #[test]
-    fn rebalance_report_frames_roundtrip_and_reject_other_opcodes() {
-        let report = crate::cluster::RebalanceReport {
-            partitions: 6,
-            under_replicated: 2,
-            re_replicated: 2,
-            dropped_replicas: 3,
-            moved_bytes: 48_000,
-            pages_remapped: 4,
-            pages_lost: 1,
-            blocks_retired: 2,
-            unrecoverable: 0,
-            min_replication: 2,
-            max_replication: 2,
-        };
-        let bytes = encode_rebalance_report(&report);
-        assert_eq!(bytes[5], REBALANCE_REPORT_OPCODE);
-        assert_eq!(decode_rebalance_report(&bytes).unwrap(), report);
-        assert!(report.fully_replicated(2));
-
-        // A command frame is not a report frame, and vice versa.
-        let cmd = encode_command(&Command::Stats);
-        assert!(matches!(
-            decode_rebalance_report(&cmd),
-            Err(ProtoError::UnknownOpcode(0x09))
-        ));
-        assert!(matches!(
-            decode_command(&bytes),
-            Err(ProtoError::UnknownOpcode(REBALANCE_REPORT_OPCODE))
-        ));
-        assert!(matches!(
-            decode_response(&bytes),
-            Err(ProtoError::UnknownOpcode(REBALANCE_REPORT_OPCODE))
-        ));
     }
 
     #[test]

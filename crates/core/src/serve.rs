@@ -40,8 +40,8 @@ use crate::proto::{
     ProtoError, Response, WireError, PROTOCOL_VERSION,
 };
 use deepstore_obs::{
-    percentile, render_histogram, Counter, FlightRecorder, Histogram, RequestOutcome,
-    RequestRecord, DEFAULT_RECORDER_CAPACITY,
+    metrics, render_text, Counter, FlightRecorder, Histogram, RequestOutcome, RequestRecord,
+    DEFAULT_RECORDER_CAPACITY,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -511,16 +511,26 @@ impl Default for ServeConfig {
     }
 }
 
-#[derive(Debug, Default)]
-struct StatsInner {
-    connections: AtomicU64,
-    frames: AtomicU64,
-    queries_admitted: AtomicU64,
-    rejected_overloaded: AtomicU64,
-    rejected_quota: AtomicU64,
-    malformed_frames: AtomicU64,
-    engine_batches: AtomicU64,
-    coalesced_queries: AtomicU64,
+metrics! {
+    /// The serve layer's unlabelled metrics. The counters are
+    /// functional — admission control, engine passes, errors — and are
+    /// written directly, with or without `obs`; only the per-stage
+    /// latency histograms go through `record`.
+    pub struct ServeMetrics {
+        connections: Counter = "serve.connections",
+        frames: Counter = "serve.frames",
+        queries_admitted: Counter = "serve.queries_admitted",
+        rejected_overloaded: Counter = "serve.rejected_overloaded",
+        rejected_quota: Counter = "serve.rejected_quota",
+        malformed_frames: Counter = "serve.malformed_frames",
+        engine_batches: Counter = "serve.engine_batches",
+        coalesced_queries: Counter = "serve.coalesced_queries",
+        errors: Counter = "serve.errors",
+        degraded_queries: Counter = "serve.degraded_queries",
+        queue_ns: Histogram = "serve.queue_ns",
+        service_ns: Histogram = "serve.service_ns",
+        e2e_ns: Histogram = "serve.e2e_ns",
+    }
 }
 
 /// A snapshot of the server's counters.
@@ -587,22 +597,6 @@ pub struct TenantStats {
     pub degraded: u64,
 }
 
-impl StatsInner {
-    fn snapshot(&self) -> ServerStats {
-        ServerStats {
-            connections: self.connections.load(Ordering::SeqCst),
-            frames: self.frames.load(Ordering::SeqCst),
-            queries_admitted: self.queries_admitted.load(Ordering::SeqCst),
-            rejected_overloaded: self.rejected_overloaded.load(Ordering::SeqCst),
-            rejected_quota: self.rejected_quota.load(Ordering::SeqCst),
-            malformed_frames: self.malformed_frames.load(Ordering::SeqCst),
-            engine_batches: self.engine_batches.load(Ordering::SeqCst),
-            coalesced_queries: self.coalesced_queries.load(Ordering::SeqCst),
-            per_tenant: Vec::new(),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Serve-layer observability
 // ---------------------------------------------------------------------------
@@ -647,26 +641,18 @@ impl TenantObs {
     }
 }
 
-/// The server's observability state: global and per-tenant latency
-/// histograms, the flight recorder, the request-id allocator, and the
-/// SLO breach latch.
+/// The server's observability state: the serve metric table, the
+/// per-tenant counters and latency histograms, the flight recorder,
+/// the request-id allocator, and the SLO breach latch.
 ///
 /// Latency recording and recorder writes are compiled out without the
-/// `obs` cargo feature and can also be switched off at runtime
-/// ([`ServeObs::set_enabled`]); request-id assignment and the
-/// per-tenant admission counters are functional and always on.
+/// `obs` cargo feature; request-id assignment and the admission, error
+/// and degraded counters are functional and always on.
 #[derive(Debug)]
 pub struct ServeObs {
-    queue_ns: Histogram,
-    service_ns: Histogram,
-    e2e_ns: Histogram,
-    errors: Counter,
-    degraded: Counter,
+    metrics: ServeMetrics,
     tenants: Mutex<BTreeMap<String, Arc<TenantObs>>>,
     recorder: FlightRecorder,
-    /// Runtime kill-switch for the recording hot path (histograms,
-    /// recorder writes, dump triggers); see [`ServeObs::set_enabled`].
-    enabled: AtomicBool,
     next_request_id: AtomicU64,
     slo_p99_ns: Option<u64>,
     slo_breached: AtomicBool,
@@ -682,14 +668,9 @@ const MAX_AUTO_DUMPS: usize = 8;
 impl ServeObs {
     fn new(cfg: &ServeConfig) -> Self {
         ServeObs {
-            queue_ns: Histogram::new(),
-            service_ns: Histogram::new(),
-            e2e_ns: Histogram::new(),
-            errors: Counter::new(),
-            degraded: Counter::new(),
+            metrics: ServeMetrics::new(),
             tenants: Mutex::new(BTreeMap::new()),
             recorder: FlightRecorder::new(cfg.recorder_capacity),
-            enabled: AtomicBool::new(true),
             next_request_id: AtomicU64::new(0),
             slo_p99_ns: cfg.slo_p99_us.map(|us| us.saturating_mul(1000)),
             slo_breached: AtomicBool::new(false),
@@ -702,23 +683,6 @@ impl ServeObs {
     /// A fresh, non-zero request id (0 on the wire means "unassigned").
     fn assign_request_id(&self) -> u64 {
         self.next_request_id.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Runtime kill-switch for the per-request recording hot path:
-    /// latency histograms, flight-recorder writes, and the error/SLO
-    /// dump triggers. Defaults to on. Request-id assignment, admission
-    /// counters, and error/degraded counters are functional surface
-    /// and ignore the switch; without the `obs` cargo feature the hot
-    /// path is compiled out and the switch is inert.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the recording hot path runs: compiled in *and* not
-    /// switched off at runtime.
-    #[inline]
-    fn hot_path_enabled(&self) -> bool {
-        cfg!(feature = "obs") && self.enabled.load(Ordering::Relaxed)
     }
 
     /// The (interned) observability handle for a tenant. Takes the
@@ -754,18 +718,16 @@ impl ServeObs {
         queries: u64,
         sched_lag_ns: u64,
     ) {
-        if self.hot_path_enabled() {
-            self.recorder.record(&RequestRecord {
-                request_id,
-                tenant_idx: tenant.idx,
-                queries,
-                queue_ns: 0,
-                service_ns: 0,
-                e2e_ns: sched_lag_ns,
-                coverage_milli: 0,
-                outcome,
-            });
-        }
+        self.remember(&RequestRecord {
+            request_id,
+            tenant_idx: tenant.idx,
+            queries,
+            queue_ns: 0,
+            service_ns: 0,
+            e2e_ns: sched_lag_ns,
+            coverage_milli: 0,
+            outcome,
+        });
     }
 
     /// Records a completed query pass: latency histograms (global and
@@ -785,36 +747,49 @@ impl ServeObs {
     ) {
         match outcome {
             RequestOutcome::Error => {
-                self.errors.incr();
+                self.metrics.errors.incr();
                 tenant.errors.incr();
             }
             RequestOutcome::Degraded => {
-                self.degraded.add(queries);
+                self.metrics.degraded_queries.add(queries);
                 tenant.degraded.add(queries);
             }
             _ => {}
         }
-        if self.hot_path_enabled() {
-            self.queue_ns.record(queue_ns);
-            self.service_ns.record(service_ns);
-            self.e2e_ns.record(e2e_ns);
+        self.metrics.record(|m| {
+            m.queue_ns.record(queue_ns);
+            m.service_ns.record(service_ns);
+            m.e2e_ns.record(e2e_ns);
             tenant.queue_ns.record(queue_ns);
             tenant.service_ns.record(service_ns);
             tenant.e2e_ns.record(e2e_ns);
-            self.recorder.record(&RequestRecord {
-                request_id,
-                tenant_idx: tenant.idx,
-                queries,
-                queue_ns,
-                service_ns,
-                e2e_ns,
-                coverage_milli,
-                outcome,
-            });
-            if outcome == RequestOutcome::Error {
-                self.auto_dump("error");
+        });
+        self.remember(&RequestRecord {
+            request_id,
+            tenant_idx: tenant.idx,
+            queries,
+            queue_ns,
+            service_ns,
+            e2e_ns,
+            coverage_milli,
+            outcome,
+        });
+    }
+
+    /// Writes one request summary to the flight recorder, then fires
+    /// the dump triggers: an error dumps, and a completed request
+    /// re-checks the SLO. Compiled out without the `obs` feature.
+    fn remember(&self, rec: &RequestRecord) {
+        if cfg!(feature = "obs") {
+            self.recorder.record(rec);
+            match rec.outcome {
+                RequestOutcome::Error => {
+                    self.auto_dump("error");
+                    self.check_slo();
+                }
+                RequestOutcome::Ok | RequestOutcome::Degraded => self.check_slo(),
+                RequestOutcome::Overloaded | RequestOutcome::QuotaExceeded => {}
             }
-            self.check_slo();
         }
     }
 
@@ -826,7 +801,7 @@ impl ServeObs {
         let Some(slo_ns) = self.slo_p99_ns else {
             return;
         };
-        let p99 = percentile(&self.e2e_ns.sample("serve.e2e_ns"), 99.0);
+        let p99 = self.metrics.e2e_ns.percentile(99.0);
         if p99 > slo_ns {
             if !self.slo_breached.swap(true, Ordering::Relaxed) {
                 self.auto_dump("slo_breach");
@@ -869,36 +844,19 @@ impl ServeObs {
         self.dumps.lock().expect("dump store lock poisoned").clone()
     }
 
-    /// Samples of the global per-stage histograms, in
-    /// `(queue-wait, service, end-to-end)` order.
-    #[must_use]
-    pub fn stage_samples(
-        &self,
-    ) -> (
-        deepstore_obs::HistogramSample,
-        deepstore_obs::HistogramSample,
-        deepstore_obs::HistogramSample,
-    ) {
-        (
-            self.queue_ns.sample("serve.queue_ns"),
-            self.service_ns.sample("serve.service_ns"),
-            self.e2e_ns.sample("serve.e2e_ns"),
-        )
-    }
-
     /// Percentile summary of the per-stage histograms. Zeros when
     /// built without `obs`.
     #[must_use]
     pub fn stage_percentiles(&self) -> StagePercentiles {
-        let (queue, service, e2e) = self.stage_samples();
+        let m = &self.metrics;
         StagePercentiles {
-            queue_p50_ns: percentile(&queue, 50.0),
-            queue_p99_ns: percentile(&queue, 99.0),
-            service_p50_ns: percentile(&service, 50.0),
-            service_p99_ns: percentile(&service, 99.0),
-            e2e_p50_ns: percentile(&e2e, 50.0),
-            e2e_p99_ns: percentile(&e2e, 99.0),
-            samples: e2e.count,
+            queue_p50_ns: m.queue_ns.percentile(50.0),
+            queue_p99_ns: m.queue_ns.percentile(99.0),
+            service_p50_ns: m.service_ns.percentile(50.0),
+            service_p99_ns: m.service_ns.percentile(99.0),
+            e2e_p50_ns: m.e2e_ns.percentile(50.0),
+            e2e_p99_ns: m.e2e_ns.percentile(99.0),
+            samples: m.e2e_ns.count(),
         }
     }
 
@@ -918,51 +876,28 @@ impl ServeObs {
         self.tenant_list().iter().map(|t| t.stats()).collect()
     }
 
-    fn server_stats(&self, inner: &StatsInner) -> ServerStats {
-        let mut s = inner.snapshot();
-        s.per_tenant = self.tenant_stats();
-        s
+    fn server_stats(&self) -> ServerStats {
+        let m = &self.metrics;
+        ServerStats {
+            connections: m.connections.get(),
+            frames: m.frames.get(),
+            queries_admitted: m.queries_admitted.get(),
+            rejected_overloaded: m.rejected_overloaded.get(),
+            rejected_quota: m.rejected_quota.get(),
+            malformed_frames: m.malformed_frames.get(),
+            engine_batches: m.engine_batches.get(),
+            coalesced_queries: m.coalesced_queries.get(),
+            per_tenant: self.tenant_stats(),
+        }
     }
 
     /// Renders the serve-layer half of the Prometheus exposition page:
-    /// admission counters, global per-stage histograms, and per-tenant
-    /// labeled series. Deterministic for equal workloads (tenants render
-    /// in client-id order).
-    fn render_exposition(&self, inner: &StatsInner) -> String {
-        let mut out = String::new();
+    /// the serve metric table, then per-tenant labeled series.
+    /// Deterministic for equal workloads (tenants render in client-id
+    /// order).
+    fn render_exposition(&self) -> String {
+        let mut out = render_text(&self.metrics.snapshot(), "deepstore_");
         let p = "deepstore_serve_";
-        let s = inner.snapshot();
-        let counters = [
-            ("connections", s.connections),
-            ("frames", s.frames),
-            ("queries_admitted", s.queries_admitted),
-            ("rejected_overloaded", s.rejected_overloaded),
-            ("rejected_quota", s.rejected_quota),
-            ("malformed_frames", s.malformed_frames),
-            ("engine_batches", s.engine_batches),
-            ("coalesced_queries", s.coalesced_queries),
-            ("errors", self.errors.get()),
-            ("degraded_queries", self.degraded.get()),
-        ];
-        for (name, value) in counters {
-            out.push_str(&format!("# TYPE {p}{name} counter\n{p}{name} {value}\n"));
-        }
-        render_histogram(
-            &mut out,
-            p,
-            "queue_ns",
-            "",
-            &self.queue_ns.sample("queue_ns"),
-        );
-        render_histogram(
-            &mut out,
-            p,
-            "service_ns",
-            "",
-            &self.service_ns.sample("service_ns"),
-        );
-        render_histogram(&mut out, p, "e2e_ns", "", &self.e2e_ns.sample("e2e_ns"));
-
         let tenants = self.tenant_list();
         if tenants.is_empty() {
             return out;
@@ -1061,7 +996,6 @@ struct Shared {
     jobs: SyncSender<Job>,
     quota: Option<Mutex<TokenBuckets>>,
     clock: ServeClock,
-    stats: Arc<StatsInner>,
     obs: Arc<ServeObs>,
     shutdown: Arc<AtomicBool>,
     poll: Duration,
@@ -1079,7 +1013,7 @@ impl Shared {
                 let now = self.clock.now_ns();
                 let mut buckets = quota.lock().expect("quota lock poisoned");
                 if !buckets.try_take(client, cost, now) {
-                    self.stats.rejected_quota.fetch_add(1, Ordering::SeqCst);
+                    self.obs.metrics.rejected_quota.incr();
                     tenant.rejected_quota.incr();
                     self.obs.record_rejection(
                         &tenant,
@@ -1097,16 +1031,12 @@ impl Shared {
         let (request_id, sched_lag_ns) = (job.request_id, job.sched_lag_ns);
         match self.jobs.try_send(job) {
             Ok(()) => {
-                self.stats
-                    .queries_admitted
-                    .fetch_add(cost, Ordering::SeqCst);
+                self.obs.metrics.queries_admitted.add(cost);
                 tenant.accepted.add(cost);
                 Ok(())
             }
             Err(TrySendError::Full(_)) => {
-                self.stats
-                    .rejected_overloaded
-                    .fetch_add(1, Ordering::SeqCst);
+                self.obs.metrics.rejected_overloaded.incr();
                 tenant.rejected_overloaded.incr();
                 if cost > 0 {
                     self.obs.record_rejection(
@@ -1143,16 +1073,16 @@ fn conn_loop<C: Connection>(mut conn: C, shared: Arc<Shared>) {
                 // A framing error mid-stream leaves the byte stream
                 // unsynchronized: answer with a typed error, then hang
                 // up rather than misparse everything that follows.
-                shared.stats.malformed_frames.fetch_add(1, Ordering::SeqCst);
+                shared.obs.metrics.malformed_frames.incr();
                 let resp = Response::Error(WireError::Malformed(e.to_string()));
                 let _ = conn.send(&encode_response(&resp));
                 return;
             }
         };
-        shared.stats.frames.fetch_add(1, Ordering::SeqCst);
+        shared.obs.metrics.frames.incr();
         let resp = match decode_command(&frame) {
             Err(e) => {
-                shared.stats.malformed_frames.fetch_add(1, Ordering::SeqCst);
+                shared.obs.metrics.malformed_frames.incr();
                 Response::Error(WireError::Malformed(e.to_string()))
             }
             Ok(Command::Hello {
@@ -1203,7 +1133,6 @@ fn engine_loop(
     rx: Receiver<Job>,
     mut device: Device,
     cfg: ServeConfig,
-    stats: Arc<StatsInner>,
     obs: Arc<ServeObs>,
 ) -> Device {
     let window_ns = cfg.batch_window.map(duration_ns);
@@ -1232,7 +1161,7 @@ fn engine_loop(
         // Queue wait ends here for every job in the batch; service time
         // starts. One stamp per batch keeps merged jobs comparable.
         let picked_ns = cfg.clock.now_ns();
-        engine_pass(jobs, &mut device, &cfg, &stats, &obs, picked_ns, |_, _| {
+        engine_pass(jobs, &mut device, &cfg, &obs, picked_ns, |_, _| {
             cfg.clock.now_ns()
         });
     }
@@ -1248,12 +1177,11 @@ fn engine_pass(
     mut jobs: Vec<Job>,
     device: &mut Device,
     cfg: &ServeConfig,
-    stats: &StatsInner,
     obs: &ServeObs,
     picked_ns: u64,
     mut stamp_done: impl FnMut(&Device, &Response) -> u64,
 ) {
-    stats.engine_batches.fetch_add(1, Ordering::SeqCst);
+    obs.metrics.engine_batches.incr();
     if cfg.force_exact {
         jobs.iter_mut().for_each(|job| force_exact(&mut job.cmd));
     }
@@ -1302,9 +1230,7 @@ fn engine_pass(
             }
         }
         if let Ok(ids) = device.store_mut().query_batch_tagged(&all, &rids) {
-            stats
-                .coalesced_queries
-                .fetch_add(all.len() as u64, Ordering::SeqCst);
+            obs.metrics.coalesced_queries.add(all.len() as u64);
             for (i, start, len, single) in spans {
                 replies[i] = Some(if single {
                     Response::QuerySubmitted {
@@ -1346,8 +1272,8 @@ fn engine_pass(
             },
         };
         match &mut resp {
-            Response::Stats { server, .. } => *server = Some(obs.server_stats(stats)),
-            Response::Metrics { text } => text.push_str(&obs.render_exposition(stats)),
+            Response::Stats { server, .. } => *server = Some(obs.server_stats()),
+            Response::Metrics { text } => text.push_str(&obs.render_exposition()),
             _ => {}
         }
         let done_ns = stamp_done(device, &resp);
@@ -1424,7 +1350,6 @@ pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
     accept: Option<thread::JoinHandle<()>>,
     engine: Option<thread::JoinHandle<Device>>,
-    stats: Arc<StatsInner>,
     obs: Arc<ServeObs>,
     endpoint: String,
 }
@@ -1438,7 +1363,7 @@ impl ServerHandle {
     /// A live snapshot of the server counters, including per-tenant
     /// admission breakdowns.
     pub fn stats(&self) -> ServerStats {
-        self.obs.server_stats(&self.stats)
+        self.obs.server_stats()
     }
 
     /// The serve-layer observability sink: stage histograms, per-tenant
@@ -1460,8 +1385,7 @@ impl ServerHandle {
             .expect("engine thread taken twice")
             .join()
             .expect("engine thread panicked");
-        let stats = self.obs.server_stats(&self.stats);
-        (device.into_store(), stats)
+        (device.into_store(), self.obs.server_stats())
     }
 }
 
@@ -1488,24 +1412,20 @@ impl Drop for ServerHandle {
 /// the queue's senders drop — so the engine sees and answers every
 /// admitted job before exiting.
 pub fn serve<T: Transport>(mut transport: T, store: DeepStore, cfg: ServeConfig) -> ServerHandle {
-    let stats = Arc::new(StatsInner::default());
     let obs = Arc::new(ServeObs::new(&cfg));
     let shutdown = Arc::new(AtomicBool::new(false));
     let endpoint = transport.endpoint();
     let (jobs_tx, jobs_rx) = mpsc::sync_channel(cfg.queue_depth);
 
-    let engine_stats = stats.clone();
     let engine_obs = obs.clone();
     let engine_cfg = cfg.clone();
     let device = Device::with_store(store);
-    let engine =
-        thread::spawn(move || engine_loop(jobs_rx, device, engine_cfg, engine_stats, engine_obs));
+    let engine = thread::spawn(move || engine_loop(jobs_rx, device, engine_cfg, engine_obs));
 
     let shared = Arc::new(Shared {
         jobs: jobs_tx,
         quota: cfg.quota.map(|q| Mutex::new(TokenBuckets::new(q))),
         clock: cfg.clock.clone(),
-        stats: stats.clone(),
         obs: obs.clone(),
         shutdown: shutdown.clone(),
         poll: cfg.poll,
@@ -1517,7 +1437,7 @@ pub fn serve<T: Transport>(mut transport: T, store: DeepStore, cfg: ServeConfig)
         while !accept_shutdown.load(Ordering::SeqCst) {
             match transport.accept_timeout(shared.poll) {
                 Ok(Some(conn)) => {
-                    shared.stats.connections.fetch_add(1, Ordering::SeqCst);
+                    shared.obs.metrics.connections.incr();
                     let conn_shared = shared.clone();
                     conns.push(thread::spawn(move || conn_loop(conn, conn_shared)));
                 }
@@ -1536,7 +1456,6 @@ pub fn serve<T: Transport>(mut transport: T, store: DeepStore, cfg: ServeConfig)
         shutdown,
         accept: Some(accept),
         engine: Some(engine),
-        stats,
         obs,
         endpoint,
     }
@@ -1589,7 +1508,6 @@ pub fn simulate(
     let (clock, now) = ServeClock::manual();
     cfg.clock = clock;
     let window_ns = cfg.batch_window.map_or(0, duration_ns);
-    let stats = StatsInner::default();
     let obs = ServeObs::new(&cfg);
     let tenant = obs.tenant("simulate");
     let mut device = Device::with_store(store);
@@ -1602,31 +1520,23 @@ pub fn simulate(
         let (mut jobs, mut replies) = (Vec::new(), Vec::new());
         while let Some((arrival, cmd)) = arrivals.next_if(|(a, _)| *a <= start) {
             let cost = cmd.query_cost();
-            stats.queries_admitted.fetch_add(cost, Ordering::SeqCst);
+            obs.metrics.queries_admitted.add(cost);
             tenant.accepted.add(cost);
             let (job, reply) = Job::new(cmd, &obs, tenant.clone(), arrival);
             jobs.push(job);
             replies.push((arrival, reply));
         }
         let mut dones = Vec::with_capacity(jobs.len());
-        engine_pass(
-            jobs,
-            &mut device,
-            &cfg,
-            &stats,
-            &obs,
-            start,
-            |device, resp| {
-                let done = submitted_ids(resp)
-                    .iter()
-                    .filter_map(|id| device.store().peek_results(*id))
-                    .map(|r| start + r.elapsed.as_nanos())
-                    .fold(start, u64::max);
-                now.store(done, Ordering::SeqCst);
-                dones.push(done);
-                done
-            },
-        );
+        engine_pass(jobs, &mut device, &cfg, &obs, start, |device, resp| {
+            let done = submitted_ids(resp)
+                .iter()
+                .filter_map(|id| device.store().peek_results(*id))
+                .map(|r| start + r.elapsed.as_nanos())
+                .fold(start, u64::max);
+            now.store(done, Ordering::SeqCst);
+            dones.push(done);
+            done
+        });
         for ((arrival, reply), done) in replies.into_iter().zip(dones) {
             fabric_free = fabric_free.max(done);
             times.push((arrival, start, done));
@@ -1637,7 +1547,7 @@ pub fn simulate(
         store: device.into_store(),
         responses,
         times,
-        stats: obs.server_stats(&stats),
+        stats: obs.server_stats(),
         obs,
     }
 }
@@ -1696,7 +1606,6 @@ mod tests {
             jobs,
             quota: None,
             clock: ServeClock::wall(),
-            stats: Arc::new(StatsInner::default()),
             obs,
             shutdown: Arc::new(AtomicBool::new(false)),
             poll: Duration::from_millis(1),
@@ -1719,7 +1628,7 @@ mod tests {
             Err(Response::Overloaded { queue_depth }) => assert_eq!(queue_depth, 1),
             other => panic!("expected Overloaded, got {other:?}"),
         }
-        assert_eq!(shared.stats.snapshot().rejected_overloaded, 1);
+        assert_eq!(shared.obs.server_stats().rejected_overloaded, 1);
     }
 
     #[test]
@@ -2008,7 +1917,13 @@ mod tests {
             assert!(!good_result.cache_hit);
             assert_eq!(good_result.elapsed, solo.elapsed);
             assert_eq!(good_result.top_k, solo.top_k);
-            drop(handle);
+            // Only the good client's batch was served: the refused
+            // merged batch and the bad client's own are not counted.
+            let stats = handle.shutdown().0.stats();
+            if cfg!(feature = "obs") {
+                assert_eq!(stats.batches, 1);
+                assert_eq!(stats.metrics.counter("api.tagged_requests"), Some(1));
+            }
         }
     }
 

@@ -111,7 +111,7 @@ pub struct FlashArray {
     reads: AtomicU64,
     programs: u64,
     erases: u64,
-    /// Telemetry hooks for events the operation counters do not cover.
+    /// Metrics for events the operation counters do not cover.
     metrics: FlashMetrics,
 }
 
@@ -310,7 +310,7 @@ impl FlashArray {
     ///
     /// Equivalent to [`FlashArray::read_with_stats`] with the fault
     /// statistics discarded: retries still run (and still count in the
-    /// [`FlashMetrics`] hooks), the caller just doesn't attribute them.
+    /// [`FlashMetrics`] table), the caller just doesn't attribute them.
     ///
     /// # Errors
     ///
@@ -360,7 +360,7 @@ impl FlashArray {
                 match self.faults.outcome(&self.geometry, addr, attempt, wear) {
                     FaultOutcome::Ok => break,
                     FaultOutcome::Transient => {
-                        self.metrics.on_ecc_failure();
+                        self.metrics.record(|m| m.ecc_failures.incr());
                         if attempt + 1 >= max_attempts {
                             // Retry budget exhausted. The fault is still
                             // transient, so the block is NOT retired — a
@@ -368,11 +368,11 @@ impl FlashArray {
                             return Err(FlashError::UncorrectableEcc(addr));
                         }
                         stats.on_retry(attempt as usize);
-                        self.metrics.on_read_retries(1);
+                        self.metrics.record(|m| m.read_retries.incr());
                         attempt += 1;
                     }
                     FaultOutcome::Permanent => {
-                        self.metrics.on_ecc_failure();
+                        self.metrics.record(|m| m.ecc_failures.incr());
                         if self.faults.in_outage_domain(addr) {
                             stats.lost += 1;
                         } else {
@@ -395,7 +395,7 @@ impl FlashArray {
         }
         if attempt > 0 {
             stats.recovered += 1;
-            self.metrics.on_read_recovered();
+            self.metrics.record(|m| m.reads_recovered.incr());
         }
         self.reads.fetch_add(1, Ordering::Relaxed);
         Ok(self.store.page(idx))
@@ -506,28 +506,28 @@ impl FlashArray {
         }
     }
 
-    /// The array's telemetry hooks (ECC failures, bus waits, retries).
+    /// The array's metric table (ECC failures, bus waits, retries).
     pub fn metrics(&self) -> &FlashMetrics {
         &self.metrics
     }
 
     /// A snapshot of every flash event count: the operation counters
-    /// plus the [`FlashMetrics`] hook totals.
+    /// plus the [`FlashMetrics`] table's totals.
     pub fn event_counts(&self) -> FlashEventCounts {
-        let ops = self.op_counts();
+        let (ops, m) = (self.op_counts(), &self.metrics);
         FlashEventCounts {
             page_reads: ops.reads,
             programs: ops.programs,
             erases: ops.erases,
-            ecc_failures: self.metrics.ecc_failures(),
-            bus_wait_ns: self.metrics.bus_wait_ns(),
-            bus_transfers: self.metrics.bus_transfers(),
-            read_retries: self.metrics.read_retries(),
-            read_retry_ns: self.metrics.read_retry_ns(),
-            reads_recovered: self.metrics.reads_recovered(),
-            remapped_pages: self.metrics.remapped_pages(),
-            retired_blocks: self.metrics.retired_blocks(),
-            lost_pages: self.metrics.lost_pages(),
+            ecc_failures: m.ecc_failures.get(),
+            bus_wait_ns: m.bus_wait_ns.get(),
+            bus_transfers: m.bus_transfers.get(),
+            read_retries: m.read_retries.get(),
+            read_retry_ns: m.read_retry_ns.get(),
+            reads_recovered: m.reads_recovered.get(),
+            remapped_pages: m.remapped_pages.get(),
+            retired_blocks: m.retired_blocks.get(),
+            lost_pages: m.lost_pages.get(),
         }
     }
 }
@@ -751,12 +751,11 @@ mod tests {
         assert_eq!((stats.remappable, stats.lost), (0, 0));
         // Failed attempts do not advance the page-read counter.
         assert_eq!(a.op_counts().reads, 1);
-        #[cfg(feature = "obs")]
-        {
-            assert_eq!(a.metrics().read_retries(), 1);
-            assert_eq!(a.metrics().reads_recovered(), 1);
-            assert_eq!(a.metrics().ecc_failures(), 1);
-        }
+        let m = a.metrics();
+        let recorded = u64::from(cfg!(feature = "obs"));
+        assert_eq!(m.read_retries.get(), recorded);
+        assert_eq!(m.reads_recovered.get(), recorded);
+        assert_eq!(m.ecc_failures.get(), recorded);
     }
 
     #[test]

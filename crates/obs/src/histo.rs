@@ -12,7 +12,7 @@
 //! `render_text` turns a snapshot into the Prometheus text exposition
 //! format (`# TYPE` comments, `_bucket{le="..."}` cumulative series,
 //! `_sum`/`_count`, plus `_min`/`_max` gauges), deterministically:
-//! metrics render in registration order with no timestamps, so equal
+//! metrics render in table order with no timestamps, so equal
 //! snapshots yield byte-identical pages.
 
 use crate::metrics::{HistogramSample, MetricsSnapshot, HISTOGRAM_BUCKETS};
@@ -148,7 +148,7 @@ pub fn render_histogram(
 ///
 /// `prefix` is prepended to every metric name (conventionally
 /// `"deepstore_"`). Counters render before histograms, each in
-/// registration order, so the page is deterministic for equal
+/// table order, so the page is deterministic for equal
 /// snapshots.
 #[must_use]
 pub fn render_text(snap: &MetricsSnapshot, prefix: &str) -> String {
@@ -165,15 +165,14 @@ pub fn render_text(snap: &MetricsSnapshot, prefix: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Histogram, MetricsRegistry};
+    use crate::metrics::{Counter, Histogram, Metric};
 
     fn sample_of(values: &[u64]) -> HistogramSample {
-        let mut reg = MetricsRegistry::new();
-        let id = reg.histogram("t");
+        let h = Histogram::new();
         for &v in values {
-            reg.record(id, v);
+            h.record(v);
         }
-        reg.snapshot().histograms[0].clone()
+        h.sample("t")
     }
 
     #[test]
@@ -195,6 +194,17 @@ mod tests {
             );
         }
         assert_eq!(percentile(&s, 100.0), s.max);
+    }
+
+    #[test]
+    fn live_percentile_matches_the_sampled_one() {
+        let h = Histogram::new();
+        for v in (0..300).map(|i| i * 31 % 5_000) {
+            h.record(v);
+        }
+        for q in [0.0, 50.0, 99.0, 100.0] {
+            assert_eq!(h.percentile(q), percentile(&h.sample("t"), q));
+        }
     }
 
     #[test]
@@ -222,14 +232,15 @@ mod tests {
 
     #[test]
     fn render_text_is_valid_and_deterministic() {
-        let mut reg = MetricsRegistry::new();
-        let c = reg.counter("serve.accepted");
-        let h = reg.histogram("serve.e2e_ns");
-        reg.add(c, 3);
-        reg.record(h, 100);
-        reg.record(h, 900);
-        let page = render_text(&reg.snapshot(), "deepstore_");
-        assert_eq!(page, render_text(&reg.snapshot(), "deepstore_"));
+        let (c, h) = (Counter::new(), Histogram::new());
+        c.add(3);
+        h.record(100);
+        h.record(900);
+        let mut snap = MetricsSnapshot::empty();
+        c.sample_into("serve.accepted", &mut snap);
+        h.sample_into("serve.e2e_ns", &mut snap);
+        let page = render_text(&snap, "deepstore_");
+        assert_eq!(page, render_text(&snap.clone(), "deepstore_"));
         assert!(page.contains("# TYPE deepstore_serve_accepted counter"));
         assert!(page.contains("deepstore_serve_accepted 3"));
         assert!(page.contains("# TYPE deepstore_serve_e2e_ns histogram"));

@@ -3,11 +3,13 @@
 //! Four pieces, all built for *deterministic* observability of a
 //! simulated device:
 //!
-//! * [`metrics`] — a lock-free metrics registry: atomic counters and
-//!   fixed power-of-two-bucket histograms. Every mutation is a single
-//!   commutative atomic RMW, so a [`MetricsSnapshot`] taken after a
-//!   workload is bit-identical regardless of how many host worker
-//!   threads interleaved while producing it.
+//! * [`metrics`](mod@metrics) — atomic counters, fixed power-of-two-bucket
+//!   histograms, and the [`metrics!`] table that declares one layer's
+//!   set of them once: field, kind and metric name per row. Every
+//!   mutation is a single commutative atomic RMW, so a
+//!   [`MetricsSnapshot`] taken after a workload is bit-identical
+//!   regardless of how many host worker threads interleaved while
+//!   producing it.
 //! * [`trace`] — a span-based trace recorder emitting Chrome
 //!   trace-event JSON (`chrome://tracing` / Perfetto). Timestamps are
 //!   *simulated* nanoseconds from the device timing model, never host
@@ -21,9 +23,10 @@
 //!   SLO breach, or explicit request.
 //!
 //! The crate is dependency-light (serde shims only) and is always
-//! compiled; consumers gate the *recording call sites* behind their own
-//! `obs` cargo feature so the types stay available in both
-//! configurations.
+//! compiled. Recording is gated by the *consumer's* `obs` cargo
+//! feature: a [`metrics!`] table's `record` call compiles out in a
+//! crate built without it, while the types and snapshots stay
+//! available in both configurations.
 
 pub mod histo;
 pub mod metrics;
@@ -33,10 +36,7 @@ pub mod trace;
 pub use histo::{
     percentile, render_histogram, render_histogram_series, render_text, sanitize_name,
 };
-pub use metrics::{
-    Counter, CounterId, CounterSample, Histogram, HistogramId, HistogramSample, MetricsRegistry,
-    MetricsSnapshot,
-};
+pub use metrics::{Counter, CounterSample, Histogram, HistogramSample, Metric, MetricsSnapshot};
 pub use recorder::{
     FlightDump, FlightRecorder, RequestOutcome, RequestRecord, RequestSummary,
     DEFAULT_RECORDER_CAPACITY,

@@ -1,4 +1,5 @@
-//! Lock-free counters, histograms, and the registry that snapshots them.
+//! Lock-free counters and histograms, and the [`metrics!`](crate::metrics!)
+//! table that declares a layer's set of them.
 //!
 //! Determinism is the design driver: every write is one atomic
 //! `fetch_add` / `fetch_max`, which are commutative and associative, so
@@ -12,9 +13,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use serde::{Deserialize, Serialize};
 
 /// A monotonically increasing event counter.
+///
+/// `add` is a `Release` RMW and `get` an `Acquire` load, so a reader
+/// that sees a count also sees what the writer did before counting: the
+/// serve layer counts an admission after queueing the job, and a reader
+/// of `serve.queries_admitted` may rely on the job being queued. On
+/// x86-64 both compile to the same instructions as `Relaxed`.
 #[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,
+}
+
+impl Clone for Counter {
+    /// A new counter holding this one's current value.
+    fn clone(&self) -> Self {
+        Self {
+            value: AtomicU64::new(self.get()),
+        }
+    }
 }
 
 impl Counter {
@@ -29,7 +45,7 @@ impl Counter {
     /// Adds `delta` to the counter.
     #[inline]
     pub fn add(&self, delta: u64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
+        self.value.fetch_add(delta, Ordering::Release);
     }
 
     /// Adds one to the counter.
@@ -42,7 +58,7 @@ impl Counter {
     #[inline]
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.value.load(Ordering::Acquire)
     }
 }
 
@@ -132,9 +148,9 @@ impl Histogram {
     }
 
     /// A point-in-time [`HistogramSample`] of this histogram under
-    /// `name` (the registry snapshots through this; standalone
-    /// histograms — e.g. the serve layer's per-tenant latencies — use
-    /// it directly for percentile estimation and exposition).
+    /// `name` (a table snapshots through this; standalone histograms —
+    /// e.g. the serve layer's per-tenant latencies — use it directly
+    /// for exposition).
     #[must_use]
     pub fn sample(&self, name: &str) -> HistogramSample {
         HistogramSample {
@@ -152,99 +168,116 @@ impl Histogram {
                 .collect(),
         }
     }
+
+    /// Estimates the `q`-th percentile of the observations so far (see
+    /// [`crate::percentile`]).
+    #[must_use]
+    pub fn percentile(&self, q: f64) -> u64 {
+        crate::histo::percentile(&self.sample(""), q)
+    }
 }
 
-/// Handle to a registered counter. Cheap to copy; only valid with the
-/// registry that issued it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
+/// A metric a [`metrics!`](crate::metrics!) table can hold: it appends
+/// its point-in-time sample to a snapshot under its table name.
+pub trait Metric {
+    /// Appends this metric's sample, named `name`, to `snap`.
+    fn sample_into(&self, name: &str, snap: &mut MetricsSnapshot);
+}
 
-/// Handle to a registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(usize);
+impl Metric for Counter {
+    fn sample_into(&self, name: &str, snap: &mut MetricsSnapshot) {
+        snap.counters.push(CounterSample {
+            name: name.to_string(),
+            value: self.get(),
+        });
+    }
+}
 
-/// A named collection of counters and histograms.
+impl Metric for Histogram {
+    fn sample_into(&self, name: &str, snap: &mut MetricsSnapshot) {
+        snap.histograms.push(self.sample(name));
+    }
+}
+
+/// Declares one layer's metrics as a table: one row per metric, giving
+/// its field, its kind ([`Counter`] or [`Histogram`]) and its metric
+/// name, in the order snapshots list them.
 ///
-/// Registration (`&mut self`) happens once at construction; recording
-/// (`&self`) is lock-free thereafter, so the registry can be shared
-/// across scan worker threads behind a plain reference.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: Vec<(&'static str, Counter)>,
-    histograms: Vec<(&'static str, Histogram)>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a counter under `name` and returns its handle.
-    pub fn counter(&mut self, name: &'static str) -> CounterId {
-        self.counters.push((name, Counter::new()));
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Registers a histogram under `name` and returns its handle.
-    pub fn histogram(&mut self, name: &'static str) -> HistogramId {
-        self.histograms.push((name, Histogram::new()));
-        HistogramId(self.histograms.len() - 1)
-    }
-
-    /// Adds `delta` to a registered counter.
-    #[inline]
-    pub fn add(&self, id: CounterId, delta: u64) {
-        self.counters[id.0].1.add(delta);
-    }
-
-    /// Adds one to a registered counter.
-    #[inline]
-    pub fn incr(&self, id: CounterId) {
-        self.add(id, 1);
-    }
-
-    /// Records one observation in a registered histogram.
-    #[inline]
-    pub fn record(&self, id: HistogramId, value: u64) {
-        self.histograms[id.0].1.record(value);
-    }
-
-    /// The current value of a registered counter.
-    #[must_use]
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1.get()
-    }
-
-    /// A deterministic point-in-time copy of every metric, in
-    /// registration order. Zero-valued counters and empty histogram
-    /// buckets are included/elided consistently, so equal workloads
-    /// yield equal snapshots.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(name, c)| CounterSample {
-                    name: (*name).to_string(),
-                    value: c.get(),
-                })
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(name, h)| h.sample(name))
-                .collect(),
+/// ```ignore
+/// deepstore_obs::metrics! {
+///     /// One layer's metrics.
+///     pub struct LayerMetrics {
+///         passes: Counter = "layer.passes",
+///         pass_ns: Histogram = "layer.pass_ns",
+///     }
+/// }
+///
+/// layer_metrics.record(|m| {
+///     m.passes.incr();
+///     m.pass_ns.record(elapsed_ns);
+/// });
+/// ```
+///
+/// The table expands to a struct with one public field per row, plus:
+///
+/// * `new()` — every metric at zero;
+/// * `snapshot()` — a [`MetricsSnapshot`] whose counters, then
+///   histograms, appear in table order under their row names, which
+///   is the only place a name is spelled;
+/// * `record(|m| ...)` — the layer's recording call. Its body is
+///   compiled out when the `obs` cargo feature *of the crate that
+///   expands the table* is off, so such a crate must declare an `obs`
+///   feature. With it off the table still snapshots, reading zero.
+///
+/// A functional count that must stay on without `obs` (for example an
+/// admission counter) is written directly through its field instead of
+/// through `record`.
+#[macro_export]
+macro_rules! metrics {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $table:ident {
+            $( $field:ident: $kind:ident = $name:literal, )+
         }
-    }
+    ) => {
+        $(#[$attr])*
+        #[derive(Debug, Default)]
+        $vis struct $table {
+            $( #[doc = concat!("`", $name, "`")] pub $field: $crate::$kind, )+
+        }
+
+        impl $table {
+            /// Every metric at zero.
+            #[must_use]
+            pub fn new() -> Self {
+                Self::default()
+            }
+
+            /// Runs one recording call on the table. The call compiles
+            /// out when this crate's `obs` feature is off.
+            #[inline]
+            pub fn record(&self, f: impl FnOnce(&Self)) {
+                #[cfg(feature = "obs")]
+                f(self);
+                #[cfg(not(feature = "obs"))]
+                let _ = f;
+            }
+
+            /// A deterministic snapshot of every metric, in table order.
+            #[must_use]
+            pub fn snapshot(&self) -> $crate::MetricsSnapshot {
+                let mut snap = $crate::MetricsSnapshot::empty();
+                $( $crate::Metric::sample_into(&self.$field, $name, &mut snap); )+
+                snap
+            }
+        }
+    };
 }
 
 /// One counter's value in a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSample {
-    /// Registered name.
+    /// Metric name.
     pub name: String,
     /// Value at snapshot time.
     pub value: u64,
@@ -254,7 +287,7 @@ pub struct CounterSample {
 /// non-empty `(bucket_index, count)` pairs, in ascending index order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSample {
-    /// Registered name.
+    /// Metric name.
     pub name: String,
     /// Total observations.
     pub count: u64,
@@ -295,17 +328,17 @@ impl HistogramSample {
     }
 }
 
-/// A deterministic copy of a [`MetricsRegistry`] at one instant.
+/// A deterministic copy of a layer's metrics at one instant.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
-    /// All counters, in registration order.
+    /// All counters, in table order.
     pub counters: Vec<CounterSample>,
-    /// All histograms, in registration order.
+    /// All histograms, in table order.
     pub histograms: Vec<HistogramSample>,
 }
 
 impl MetricsSnapshot {
-    /// An empty snapshot (used when telemetry is compiled out).
+    /// An empty snapshot.
     #[must_use]
     pub fn empty() -> Self {
         Self {
@@ -332,10 +365,11 @@ impl MetricsSnapshot {
     /// Folds `other` into this snapshot: same-name counters add, same-name
     /// histograms merge bucket-wise (count/sum add, min/max tighten),
     /// and names only present in `other` are appended in their original
-    /// order. This is the cluster rollup: N per-drive snapshots merge
-    /// into one device-fleet view, and because every operation is
-    /// commutative over equal name sets, merging drives in any order
-    /// yields the same totals.
+    /// order. Two layers' disjoint tables (`engine.*`, `api.*`) thus
+    /// concatenate, and N per-drive snapshots merge into one
+    /// device-fleet view: because every operation is commutative over
+    /// equal name sets, merging drives in any order yields the same
+    /// totals.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for oc in &other.counters {
             match self.counters.iter_mut().find(|c| c.name == oc.name) {
@@ -355,6 +389,24 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A snapshot of one counter `c` and one histogram `h`.
+    fn snapshot_of(c: (&str, &Counter), h: (&str, &Histogram)) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::empty();
+        c.1.sample_into(c.0, &mut snap);
+        h.1.sample_into(h.0, &mut snap);
+        snap
+    }
+
+    /// A counter at `c_val` and a histogram of `h_vals`.
+    fn filled(c_val: u64, h_vals: &[u64]) -> (Counter, Histogram) {
+        let (c, h) = (Counter::new(), Histogram::new());
+        c.add(c_val);
+        for &v in h_vals {
+            h.record(v);
+        }
+        (c, h)
+    }
 
     #[test]
     fn bucket_boundaries() {
@@ -393,32 +445,39 @@ mod tests {
     }
 
     #[test]
+    fn a_clone_holds_the_current_count() {
+        let c = Counter::new();
+        c.add(4);
+        let copy = c.clone();
+        c.incr();
+        assert_eq!((c.get(), copy.get()), (5, 4));
+    }
+
+    #[test]
     fn snapshot_is_interleaving_independent() {
         // The same multiset of operations applied in two different
         // orders (and thread splits) yields the same snapshot.
         let build = |rev: bool| {
-            let mut reg = MetricsRegistry::new();
-            let c = reg.counter("ops");
-            let h = reg.histogram("latency");
+            let (c, h) = (Counter::new(), Histogram::new());
             let mut vals: Vec<u64> = (0..100).map(|i| i * 37 % 1000).collect();
             if rev {
                 vals.reverse();
             }
             std::thread::scope(|s| {
                 let (a, b) = vals.split_at(if rev { 13 } else { 61 });
-                let reg = &reg;
+                let (c, h) = (&c, &h);
                 s.spawn(move || {
                     for &v in a {
-                        reg.add(c, v);
-                        reg.record(h, v);
+                        c.add(v);
+                        h.record(v);
                     }
                 });
                 for &v in b {
-                    reg.add(c, v);
-                    reg.record(h, v);
+                    c.add(v);
+                    h.record(v);
                 }
             });
-            reg.snapshot()
+            snapshot_of(("ops", &c), ("latency", &h))
         };
         assert_eq!(build(false), build(true));
     }
@@ -426,14 +485,8 @@ mod tests {
     #[test]
     fn snapshot_merge_is_order_independent() {
         let build = |c_val: u64, h_vals: &[u64]| {
-            let mut reg = MetricsRegistry::new();
-            let c = reg.counter("ops");
-            let h = reg.histogram("latency");
-            reg.add(c, c_val);
-            for &v in h_vals {
-                reg.record(h, v);
-            }
-            reg.snapshot()
+            let (c, h) = filled(c_val, h_vals);
+            snapshot_of(("ops", &c), ("latency", &h))
         };
         let a = build(3, &[100, 75]);
         let b = build(9, &[3]);
@@ -448,7 +501,7 @@ mod tests {
         assert_eq!(h.sum, 178);
         assert_eq!(h.min, 3);
         assert_eq!(h.max, 100);
-        // Merging the same multiset through one registry gives the
+        // Merging the same multiset through one histogram gives the
         // identical sample.
         let direct = build(12, &[100, 75, 3]);
         assert_eq!(ab.histogram("latency"), direct.histogram("latency"));
@@ -456,19 +509,18 @@ mod tests {
 
     #[test]
     fn merging_an_empty_histogram_keeps_min_honest() {
-        let mut reg = MetricsRegistry::new();
-        let h = reg.histogram("ns");
-        reg.record(h, 7);
-        let mut snap = reg.snapshot();
-        let empty = MetricsRegistry::new();
-        let mut with_name = MetricsRegistry::new();
-        with_name.histogram("ns");
-        snap.merge(&empty.snapshot());
-        snap.merge(&with_name.snapshot());
+        let h = Histogram::new();
+        h.record(7);
+        let mut snap = MetricsSnapshot::empty();
+        h.sample_into("ns", &mut snap);
+        let mut with_name = MetricsSnapshot::empty();
+        Histogram::new().sample_into("ns", &mut with_name);
+        snap.merge(&MetricsSnapshot::empty());
+        snap.merge(&with_name);
         let s = snap.histogram("ns").unwrap();
         assert_eq!((s.count, s.min, s.max), (1, 7, 7));
         // And the other direction: empty absorbs the observation's min.
-        let mut base = with_name.snapshot();
+        let mut base = with_name;
         base.merge(&snap);
         let s = base.histogram("ns").unwrap();
         assert_eq!((s.count, s.min, s.max), (1, 7, 7));
@@ -476,29 +528,33 @@ mod tests {
 
     #[test]
     fn merge_appends_unknown_names() {
-        let mut a_reg = MetricsRegistry::new();
-        let ca = a_reg.counter("a");
-        a_reg.add(ca, 1);
-        let mut b_reg = MetricsRegistry::new();
-        let cb = b_reg.counter("b");
-        b_reg.add(cb, 2);
-        let hb = b_reg.histogram("hb");
-        b_reg.record(hb, 5);
-        let mut merged = a_reg.snapshot();
-        merged.merge(&b_reg.snapshot());
+        let mut merged = MetricsSnapshot::empty();
+        filled(1, &[]).0.sample_into("a", &mut merged);
+        let (cb, hb) = filled(2, &[5]);
+        merged.merge(&snapshot_of(("b", &cb), ("hb", &hb)));
         assert_eq!(merged.counter("a"), Some(1));
         assert_eq!(merged.counter("b"), Some(2));
         assert_eq!(merged.histogram("hb").unwrap().count, 1);
     }
 
     #[test]
+    fn merge_of_disjoint_tables_is_concatenation() {
+        let (c1, h1) = filled(1, &[10]);
+        let (c2, h2) = filled(2, &[20]);
+        let first = snapshot_of(("engine.ops", &c1), ("engine.ns", &h1));
+        let second = snapshot_of(("api.ops", &c2), ("api.ns", &h2));
+        let mut merged = first.clone();
+        merged.merge(&second);
+        let mut concatenated = first;
+        concatenated.counters.extend(second.counters);
+        concatenated.histograms.extend(second.histograms);
+        assert_eq!(merged, concatenated);
+    }
+
+    #[test]
     fn snapshot_roundtrips_through_json() {
-        let mut reg = MetricsRegistry::new();
-        let c = reg.counter("reads");
-        let h = reg.histogram("ns");
-        reg.add(c, 42);
-        reg.record(h, 9);
-        let snap = reg.snapshot();
+        let (c, h) = filled(42, &[9]);
+        let snap = snapshot_of(("reads", &c), ("ns", &h));
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(snap, back);

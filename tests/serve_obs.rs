@@ -269,54 +269,6 @@ fn error_response_takes_auto_dump() {
     assert_eq!(stats.per_tenant[0].errors, 1);
 }
 
-/// The runtime recording kill-switch pauses exactly the hot path:
-/// requests served while it is off keep their ids and admission
-/// counters but leave no flight-recorder entry.
-#[cfg(feature = "obs")]
-#[test]
-fn runtime_toggle_pauses_recording() {
-    let store = seeded_store(16, 1);
-    let (clock, _time) = ServeClock::manual();
-    let (transport, connector) = channel_transport();
-    let handle = serve(
-        transport,
-        store,
-        ServeConfig {
-            clock,
-            ..ServeConfig::default()
-        },
-    );
-    let mut host = HostClient::over(connector.connect().unwrap());
-    host.hello("tenant-a").unwrap();
-    let (mid, db) = (ModelId(1), DbId(1));
-    let ask = |host: &mut HostClient<_>, i: u64| {
-        let (qid, rid) = host
-            .query_traced(&probe(i), 3, mid, db, AcceleratorLevel::Ssd, false, 0, 0)
-            .unwrap();
-        host.get_results(qid).unwrap();
-        rid
-    };
-
-    ask(&mut host, 0);
-    handle.obs().set_enabled(false);
-    let paused_rid = ask(&mut host, 1);
-    assert_ne!(paused_rid, 0, "request ids are functional, not telemetry");
-    handle.obs().set_enabled(true);
-    ask(&mut host, 2);
-
-    let dump: FlightDump = serde_json::from_str(&host.dump().unwrap()).unwrap();
-    assert_eq!(dump.total, 2, "the paused request left no recorder entry");
-    let rids: Vec<u64> = dump.entries.iter().map(|e| e.request_id).collect();
-    assert!(!rids.contains(&paused_rid));
-    drop(host);
-    let stats = handle.shutdown().1;
-    assert_eq!(
-        stats.queries_admitted, 3,
-        "admission counters ignore the switch"
-    );
-    assert_eq!(stats.per_tenant[0].accepted, 3);
-}
-
 /// Satellite (d): the recorder is a fixed-size ring — once `total`
 /// passes `recorder_capacity`, a dump holds exactly the newest
 /// `capacity` summaries, oldest first.

@@ -9,8 +9,12 @@
 //! simulated clock, so they must be byte-identical across runs too,
 //! with spans on each lane properly nested.
 
-use deepstore_core::config::DeepStoreConfig;
-use deepstore_core::{DeepStore, QueryRequest};
+use deepstore_core::config::{AcceleratorLevel, DeepStoreConfig};
+use deepstore_core::proto::{Command, Response};
+use deepstore_core::serve::{simulate, ServeConfig, ServerStats};
+use deepstore_core::{
+    ClusterQueryRequest, DeepStore, DeepStoreCluster, DeviceStats, QueryCacheConfig, QueryRequest,
+};
 use deepstore_flash::fault::FaultPlan;
 use deepstore_nn::{zoo, ModelGraph, Tensor};
 use deepstore_obs::MetricsSnapshot;
@@ -297,4 +301,187 @@ fn histogram_min_max_are_exact_and_bracket_percentiles() {
         populated > 0,
         "the workload must populate at least one histogram"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Golden surfaces
+// ---------------------------------------------------------------------------
+
+/// Compares `actual` with the golden file `tests/golden/<name>`. On a
+/// mismatch the actual text is written to the test's target tmp dir so
+/// it can be inspected (and, for a deliberate change, copied over the
+/// golden).
+fn assert_golden(name: &str, golden: &str, actual: &str) {
+    if golden != actual {
+        let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+        std::fs::write(&out, actual).unwrap();
+        panic!(
+            "{name} differs from tests/golden/{name}; actual written to {}",
+            out.display()
+        );
+    }
+}
+
+/// The golden serve workload: one `serve::simulate` run on a small
+/// store with an armed transient fault plan. Single queries, a batch
+/// that coalesces with them, a repeated vector (a query-cache hit),
+/// then `Metrics` and `Stats`. Returns the metrics page, the device
+/// stats JSON and the server stats JSON.
+fn golden_serve_surfaces() -> (String, DeviceStats, ServerStats) {
+    let model = zoo::textqa().seeded_metric(21);
+    let mut store = DeepStore::in_memory(DeepStoreConfig::small());
+    store.set_qc(QueryCacheConfig {
+        capacity: 4,
+        threshold: 0.10,
+        qcn_accuracy: 1.0,
+    });
+    let features: Vec<Tensor> = (0..96).map(|i| model.random_feature(i)).collect();
+    let db = store.write_db(&features).unwrap();
+    let mid = store.load_model(&ModelGraph::from_model(&model)).unwrap();
+    store.inject_faults(
+        FaultPlan::none()
+            .transient(0.3, 17)
+            .transient_max_failures(1),
+    );
+
+    let query = |seed: u64| Command::Query {
+        qfv: model.random_feature(seed),
+        k: 3,
+        model: mid,
+        db,
+        level: AcceleratorLevel::Channel,
+        exact: false,
+        request_id: 0,
+        sched_lag_ns: 0,
+    };
+    let batch = Command::QueryBatch {
+        requests: (0..2)
+            .map(|i| QueryRequest::new(model.random_feature(2_000 + i), mid, db).k(3))
+            .collect(),
+        request_id: 0,
+        sched_lag_ns: 0,
+    };
+    const S: u64 = 1_000_000_000;
+    let arrivals = vec![
+        (0, query(1_000)),
+        (0, batch),
+        (S, query(1_000)),
+        (2 * S, query(3_000)),
+        (3 * S, Command::Metrics),
+        (4 * S, Command::Stats),
+    ];
+    let sim = simulate(store, ServeConfig::default(), arrivals);
+    let Response::Metrics { text } = &sim.responses[4] else {
+        panic!("metrics response expected, got {:?}", sim.responses[4]);
+    };
+    let Response::Stats { device, server } = &sim.responses[5] else {
+        panic!("stats response expected, got {:?}", sim.responses[5]);
+    };
+    (
+        text.clone(),
+        (**device).clone(),
+        server.clone().expect("serve fills the server stats"),
+    )
+}
+
+/// A 2-drive cluster's fleet-wide metrics after one query and one
+/// rebalance.
+fn golden_fleet_metrics() -> MetricsSnapshot {
+    let model = zoo::textqa().seeded_metric(4);
+    let mut c = DeepStoreCluster::with_replication(2, 2, DeepStoreConfig::small());
+    let features: Vec<Tensor> = (0..60).map(|i| model.random_feature(i)).collect();
+    let db = c.write_db(&features).unwrap();
+    let mid = c.load_model(&ModelGraph::from_model(&model)).unwrap();
+    let req = ClusterQueryRequest::new(model.random_feature(23), mid, db)
+        .k(5)
+        .level(AcceleratorLevel::Channel);
+    c.query(req).unwrap();
+    c.rebalance().unwrap();
+    c.fleet_metrics()
+}
+
+/// The metric names of a snapshot, counters then histograms.
+fn names(snap: &MetricsSnapshot) -> Vec<&str> {
+    snap.counters
+        .iter()
+        .map(|c| c.name.as_str())
+        .chain(snap.histograms.iter().map(|h| h.name.as_str()))
+        .collect()
+}
+
+/// With `obs` off a snapshot keeps the golden's names, in order, and
+/// reads zero everywhere.
+fn assert_zero_with_golden_names(golden: &MetricsSnapshot, actual: &MetricsSnapshot) {
+    assert_eq!(names(golden), names(actual));
+    assert!(actual.counters.iter().all(|c| c.value == 0), "{actual:?}");
+    assert!(
+        actual
+            .histograms
+            .iter()
+            .all(|h| (h.count, h.sum, h.min, h.max, h.buckets.len()) == (0, 0, 0, 0, 0)),
+        "{actual:?}"
+    );
+}
+
+/// Every telemetry surface, byte for byte: the metrics page, the device
+/// and server stats JSON of `Command::Stats`, and the cluster's fleet
+/// metrics. With `obs` off the names and their order still match, the
+/// recorded values read zero, and the serve layer's functional counters
+/// (admissions, passes, errors) are unchanged.
+#[test]
+fn every_telemetry_surface_matches_its_golden() {
+    let golden_page = include_str!("golden/metrics_page.txt");
+    let golden_device = include_str!("golden/device_stats.json");
+    let golden_server = include_str!("golden/server_stats.json");
+    let golden_fleet = include_str!("golden/fleet_metrics.json");
+    let (page, device, server) = golden_serve_surfaces();
+    let fleet = golden_fleet_metrics();
+    let server_json = serde_json::to_string(&server).unwrap() + "\n";
+    assert_golden("server_stats.json", golden_server, &server_json);
+    if cfg!(feature = "obs") {
+        assert_golden("metrics_page.txt", golden_page, &page);
+        let device_json = serde_json::to_string(&device).unwrap() + "\n";
+        assert_golden("device_stats.json", golden_device, &device_json);
+        let fleet_json = serde_json::to_string(&fleet).unwrap() + "\n";
+        assert_golden("fleet_metrics.json", golden_fleet, &fleet_json);
+        return;
+    }
+    let type_lines = |p: &str| -> Vec<String> {
+        p.lines()
+            .filter(|l| l.starts_with("# TYPE"))
+            .map(str::to_string)
+            .collect()
+    };
+    assert_eq!(type_lines(golden_page), type_lines(&page));
+    let counter_of = |p: &str, series: &str| -> Option<String> {
+        p.lines()
+            .filter(|l| !l.starts_with('#'))
+            .find_map(|l| l.rsplit_once(' ').filter(|(s, _)| *s == series))
+            .map(|(_, v)| v.to_string())
+    };
+    let serve_counters: Vec<String> = type_lines(golden_page)
+        .iter()
+        .filter_map(|l| l.strip_suffix(" counter"))
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter(|n| n.starts_with("deepstore_serve_"))
+        .map(str::to_string)
+        .collect();
+    assert!(!serve_counters.is_empty());
+    for line in page.lines().filter(|l| !l.starts_with('#')) {
+        let (series, value) = line.rsplit_once(' ').unwrap();
+        let name = series.split('{').next().unwrap();
+        if serve_counters.iter().any(|c| c == name) {
+            assert_eq!(
+                counter_of(golden_page, series).as_deref(),
+                Some(value),
+                "functional counter {series}"
+            );
+        } else {
+            assert_eq!(value, "0", "{line} is recorded with obs off");
+        }
+    }
+    let golden_device: DeviceStats = serde_json::from_str(golden_device).unwrap();
+    assert_zero_with_golden_names(&golden_device.metrics, &device.metrics);
+    let golden_fleet: MetricsSnapshot = serde_json::from_str(golden_fleet).unwrap();
+    assert_zero_with_golden_names(&golden_fleet, &fleet);
 }
