@@ -55,7 +55,7 @@ pub use graph::ModelGraph;
 pub use layer::{Activation, ElementWiseOp, Layer, LayerShape, MergeOp};
 pub use model::{Model, ModelBuilder};
 pub use multiquery::MultiQueryScorer;
-pub use quant::{quantize_feature, BoundScorer, FeatureQuant};
+pub use quant::{quantize_feature, BoundScorer, FeatureQuant, QuantMatrix, BOUND_BLOCK};
 pub use scratch::InferenceScratch;
 pub use tensor::Tensor;
 

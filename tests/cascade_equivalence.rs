@@ -72,6 +72,26 @@ fn engine_with(app: &str, model_seed: u64, n: u64, parallelism: usize) -> (Engin
     (engine, model, db)
 }
 
+/// Page reads of a fault-free cascade scan that visits exactly the
+/// features `keep` selects, computed from the database layout alone:
+/// the distinct pages those features touch, per shard. A feature
+/// belongs to the channel shard of its first page, and each shard reads
+/// a page once however many of its features touch it; a page touched
+/// from two shards (a block-boundary straddler's second page) is read
+/// by each.
+fn pages_touched(engine: &Engine, db: DbId, keep: impl Fn(u64) -> bool) -> u64 {
+    let meta = engine.db_meta(db).unwrap();
+    let page_bytes = engine.config().ssd.geometry.page_bytes as u64;
+    let fb = meta.feature_bytes as u64;
+    let mut touched = std::collections::BTreeSet::new();
+    for idx in (0..meta.num_features).filter(|&i| keep(i)) {
+        let (first, last) = (idx * fb / page_bytes, ((idx + 1) * fb - 1) / page_bytes);
+        let shard = meta.pages[first as usize].channel;
+        touched.extend((first..=last).map(|page| (shard, page)));
+    }
+    touched.len() as u64
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -198,7 +218,8 @@ proptest! {
 /// rescores no feature whose upper bound sits below the K-th largest
 /// lower bound of the *whole* database (computed here from
 /// `BoundScorer::bounds`, independently of the engine), the counts do
-/// not depend on the worker count, and pruning skips no page read.
+/// not depend on the worker count, and the scan reads only the pages
+/// of features with `ub ≥ floor`.
 #[test]
 fn floor_prunes_against_the_whole_database() {
     const K: usize = 10;
@@ -224,6 +245,7 @@ fn floor_prunes_against_the_whole_database() {
     lower.sort_by(|a, b| b.total_cmp(a));
     let floor = lower[K - 1];
     let admissible = bounds.iter().filter(|&&(_, ub)| ub >= floor).count() as u64;
+    let candidate_reads = pages_touched(&engine, db, |i| bounds[i as usize].1 >= floor);
 
     let reads = engine.flash_op_counts().reads;
     let (exact, _, _) = engine.scan_top_k_with(db, &model, &probe, K, true).unwrap();
@@ -235,7 +257,8 @@ fn floor_prunes_against_the_whole_database() {
         let (cascade, _, stats) = engine
             .scan_top_k_with(db, &model, &probe, K, false)
             .unwrap();
-        assert_eq!(engine.flash_op_counts().reads - reads, exact_reads);
+        assert_eq!(engine.flash_op_counts().reads - reads, candidate_reads);
+        assert!(candidate_reads < exact_reads);
         assert_eq!(cascade, exact, "ranking diverged at parallelism {workers}");
         assert_eq!(stats.pruned + stats.rescored, n);
         assert!(
@@ -248,6 +271,71 @@ fn floor_prunes_against_the_whole_database() {
             stats,
             "parallelism {workers}"
         );
+    }
+}
+
+/// The candidate walk's read contract on a database large enough for
+/// the floor to prune nearly everything. Fault-free, a cascade scan
+/// reads only the pages its candidates touch — exactly the pages of
+/// `{ub ≥ floor}` (bounds computed here, outside the engine) and at
+/// most a fifth of what the exact scan reads. With a fault plan armed
+/// the floor is not trusted, every feature is walked, and the cascade
+/// reads exactly what the exact scan reads. Either way the ranking is
+/// the exact one and the cascade stats agree at every parallelism.
+#[test]
+fn fault_free_cascade_reads_only_candidate_pages() {
+    const K: usize = 10;
+    let n = 20_000u64;
+    let (mut engine, model, db) = engine_with("textqa", 17, n, 1);
+    let probe = model.random_feature(0xC0DE);
+    let scorer = BoundScorer::new(&model, &probe).expect("textqa folds");
+    let bounds: Vec<(f32, f32)> = (0..n)
+        .map(|i| scorer.bounds(&quantize_feature(model.random_feature(i).data())))
+        .collect();
+    let mut lower: Vec<f32> = bounds.iter().map(|&(lb, _)| lb).collect();
+    lower.sort_by(|a, b| b.total_cmp(a));
+    let floor = lower[K - 1];
+    let candidate_reads = pages_touched(&engine, db, |i| bounds[i as usize].1 >= floor);
+
+    for armed in [false, true] {
+        if armed {
+            engine.inject_faults(FaultPlan::none().transient(0.5, 41));
+        }
+        engine.set_parallelism(1);
+        let reads = engine.flash_op_counts().reads;
+        let (exact, exact_faults, _) = engine.scan_top_k_with(db, &model, &probe, K, true).unwrap();
+        let exact_reads = engine.flash_op_counts().reads - reads;
+        let mut baseline = None;
+        for workers in WORKER_COUNTS {
+            engine.set_parallelism(workers);
+            let reads = engine.flash_op_counts().reads;
+            let (cascade, faults, stats) = engine
+                .scan_top_k_with(db, &model, &probe, K, false)
+                .unwrap();
+            let cascade_reads = engine.flash_op_counts().reads - reads;
+            if armed {
+                assert!(faults.reads.total_retries() > 0, "faults actually fired");
+                assert_eq!(cascade_reads, exact_reads, "parallelism {workers}");
+            } else {
+                assert_eq!(cascade_reads, candidate_reads, "parallelism {workers}");
+                assert_eq!(
+                    stats.pruned + stats.rescored,
+                    n,
+                    "the floor decides every feature"
+                );
+                assert!(
+                    cascade_reads * 5 <= exact_reads,
+                    "{cascade_reads} cascade reads vs {exact_reads} exact"
+                );
+            }
+            assert_eq!(cascade, exact, "armed {armed}, parallelism {workers}");
+            assert_eq!(faults, exact_faults, "armed {armed}, parallelism {workers}");
+            assert_eq!(
+                *baseline.get_or_insert(stats),
+                stats,
+                "armed {armed}, parallelism {workers}"
+            );
+        }
     }
 }
 
