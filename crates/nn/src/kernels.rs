@@ -735,6 +735,104 @@ mod tests {
             .collect()
     }
 
+    /// FNV-1a over the bit patterns of `v`: one number that changes if
+    /// any output bit does.
+    fn bits_digest(v: &[f32]) -> u64 {
+        v.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ u64::from(x.to_bits())).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The conv geometries the pinned and equivalence tests share, as
+    /// `[c, h, w, co, k, stride_y, stride_x, groups]` with a `k × k`
+    /// kernel: widths ≥ 8 and narrow (all-border) ones, several
+    /// channels, groups, and row, column and both strides.
+    const CONV_CASES: [[usize; 8]; 7] = [
+        [1, 4, 20, 2, 3, 1, 1, 1],
+        [3, 6, 13, 4, 3, 1, 1, 1],
+        [2, 5, 5, 2, 3, 1, 1, 1],
+        [4, 8, 16, 4, 3, 2, 1, 2],
+        [1, 9, 18, 3, 5, 1, 1, 1],
+        [2, 6, 24, 2, 3, 2, 2, 1],
+        [1, 3, 8, 1, 1, 1, 1, 1],
+    ];
+
+    fn conv_dims([c, h, w, co, k, sy, sx, groups]: [usize; 8]) -> ConvDims {
+        ConvDims {
+            c,
+            h,
+            w,
+            co,
+            cg: c / groups,
+            kh: k,
+            kw: k,
+            stride: (sy, sx),
+            groups,
+        }
+    }
+
+    /// The output bits of every f32 layer kernel, pinned. The inputs are
+    /// fixed `lcg_vec` draws and the kernels only multiply and add, so
+    /// the digests hold on every x86-64 build and backend; a change to
+    /// any kernel's summation order shows up here.
+    #[test]
+    fn kernel_output_bits_are_pinned() {
+        let mut dots = Vec::new();
+        for n in [0usize, 1, 3, 4, 5, 7, 8, 15, 16, 33, 64, 200, 513] {
+            let w = lcg_vec(n as u64 + 1, n);
+            let x = lcg_vec(n as u64 + 77, n);
+            dots.push(dot_unrolled(&w, &x));
+        }
+
+        let (mut dense, mut multi, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        for (inp, outp) in [(1usize, 1usize), (5, 3), (16, 4), (37, 9), (200, 17)] {
+            let w = lcg_vec(inp as u64 * 31 + outp as u64, inp * outp);
+            let b = lcg_vec(outp as u64 + 5, outp);
+            let x = lcg_vec(inp as u64 + 9, inp);
+            dense_into(&w, &b, &x, &mut out);
+            dense.extend_from_slice(&out);
+        }
+        let multi_shapes = [
+            (1usize, 1usize),
+            (4, 2),
+            (10, 3),
+            (37, 9),
+            (200, 17),
+            (203, 5),
+        ];
+        for (inp, outp) in multi_shapes {
+            let w = lcg_vec(inp as u64 * 17 + outp as u64, inp * outp);
+            let b = lcg_vec(outp as u64 + 3, outp);
+            let xt = lcg_vec(inp as u64 + 13, inp * QUERY_LANES);
+            dense_into_multi(&w, &b, &xt, &mut out);
+            multi.extend_from_slice(&out);
+        }
+
+        let mut conv = Vec::new();
+        for (i, &case) in CONV_CASES.iter().enumerate() {
+            let d = conv_dims(case);
+            let x = lcg_vec(i as u64 + 1, d.c * d.h * d.w);
+            let kernel = lcg_vec(i as u64 + 100, d.co * d.cg * d.kh * d.kw);
+            let bias = lcg_vec(i as u64 + 200, d.co);
+            conv2d_into(&x, &kernel, &bias, d, &mut out);
+            conv.extend_from_slice(&out);
+        }
+
+        let got = [
+            (dots.len(), bits_digest(&dots)),
+            (dense.len(), bits_digest(&dense)),
+            (multi.len(), bits_digest(&multi)),
+            (conv.len(), bits_digest(&conv)),
+        ];
+        let want = [
+            (13, 0x8816_2791_f0e4_560b),
+            (34, 0x4735_44ee_07e9_5483),
+            (296, 0x34ea_efbd_9c30_76c1),
+            (1360, 0x3068_2afe_60ee_0baa),
+        ];
+        assert_eq!(got, want, "[dot, dense, dense_multi, conv2d] (len, digest)");
+    }
+
     #[test]
     fn dispatched_dot_is_bit_identical_to_scalar_backend() {
         for n in [0usize, 1, 3, 4, 5, 7, 8, 15, 16, 33, 64, 200, 513] {
