@@ -10,41 +10,40 @@
 //! scratch path while tests compare it bit-for-bit against the reference
 //! path (see DESIGN.md, "Summation order and bit-identity").
 //!
-//! # Dispatch
+//! # One portable source, two explicit kernels
 //!
-//! Each public kernel is a thin dispatcher over two backends:
+//! The f32 layer kernels — [`dense_into`], [`dense_into_multi`] and
+//! [`conv2d_into`] — are each one portable function. Their loops hand
+//! the compiler fixed-size chunks and independent per-lane accumulator
+//! chains, which the `x86-64-v3` build (`.cargo/config.toml`) vectorizes
+//! on its own: each of the fused multi-query kernel's four chains holds
+//! its [`QUERY_LANES`] queries in one AVX register. Vectorizing independent
+//! lanes neither reassociates nor contracts (no fast-math, never FMA — a
+//! fused multiply-add rounds once where the contract rounds twice), so a
+//! build for any x86-64 level gives the same bits, only more slowly.
 //!
-//! * [`scalar`] — the portable implementation, written for scalar ILP
-//!   (independent accumulator chains, hoisted bounds checks). It is the
-//!   *specification*: the summation order documented on
-//!   [`dot_unrolled`] is defined by this code.
-//! * `simd` (x86_64 only) — explicit `core::arch` intrinsics that
-//!   replay the scalar backend's accumulation order lane-for-lane, so
-//!   the two backends are bit-identical (proven by the proptests at the
-//!   bottom of this file). The f32x4 dot keeps the four scalar chains in
-//!   one SSE register; the fused multi-query kernel keeps each of its
-//!   [`QUERY_LANES`] independent per-query chains in one AVX lane; the
-//!   conv2d interior runs eight output pixels (eight independent
-//!   chains) per AVX register. No FMA is ever used — a fused
-//!   multiply-add rounds once where the contract rounds twice. The
-//!   int8 dot ([`dot_i8`]) is integer arithmetic, exact in any order;
-//!   its AVX2 kernel runs on the AVX backend when AVX2 is present.
+//! Two kernels keep explicit `core::arch` code, because measurement
+//! shows they pay: the f32x4 dot behind [`dot_unrolled`] (SSE2, the
+//! four chains in one register) and the int8 dot [`dot_i8`] (AVX2,
+//! integer arithmetic, exact in any order). Each has a portable twin in
+//! [`scalar`], which is its specification; the unit tests pin the output
+//! bits of every f32 kernel and compare each explicit kernel with its
+//! twin.
 //!
 //! The backend is one [`Backend`] value, resolved once per process:
-//! setting `DEEPSTORE_FORCE_SCALAR=1` in the environment forces the
-//! scalar backend everywhere (CI runs the whole equivalence suite under
-//! that override so both arms stay green); otherwise SSE2, part of the
-//! x86_64 baseline, or AVX when `is_x86_feature_detected!` finds it.
+//! `Simd` on x86_64, `Scalar` elsewhere or when `DEEPSTORE_FORCE_SCALAR=1`
+//! is set in the environment (CI runs the equivalence suites under that
+//! override so both arms stay green). The AVX2 int8 dot also needs
+//! `is_x86_feature_detected!("avx2")`.
 
 use std::sync::OnceLock;
 
-/// The kernel backend a process dispatches to. Each level includes the
-/// ones below it: the AVX backend runs the SSE2 dot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// The kernel backend a process dispatches to: the explicit x86_64
+/// kernels, or their portable twins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Backend {
     Scalar,
-    Sse2,
-    Avx,
+    Simd,
 }
 
 impl Backend {
@@ -52,15 +51,9 @@ impl Backend {
     fn get() -> Backend {
         static BACKEND: OnceLock<Backend> = OnceLock::new();
         *BACKEND.get_or_init(|| {
-            if std::env::var_os("DEEPSTORE_FORCE_SCALAR").is_some_and(|v| v != *"0") {
-                return Backend::Scalar;
-            }
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx") {
-                return Backend::Avx;
-            }
-            if cfg!(target_arch = "x86_64") {
-                Backend::Sse2
+            let forced = std::env::var_os("DEEPSTORE_FORCE_SCALAR").is_some_and(|v| v != *"0");
+            if cfg!(target_arch = "x86_64") && !forced {
+                Backend::Simd
             } else {
                 Backend::Scalar
             }
@@ -68,13 +61,12 @@ impl Backend {
     }
 }
 
-/// Name of the kernel backend this process dispatches to: `"avx"`,
-/// `"sse2"` or `"scalar"`. Surfaced through
-/// [`crate::kernel_backend`] for benches and stats.
+/// Name of the kernel backend this process dispatches to: `"simd"` or
+/// `"scalar"`. Surfaced through [`crate::kernel_backend`] for benches
+/// and stats.
 pub(crate) fn backend_name() -> &'static str {
     match Backend::get() {
-        Backend::Avx => "avx",
-        Backend::Sse2 => "sse2",
+        Backend::Simd => "simd",
         Backend::Scalar => "scalar",
     }
 }
@@ -89,9 +81,9 @@ pub(crate) const QUERY_LANES: usize = 8;
 /// [`dense_into_multi`] (`L = QUERY_LANES`): after the quad chains are
 /// combined, the leftover `len % 4` weight lanes are multiplied in one
 /// at a time, in index order, each into every query lane. This helper is
-/// the single source of truth for the tail's summation order — both
-/// backends of both kernels call it (the SIMD backends fall back to it
-/// for their tails), so the contract lives in exactly one place.
+/// the single source of truth for the tail's summation order — every
+/// dot and the fused kernel call it, so the contract lives in exactly
+/// one place.
 #[inline(always)]
 pub(crate) fn tail_accumulate<const L: usize>(acc: &mut [f32; L], w_tail: &[f32], xt_tail: &[f32]) {
     debug_assert_eq!(xt_tail.len(), w_tail.len() * L);
@@ -109,14 +101,14 @@ pub(crate) fn tail_accumulate<const L: usize>(acc: &mut [f32; L], w_tail: &[f32]
 /// partial sums are combined as `(s0 + s1) + (s2 + s3)` and any tail
 /// lanes (length not a multiple of 4) are then added sequentially. This
 /// order is fixed: every caller — reference or scratch path — inherits
-/// it, which is what keeps the two paths bit-identical. The SIMD backend
+/// it, which is what keeps the two paths bit-identical. The SSE2 kernel
 /// holds `[s0, s1, s2, s3]` in one f32x4 register and replays the same
 /// combine, so dispatch never changes the result bits.
 #[inline]
 pub(crate) fn dot_unrolled(w: &[f32], x: &[f32]) -> f32 {
     debug_assert_eq!(w.len(), x.len());
     #[cfg(target_arch = "x86_64")]
-    if Backend::get() >= Backend::Sse2 {
+    if Backend::get() == Backend::Simd {
         // SAFETY: SSE2 is baseline on x86_64.
         return unsafe { simd::dot_sse2(w, x) };
     }
@@ -127,7 +119,7 @@ pub(crate) fn dot_unrolled(w: &[f32], x: &[f32]) -> f32 {
 /// phase 1 (see [`crate::quant`]). Integer addition is associative and
 /// the caller keeps `len · 127² < 2³¹` (`MAX_FOLD_LEN`), so every lane
 /// arrangement gives the same `i32` and both backends are bit-identical
-/// without an order contract. The AVX2 backend widens sixteen lanes to
+/// without an order contract. The AVX2 kernel widens sixteen lanes to
 /// i16 (`vpmovsxbw`) and multiply-adds pairs into i32 (`vpmaddwd`);
 /// `vpmaddubsw` is avoided because it saturates.
 ///
@@ -138,7 +130,7 @@ pub(crate) fn dot_unrolled(w: &[f32], x: &[f32]) -> f32 {
 pub(crate) fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     assert_eq!(a.len(), b.len(), "int8 dot of unequal lengths");
     #[cfg(target_arch = "x86_64")]
-    if Backend::get() == Backend::Avx && std::arch::is_x86_feature_detected!("avx2") {
+    if Backend::get() == Backend::Simd && std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just detected, and the lengths are
         // equal.
         return unsafe { simd::dot_i8_avx2(a, b) };
@@ -171,18 +163,38 @@ pub(crate) fn dense_into(w: &[f32], b: &[f32], x: &[f32], out: &mut Vec<f32>) {
 /// accumulation replays [`dot_unrolled`]'s exact order — four
 /// independent chains over `k % 4`, combined `(s0 + s1) + (s2 + s3)`,
 /// tail lanes added sequentially, bias added last — so every lane is
-/// bit-identical to a [`dense_into`] call on that input alone. The AVX
-/// backend maps the eight query lanes onto one f32x8 register per
-/// chain (broadcast weight × lane vector), which is the same
-/// computation with the lane loop in hardware.
+/// bit-identical to a [`dense_into`] call on that input alone.
+///
+/// The quads come as fixed-size chunks (`as_chunks`), so the `l` loops
+/// are bounds-check-free and each chain `s[c]` compiles to one f32x8
+/// register: one broadcast weight times one lane vector per step.
 pub(crate) fn dense_into_multi(w: &[f32], bias: &[f32], xt: &[f32], out: &mut Vec<f32>) {
-    #[cfg(target_arch = "x86_64")]
-    if Backend::get() == Backend::Avx {
-        // SAFETY: `Backend::Avx` is only chosen when AVX is detected.
-        unsafe { simd::dense_into_multi_avx(w, bias, xt, out) };
-        return;
+    const L: usize = QUERY_LANES;
+    let inp = xt.len() / L;
+    debug_assert_eq!(xt.len(), inp * L);
+    out.clear();
+    out.reserve(bias.len() * L);
+    let (xq, x_tail) = xt.split_at(inp / 4 * 4 * L);
+    let (xq, _) = xq.as_chunks::<{ 4 * L }>();
+    for (o, &b0) in bias.iter().enumerate() {
+        let (wq, w_tail) = w[o * inp..(o + 1) * inp].as_chunks::<4>();
+        let mut s = [[0.0f32; L]; 4];
+        for (wc, x) in wq.iter().zip(xq) {
+            for c in 0..4 {
+                for l in 0..L {
+                    s[c][l] += wc[c] * x[c * L + l];
+                }
+            }
+        }
+        let mut acc = [0.0f32; L];
+        for l in 0..L {
+            acc[l] = (s[0][l] + s[1][l]) + (s[2][l] + s[3][l]);
+        }
+        tail_accumulate::<L>(&mut acc, w_tail, x_tail);
+        for a in acc {
+            out.push(a + b0);
+        }
     }
-    scalar::dense_into_multi(w, bias, xt, out);
 }
 
 /// Shape of a conv2d operand set; bundles the dimensions the kernel
@@ -223,17 +235,14 @@ impl ConvDims {
 
 /// 2-D "same"-padded convolution into a caller-owned buffer.
 ///
-/// The valid kernel ranges `[ky_lo, ky_hi)` / `[kx_lo, kx_hi)` are
-/// computed once per output row/column, so the inner reduction never
-/// tests padding bounds; interior pixels (full `kx` range) take a
-/// slice-zip fast path. The *order* of multiply-adds is exactly the
-/// order the naive quadruple loop with `continue`-on-padding produced:
-/// skipped taps contributed nothing, so eliding them leaves the
-/// accumulation sequence unchanged and results bit-identical. The AVX
-/// backend (unit column stride only) computes eight interior output
-/// pixels at once — eight independent accumulator chains, each visiting
-/// taps in the same `(channel, ky, kx)` order — so it is bit-identical
-/// too.
+/// Each output pixel is one accumulator chain that starts at the bias
+/// and visits taps in `(channel, ky, kx)` order. The valid kernel ranges
+/// `[ky_lo, ky_hi)` / `[kx_lo, kx_hi)` are computed once per output
+/// row/column, so the inner reduction is a slice zip that never tests
+/// padding bounds. The *order* of multiply-adds is exactly the order the
+/// naive quadruple loop with `continue`-on-padding produces: skipped taps
+/// contributed nothing, so eliding them leaves the accumulation sequence
+/// unchanged and results bit-identical.
 pub(crate) fn conv2d_into(
     x: &[f32],
     kernel: &[f32],
@@ -241,22 +250,52 @@ pub(crate) fn conv2d_into(
     d: ConvDims,
     out: &mut Vec<f32>,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if Backend::get() == Backend::Avx && d.stride.1 == 1 {
-        // SAFETY: `Backend::Avx` is only chosen when AVX is detected.
-        unsafe { simd::conv2d_into_avx(x, kernel, bias, d, out) };
-        return;
+    debug_assert_eq!(x.len(), d.c * d.h * d.w);
+    debug_assert_eq!(bias.len(), d.co);
+    let (sh, sw) = d.stride;
+    let (ph, pw) = (d.kh / 2, d.kw / 2);
+    let plane = d.h * d.w;
+    let co_per_group = d.co / d.groups;
+    out.clear();
+    out.reserve(d.co * d.oh() * d.ow());
+    for (ocn, &b0) in bias.iter().enumerate() {
+        let in_base = ocn / co_per_group * d.cg;
+        for oy in 0..d.oh() {
+            let ybase = oy * sh;
+            // iy = ybase + ky - ph must land in [0, h).
+            let ky_lo = ph.saturating_sub(ybase);
+            let ky_hi = d.kh.min(d.h + ph - ybase);
+            for ox in 0..d.ow() {
+                let xbase = ox * sw;
+                // ix = xbase + kx - pw must land in [0, w).
+                let kx_lo = pw.saturating_sub(xbase);
+                let kx_hi = d.kw.min(d.w + pw - xbase);
+                let mut acc = b0;
+                for icg in 0..d.cg {
+                    let x_plane = &x[(in_base + icg) * plane..][..plane];
+                    let k_base = (ocn * d.cg + icg) * d.kh * d.kw;
+                    for ky in ky_lo..ky_hi {
+                        let xrow = &x_plane[(ybase + ky - ph) * d.w..][..d.w];
+                        let krow = &kernel[k_base + ky * d.kw..][..d.kw];
+                        let xs = &xrow[xbase + kx_lo - pw..xbase + kx_hi - pw];
+                        for (xv, kv) in xs.iter().zip(&krow[kx_lo..kx_hi]) {
+                            acc += xv * kv;
+                        }
+                    }
+                }
+                out.push(acc);
+            }
+        }
     }
-    scalar::conv2d_into(x, kernel, bias, d, out);
 }
 
-/// The portable scalar backend — the specification of every kernel's
-/// summation order.
+/// The portable twins of the two explicit kernels — the specification
+/// of their results.
 pub(crate) mod scalar {
-    use super::{tail_accumulate, ConvDims, QUERY_LANES};
+    use super::tail_accumulate;
 
-    /// Scalar [`super::dot_unrolled`]: four independent chains combined
-    /// `(s0 + s1) + (s2 + s3)`, sequential tail.
+    /// Portable [`super::dot_unrolled`]: four independent chains
+    /// combined `(s0 + s1) + (s2 + s3)`, sequential tail.
     #[inline]
     pub(crate) fn dot_unrolled(w: &[f32], x: &[f32]) -> f32 {
         debug_assert_eq!(w.len(), x.len());
@@ -274,7 +313,7 @@ pub(crate) mod scalar {
         acc[0]
     }
 
-    /// Scalar [`super::dot_i8`]: one i32 multiply-add per lane.
+    /// Portable [`super::dot_i8`]: one i32 multiply-add per lane.
     #[inline]
     pub(crate) fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
         debug_assert_eq!(a.len(), b.len());
@@ -283,163 +322,13 @@ pub(crate) mod scalar {
             .map(|(&x, &y)| i32::from(x) * i32::from(y))
             .sum()
     }
-
-    /// Scalar [`super::dense_into`]: one [`dot_unrolled`] per row. The
-    /// dispatcher reproduces this loop via the dispatched dot, so this
-    /// backend copy exists as the specification the equivalence tests
-    /// compare against.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn dense_into(w: &[f32], b: &[f32], x: &[f32], out: &mut Vec<f32>) {
-        let inp = x.len();
-        out.clear();
-        out.reserve(b.len());
-        for (o, &bias) in b.iter().enumerate() {
-            let row = &w[o * inp..(o + 1) * inp];
-            out.push(dot_unrolled(row, x) + bias);
-        }
-    }
-
-    /// Scalar [`super::dense_into_multi`]: per-lane accumulator arrays;
-    /// the per-lane loops are trivially vectorizable (independent lanes,
-    /// no reassociation), which is where the batch throughput comes from
-    /// even without the explicit-SIMD backend.
-    pub(crate) fn dense_into_multi(w: &[f32], bias: &[f32], xt: &[f32], out: &mut Vec<f32>) {
-        const L: usize = QUERY_LANES;
-        let inp = xt.len() / L;
-        debug_assert_eq!(xt.len(), inp * L);
-        out.clear();
-        out.reserve(bias.len() * L);
-        for (o, &b0) in bias.iter().enumerate() {
-            let row = &w[o * inp..(o + 1) * inp];
-            // `chunks_exact` hands the optimizer compile-time-known slice
-            // lengths, so the `l` loops below are bounds-check-free and
-            // vectorize cleanly.
-            let mut quads = row.chunks_exact(4);
-            let mut xq = xt.chunks_exact(4 * L);
-            let (mut s0, mut s1, mut s2, mut s3) =
-                ([0.0f32; L], [0.0f32; L], [0.0f32; L], [0.0f32; L]);
-            for (wc, x) in (&mut quads).zip(&mut xq) {
-                let (x0, r) = x.split_at(L);
-                let (x1, r) = r.split_at(L);
-                let (x2, x3) = r.split_at(L);
-                for l in 0..L {
-                    s0[l] += wc[0] * x0[l];
-                    s1[l] += wc[1] * x1[l];
-                    s2[l] += wc[2] * x2[l];
-                    s3[l] += wc[3] * x3[l];
-                }
-            }
-            let mut acc = [0.0f32; L];
-            for l in 0..L {
-                acc[l] = (s0[l] + s1[l]) + (s2[l] + s3[l]);
-            }
-            tail_accumulate::<L>(&mut acc, quads.remainder(), xq.remainder());
-            for a in acc {
-                out.push(a + b0);
-            }
-        }
-    }
-
-    /// One output pixel of the "same"-padded convolution: the
-    /// accumulator starts at the bias and visits taps in
-    /// `(channel, ky, kx)` order, with the padding-clipped ranges
-    /// precomputed by the caller. Shared by both conv backends — the
-    /// scalar kernel calls it for every pixel, the AVX kernel for
-    /// border/remainder pixels — so the per-pixel order is defined once.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub(crate) fn conv_pixel(
-        x: &[f32],
-        kernel: &[f32],
-        b0: f32,
-        d: ConvDims,
-        ocn: usize,
-        in_base: usize,
-        ybase: usize,
-        xbase: usize,
-        ky_range: (usize, usize),
-    ) -> f32 {
-        let ph = d.kh / 2;
-        let pw = d.kw / 2;
-        let (ky_lo, ky_hi) = ky_range;
-        let kx_lo = pw.saturating_sub(xbase);
-        let kx_hi = d.kw.min(d.w + pw - xbase);
-        let mut acc = b0;
-        for icg in 0..d.cg {
-            let ic = in_base + icg;
-            let x_plane = &x[ic * d.h * d.w..(ic + 1) * d.h * d.w];
-            let k_base = ((ocn * d.cg + icg) * d.kh) * d.kw;
-            for ky in ky_lo..ky_hi {
-                let iy = ybase + ky - ph;
-                let xrow = &x_plane[iy * d.w..(iy + 1) * d.w];
-                let krow = &kernel[k_base + ky * d.kw..k_base + (ky + 1) * d.kw];
-                if kx_lo == 0 && kx_hi == d.kw && xbase >= pw {
-                    // Interior fast path: the whole kernel row
-                    // overlaps the input row.
-                    let xs = &xrow[xbase - pw..xbase - pw + d.kw];
-                    for (xv, kv) in xs.iter().zip(krow) {
-                        acc += xv * kv;
-                    }
-                } else {
-                    for (kx, kv) in krow.iter().enumerate().take(kx_hi).skip(kx_lo) {
-                        let ix = xbase + kx - pw;
-                        acc += xrow[ix] * kv;
-                    }
-                }
-            }
-        }
-        acc
-    }
-
-    /// Scalar [`super::conv2d_into`].
-    pub(crate) fn conv2d_into(
-        x: &[f32],
-        kernel: &[f32],
-        bias: &[f32],
-        d: ConvDims,
-        out: &mut Vec<f32>,
-    ) {
-        debug_assert_eq!(x.len(), d.c * d.h * d.w);
-        let (sh, sw) = d.stride;
-        let (oh, ow) = (d.oh(), d.ow());
-        let ph = d.kh / 2;
-        let co_per_group = d.co / d.groups;
-        out.clear();
-        out.reserve(d.co * oh * ow);
-        debug_assert_eq!(bias.len(), d.co);
-        for (ocn, &b0) in bias.iter().enumerate() {
-            let g = ocn / co_per_group;
-            let in_base = g * d.cg;
-            for oy in 0..oh {
-                let ybase = oy * sh;
-                // iy = ybase + ky - ph must land in [0, h).
-                let ky_lo = ph.saturating_sub(ybase);
-                let ky_hi = d.kh.min(d.h + ph - ybase);
-                for ox in 0..ow {
-                    let xbase = ox * sw;
-                    out.push(conv_pixel(
-                        x,
-                        kernel,
-                        b0,
-                        d,
-                        ocn,
-                        in_base,
-                        ybase,
-                        xbase,
-                        (ky_lo, ky_hi),
-                    ));
-                }
-            }
-        }
-    }
 }
 
-/// Explicit-SIMD backend (x86_64). Every function replays the scalar
-/// backend's accumulation order exactly; see the module docs for the
-/// per-kernel argument.
+/// The explicit x86_64 kernels. Each replays its [`scalar`] twin's
+/// result exactly; see the module docs.
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    use super::{scalar, tail_accumulate, ConvDims, QUERY_LANES};
+    use super::{scalar, tail_accumulate};
     use std::arch::x86_64::*;
 
     /// f32x4 dot product: one SSE register holds the four scalar chains
@@ -478,6 +367,9 @@ mod simd {
     ///
     /// Caller must have verified AVX2 support, and `a` and `b` must have
     /// the same length: every chunk of `a` is loaded from `b` too.
+    // `#[inline]`: without it, whether the bound sweep inlines this
+    // kernel depends on which codegen unit it happens to land in.
+    #[inline]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
         debug_assert_eq!(a.len(), b.len());
@@ -507,148 +399,6 @@ mod simd {
         let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b10_11_00_01));
         _mm_cvtsi128_si32(s) + scalar::dot_i8(&a[16 * chunks..], &b[16 * chunks..])
     }
-
-    /// f32x8 fused multi-query dense kernel: the eight query lanes live
-    /// in one AVX register per accumulator chain; each quad step
-    /// broadcasts one weight and does `mul` + `add` per chain, and the
-    /// chains combine as `(s0 + s1) + (s2 + s3)` lane-wise — exactly the
-    /// scalar backend's per-lane arithmetic.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX support.
-    #[target_feature(enable = "avx")]
-    pub(super) unsafe fn dense_into_multi_avx(
-        w: &[f32],
-        bias: &[f32],
-        xt: &[f32],
-        out: &mut Vec<f32>,
-    ) {
-        const L: usize = QUERY_LANES;
-        let inp = xt.len() / L;
-        debug_assert_eq!(xt.len(), inp * L);
-        out.clear();
-        out.reserve(bias.len() * L);
-        let quads = inp / 4;
-        for (o, &b0) in bias.iter().enumerate() {
-            let row = &w[o * inp..(o + 1) * inp];
-            let mut s0 = _mm256_setzero_ps();
-            let mut s1 = _mm256_setzero_ps();
-            let mut s2 = _mm256_setzero_ps();
-            let mut s3 = _mm256_setzero_ps();
-            for q in 0..quads {
-                let wq = &row[4 * q..4 * q + 4];
-                let xb = xt.as_ptr().add(4 * q * L);
-                s0 = _mm256_add_ps(
-                    s0,
-                    _mm256_mul_ps(_mm256_set1_ps(wq[0]), _mm256_loadu_ps(xb)),
-                );
-                s1 = _mm256_add_ps(
-                    s1,
-                    _mm256_mul_ps(_mm256_set1_ps(wq[1]), _mm256_loadu_ps(xb.add(L))),
-                );
-                s2 = _mm256_add_ps(
-                    s2,
-                    _mm256_mul_ps(_mm256_set1_ps(wq[2]), _mm256_loadu_ps(xb.add(2 * L))),
-                );
-                s3 = _mm256_add_ps(
-                    s3,
-                    _mm256_mul_ps(_mm256_set1_ps(wq[3]), _mm256_loadu_ps(xb.add(3 * L))),
-                );
-            }
-            let sv = _mm256_add_ps(_mm256_add_ps(s0, s1), _mm256_add_ps(s2, s3));
-            let mut acc = [0.0f32; L];
-            _mm256_storeu_ps(acc.as_mut_ptr(), sv);
-            tail_accumulate::<L>(&mut acc, &row[4 * quads..], &xt[4 * quads * L..]);
-            for a in acc {
-                out.push(a + b0);
-            }
-        }
-    }
-
-    /// AVX conv2d for unit column stride: eight interior output pixels
-    /// per register. For a fixed kernel tap the eight pixels read eight
-    /// consecutive input elements (stride 1), so each tap is one
-    /// unaligned load, one broadcast, `mul` + `add`. Each pixel is an
-    /// independent accumulator chain starting at the bias and visiting
-    /// taps in `(channel, ky, kx)` order — the same chain
-    /// [`scalar::conv_pixel`] computes, which also handles border and
-    /// remainder pixels here.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX support, and `d.stride.1 == 1`.
-    #[target_feature(enable = "avx")]
-    pub(super) unsafe fn conv2d_into_avx(
-        x: &[f32],
-        kernel: &[f32],
-        bias: &[f32],
-        d: ConvDims,
-        out: &mut Vec<f32>,
-    ) {
-        debug_assert_eq!(x.len(), d.c * d.h * d.w);
-        debug_assert_eq!(d.stride.1, 1);
-        let sh = d.stride.0;
-        let (oh, ow) = (d.oh(), d.ow());
-        let ph = d.kh / 2;
-        let pw = d.kw / 2;
-        let co_per_group = d.co / d.groups;
-        out.clear();
-        out.reserve(d.co * oh * ow);
-        debug_assert_eq!(bias.len(), d.co);
-        // Interior columns: xbase >= pw and xbase - pw + kw <= w, so the
-        // full kernel row overlaps the input row (with stride 1,
-        // xbase == ox).
-        let lo = pw;
-        let hi = (d.w + pw).saturating_sub(d.kw) + 1;
-        let hi = hi.min(ow).max(lo);
-        for (ocn, &b0) in bias.iter().enumerate() {
-            let g = ocn / co_per_group;
-            let in_base = g * d.cg;
-            for oy in 0..oh {
-                let ybase = oy * sh;
-                let ky_lo = ph.saturating_sub(ybase);
-                let ky_hi = d.kh.min(d.h + ph - ybase);
-                let mut ox = 0usize;
-                while ox < ow {
-                    if ox >= lo && ox + 8 <= hi {
-                        let mut acc = _mm256_set1_ps(b0);
-                        for icg in 0..d.cg {
-                            let ic = in_base + icg;
-                            let x_plane = &x[ic * d.h * d.w..(ic + 1) * d.h * d.w];
-                            let k_base = ((ocn * d.cg + icg) * d.kh) * d.kw;
-                            for ky in ky_lo..ky_hi {
-                                let iy = ybase + ky - ph;
-                                let xrow = x_plane.as_ptr().add(iy * d.w);
-                                for kx in 0..d.kw {
-                                    let kv = _mm256_set1_ps(kernel[k_base + ky * d.kw + kx]);
-                                    let xv = _mm256_loadu_ps(xrow.add(ox - pw + kx));
-                                    acc = _mm256_add_ps(acc, _mm256_mul_ps(kv, xv));
-                                }
-                            }
-                        }
-                        let mut lanes = [0.0f32; 8];
-                        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-                        out.extend_from_slice(&lanes);
-                        ox += 8;
-                    } else {
-                        out.push(scalar::conv_pixel(
-                            x,
-                            kernel,
-                            b0,
-                            d,
-                            ocn,
-                            in_base,
-                            ybase,
-                            ox,
-                            (ky_lo, ky_hi),
-                        ));
-                        ox += 1;
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -675,36 +425,6 @@ mod tests {
         assert_eq!(got.to_bits(), want.to_bits());
         // The scalar backend is the same specification.
         assert_eq!(scalar::dot_unrolled(&w, &x).to_bits(), want.to_bits());
-    }
-
-    #[test]
-    fn dense_into_multi_matches_per_lane_dense_into() {
-        // 10 inputs (2 quads + 2 tail lanes), 3 outputs, 8 query lanes.
-        let (inp, outp) = (10usize, 3usize);
-        let w: Vec<f32> = (0..inp * outp).map(|i| (i as f32).sin()).collect();
-        let b: Vec<f32> = (0..outp).map(|i| i as f32 * 0.1).collect();
-        let xs: Vec<Vec<f32>> = (0..QUERY_LANES)
-            .map(|l| (0..inp).map(|k| ((l * inp + k) as f32).cos()).collect())
-            .collect();
-        let mut xt = vec![0.0f32; inp * QUERY_LANES];
-        for (l, x) in xs.iter().enumerate() {
-            for (k, &v) in x.iter().enumerate() {
-                xt[k * QUERY_LANES + l] = v;
-            }
-        }
-        let mut fused = Vec::new();
-        dense_into_multi(&w, &b, &xt, &mut fused);
-        let mut single = Vec::new();
-        for (l, x) in xs.iter().enumerate() {
-            dense_into(&w, &b, x, &mut single);
-            for (o, &v) in single.iter().enumerate() {
-                assert_eq!(
-                    fused[o * QUERY_LANES + l].to_bits(),
-                    v.to_bits(),
-                    "lane {l} output {o}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -852,76 +572,124 @@ mod tests {
             let w = lcg_vec(inp as u64 * 31 + outp as u64, inp * outp);
             let b = lcg_vec(outp as u64 + 5, outp);
             let x = lcg_vec(inp as u64 + 9, inp);
-            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut got = Vec::new();
             dense_into(&w, &b, &x, &mut got);
-            scalar::dense_into(&w, &b, &x, &mut want);
             let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-            let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> = (w.chunks_exact(inp).zip(&b))
+                .map(|(row, &bo)| (scalar::dot_unrolled(row, &x) + bo).to_bits())
+                .collect();
             assert_eq!(got, want, "inp={inp} outp={outp}");
         }
     }
 
-    #[test]
-    fn dispatched_dense_into_multi_is_bit_identical_to_scalar_backend() {
-        for (inp, outp) in [(1usize, 1usize), (4, 2), (10, 3), (37, 9), (200, 17)] {
-            let w = lcg_vec(inp as u64 * 17 + outp as u64, inp * outp);
-            let b = lcg_vec(outp as u64 + 3, outp);
-            let xt = lcg_vec(inp as u64 + 13, inp * QUERY_LANES);
-            let (mut got, mut want) = (Vec::new(), Vec::new());
-            dense_into_multi(&w, &b, &xt, &mut got);
-            scalar::dense_into_multi(&w, &b, &xt, &mut want);
-            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-            let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, want, "inp={inp} outp={outp}");
+    /// Deterministic draws in `0..n`, for the random-shape tests.
+    fn shape_draws(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut s = seed;
+        move |n| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) as usize % n
         }
     }
 
+    /// The fused kernel is bit-identical, on every lane and output, to
+    /// [`dense_into`] on that lane's input alone — the single-query
+    /// path, which runs the SSE2 dot on the `Simd` backend. Fixed shapes
+    /// first, then random ones covering every `in % 4` tail class.
     #[test]
-    fn dispatched_conv2d_is_bit_identical_to_scalar_backend() {
-        // Covers: width ≥ 8 interiors (AVX chunks), narrow widths
-        // (all-border), multi-channel, groups, and both strides (the
-        // stride-2 column case must fall back to scalar).
-        let cases = [
-            // (c, h, w, co, kh, kw, stride, groups)
-            (
-                1usize,
-                4usize,
-                20usize,
-                2usize,
-                3usize,
-                3usize,
-                (1usize, 1usize),
-                1usize,
-            ),
-            (3, 6, 13, 4, 3, 3, (1, 1), 1),
-            (2, 5, 5, 2, 3, 3, (1, 1), 1),
-            (4, 8, 16, 4, 3, 3, (2, 1), 2),
-            (1, 9, 18, 3, 5, 5, (1, 1), 1),
-            (2, 6, 24, 2, 3, 3, (2, 2), 1),
-            (1, 3, 8, 1, 1, 1, (1, 1), 1),
-        ];
-        for (i, &(c, h, w, co, kh, kw, stride, groups)) in cases.iter().enumerate() {
-            let d = ConvDims {
-                c,
-                h,
-                w,
-                co,
-                cg: c / groups,
-                kh,
-                kw,
-                stride,
-                groups,
-            };
-            let x = lcg_vec(i as u64 + 1, c * h * w);
-            let kernel = lcg_vec(i as u64 + 100, co * d.cg * kh * kw);
-            let bias = lcg_vec(i as u64 + 200, co);
-            let (mut got, mut want) = (Vec::new(), Vec::new());
-            conv2d_into(&x, &kernel, &bias, d, &mut got);
-            scalar::conv2d_into(&x, &kernel, &bias, d, &mut want);
-            assert_eq!(got.len(), want.len(), "case {i}");
-            for (j, (g, e)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(g.to_bits(), e.to_bits(), "case {i} elem {j}");
+    fn dense_multi_simd_matches_scalar_to_the_bit() {
+        let fixed = [(1usize, 1usize), (4, 2), (10, 3), (37, 9), (200, 17)];
+        let mut draw = shape_draws(0xF05E);
+        let random: Vec<_> = (0..64).map(|_| (1 + draw(40), 1 + draw(8))).collect();
+        let (mut fused, mut single, mut x) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, (inp, outp)) in fixed.into_iter().chain(random).enumerate() {
+            let seed = i as u64 * 7919;
+            let w = lcg_vec(seed ^ 1, inp * outp);
+            let b = lcg_vec(seed ^ 2, outp);
+            let xt = lcg_vec(seed ^ 3, inp * QUERY_LANES);
+            dense_into_multi(&w, &b, &xt, &mut fused);
+            for l in 0..QUERY_LANES {
+                x.clear();
+                x.extend(xt.iter().skip(l).step_by(QUERY_LANES));
+                dense_into(&w, &b, &x, &mut single);
+                for (o, v) in single.iter().enumerate() {
+                    assert_eq!(
+                        fused[o * QUERY_LANES + l].to_bits(),
+                        v.to_bits(),
+                        "inp={inp} outp={outp} lane {l} output {o}"
+                    );
+                }
             }
+        }
+    }
+
+    /// The textbook convolution: taps in `(channel, ky, kx)` order,
+    /// `continue` on padding — the order [`conv2d_into`] promises.
+    fn naive_conv(x: &[f32], kernel: &[f32], bias: &[f32], d: ConvDims) -> Vec<f32> {
+        let (ph, pw) = (d.kh / 2, d.kw / 2);
+        let mut out = Vec::new();
+        for (ocn, &b0) in bias.iter().enumerate() {
+            let ic0 = ocn / (d.co / d.groups) * d.cg;
+            for oy in 0..d.oh() {
+                for ox in 0..d.ow() {
+                    let mut acc = b0;
+                    for icg in 0..d.cg {
+                        for ky in 0..d.kh {
+                            for kx in 0..d.kw {
+                                let (iy, ix) = (oy * d.stride.0 + ky, ox * d.stride.1 + kx);
+                                if iy < ph || ix < pw || iy - ph >= d.h || ix - pw >= d.w {
+                                    continue;
+                                }
+                                let xi = ((ic0 + icg) * d.h + iy - ph) * d.w + ix - pw;
+                                let ki = ((ocn * d.cg + icg) * d.kh + ky) * d.kw + kx;
+                                acc += x[xi] * kernel[ki];
+                            }
+                        }
+                    }
+                    out.push(acc);
+                }
+            }
+        }
+        out
+    }
+
+    /// [`conv2d_into`] is bit-identical to [`naive_conv`]: the fixed
+    /// geometries first, then random ones (1×1, 3×3 and 5×5 kernels,
+    /// every row/column stride pair up to 2, grouped and not).
+    #[test]
+    fn conv_simd_matches_scalar_to_the_bit() {
+        let mut draw = shape_draws(0xC0411);
+        let random: Vec<[usize; 8]> = (0..64)
+            .map(|_| {
+                let c = 1 + draw(4);
+                let groups = if c.is_multiple_of(2) { 1 + draw(2) } else { 1 };
+                let co = groups * (1 + draw(3));
+                let k = [1, 3, 5][draw(3)];
+                [
+                    c,
+                    1 + draw(8),
+                    1 + draw(24),
+                    co,
+                    k,
+                    1 + draw(2),
+                    1 + draw(2),
+                    groups,
+                ]
+            })
+            .collect();
+        let mut got = Vec::new();
+        for (i, case) in CONV_CASES.into_iter().chain(random).enumerate() {
+            let d = conv_dims(case);
+            let seed = i as u64 * 7919;
+            let x = lcg_vec(seed ^ 10, d.c * d.h * d.w);
+            let kernel = lcg_vec(seed ^ 11, d.co * d.cg * d.kh * d.kw);
+            let bias = lcg_vec(seed ^ 12, d.co);
+            conv2d_into(&x, &kernel, &bias, d, &mut got);
+            let want = naive_conv(&x, &kernel, &bias, d);
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "case {i}: {case:?}");
         }
     }
 
@@ -986,13 +754,12 @@ mod tests {
     #[test]
     fn backend_name_is_stable() {
         let name = backend_name();
-        assert!(["avx", "sse2", "scalar"].contains(&name));
+        assert!(["simd", "scalar"].contains(&name));
         assert_eq!(name, backend_name());
     }
 
     mod proptests {
         use super::super::*;
-        use super::lcg_vec;
         use proptest::prelude::*;
 
         proptest! {
@@ -1022,53 +789,6 @@ mod tests {
                 let a = super::lcg_i8(seed ^ 5, n);
                 let b = super::lcg_i8(seed ^ 6, n);
                 super::assert_dot_i8_exact(&a, &b);
-            }
-
-            /// The dispatched fused multi-query kernel is bit-identical
-            /// to the scalar specification on every lane and output.
-            #[test]
-            fn dense_multi_simd_matches_scalar_to_the_bit(
-                (inp, outp, seed) in (1usize..40, 1usize..8, 0u64..1_000_000)
-            ) {
-                let w = lcg_vec(seed ^ 1, inp * outp);
-                let b = lcg_vec(seed ^ 2, outp);
-                let xt = lcg_vec(seed ^ 3, inp * QUERY_LANES);
-                let (mut got, mut want) = (Vec::new(), Vec::new());
-                dense_into_multi(&w, &b, &xt, &mut got);
-                scalar::dense_into_multi(&w, &b, &xt, &mut want);
-                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(got, want);
-            }
-
-            /// The dispatched conv2d is bit-identical to the scalar
-            /// specification across random geometries (both strides, so
-            /// the AVX interior path and the scalar fallback are both
-            /// exercised).
-            #[test]
-            fn conv_simd_matches_scalar_to_the_bit(
-                (c, h, w, co, ksel, sw, seed) in (
-                    1usize..4, 1usize..8, 1usize..24, 1usize..4,
-                    0usize..2, 1usize..3, 0u64..1_000_000,
-                )
-            ) {
-                let (kh, kw) = [(1usize, 1usize), (3, 3)][ksel];
-                let d = ConvDims {
-                    c, h, w, co,
-                    cg: c,
-                    kh, kw,
-                    stride: (1, sw),
-                    groups: 1,
-                };
-                let x = lcg_vec(seed ^ 10, c * h * w);
-                let kernel = lcg_vec(seed ^ 11, co * c * kh * kw);
-                let bias = lcg_vec(seed ^ 12, co);
-                let (mut got, mut want) = (Vec::new(), Vec::new());
-                conv2d_into(&x, &kernel, &bias, d, &mut got);
-                scalar::conv2d_into(&x, &kernel, &bias, d, &mut want);
-                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(got, want);
             }
         }
     }

@@ -42,11 +42,12 @@ pub mod tensor;
 pub mod zoo;
 
 /// Name of the compute-kernel backend this process dispatches to:
-/// `"avx"`, `"sse2"` or `"scalar"`. Selection is made once per process
-/// from CPU feature detection, overridable with
-/// `DEEPSTORE_FORCE_SCALAR=1`; all backends are bit-identical (see
-/// `kernels` module docs), so this only matters for performance
-/// reporting.
+/// `"simd"` (x86_64: the explicit SSE2 f32 dot, and the AVX2 int8 dot
+/// when the CPU has AVX2) or `"scalar"` (their portable twins; other
+/// targets, or `DEEPSTORE_FORCE_SCALAR=1`). Selected once per process.
+/// Every other kernel has one portable source, and both backends are
+/// bit-identical (see the `kernels` module docs), so this only matters
+/// for performance reporting.
 #[must_use]
 pub fn kernel_backend() -> &'static str {
     kernels::backend_name()
