@@ -40,11 +40,11 @@ use crate::proto::{
     ProtoError, Response, WireError, PROTOCOL_VERSION,
 };
 use deepstore_obs::{
-    metrics, render_text, Counter, FlightRecorder, Histogram, RequestOutcome, RequestRecord,
-    DEFAULT_RECORDER_CAPACITY,
+    metrics, render_text, sanitize_name, FlightRecorder, MetricsSnapshot, RequestOutcome,
+    RequestSummary, DEFAULT_RECORDER_CAPACITY,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -402,46 +402,36 @@ pub struct QuotaConfig {
     pub refill_per_sec: f64,
 }
 
+/// One tenant's token bucket. It starts full, and a charge first
+/// refills it for the time elapsed on the serve clock, capped at
+/// `burst`, so a bucket made when its tenant registers behaves exactly
+/// like one made at the tenant's first charge.
 #[derive(Debug)]
-struct Bucket {
+struct TokenBucket {
+    cfg: QuotaConfig,
     tokens: f64,
     last_ns: u64,
 }
 
-/// The token-bucket table, one bucket per client id. Public so the
-/// admission-control unit tests can drive it on simulated time.
-#[derive(Debug)]
-pub struct TokenBuckets {
-    cfg: QuotaConfig,
-    buckets: HashMap<String, Bucket>,
-}
-
-impl TokenBuckets {
-    /// An empty table; buckets are created full on first use.
-    pub fn new(cfg: QuotaConfig) -> Self {
-        TokenBuckets {
+impl TokenBucket {
+    fn new(cfg: QuotaConfig) -> Self {
+        TokenBucket {
             cfg,
-            buckets: HashMap::new(),
+            tokens: cfg.burst,
+            last_ns: 0,
         }
     }
 
-    /// Try to charge `cost` tokens to `client` at time `now_ns`.
-    /// Refills the bucket for the elapsed time first. Returns whether
-    /// the charge succeeded; a failed charge takes nothing.
-    pub fn try_take(&mut self, client: &str, cost: u64, now_ns: u64) -> bool {
-        let bucket = self
-            .buckets
-            .entry(client.to_string())
-            .or_insert_with(|| Bucket {
-                tokens: self.cfg.burst,
-                last_ns: now_ns,
-            });
-        let dt = now_ns.saturating_sub(bucket.last_ns) as f64 / 1e9;
-        bucket.tokens = (bucket.tokens + dt * self.cfg.refill_per_sec).min(self.cfg.burst);
-        bucket.last_ns = now_ns;
+    /// Try to charge `cost` tokens at time `now_ns`. Refills the bucket
+    /// for the elapsed time first. Returns whether the charge
+    /// succeeded; a failed charge takes nothing.
+    fn try_take(&mut self, cost: u64, now_ns: u64) -> bool {
+        let dt = now_ns.saturating_sub(self.last_ns) as f64 / 1e9;
+        self.tokens = (self.tokens + dt * self.cfg.refill_per_sec).min(self.cfg.burst);
+        self.last_ns = now_ns;
         let cost = cost as f64;
-        if bucket.tokens + 1e-9 >= cost {
-            bucket.tokens -= cost;
+        if self.tokens + 1e-9 >= cost {
+            self.tokens -= cost;
             true
         } else {
             false
@@ -601,49 +591,60 @@ pub struct TenantStats {
 // Serve-layer observability
 // ---------------------------------------------------------------------------
 
-/// One tenant's serve-layer instrumentation: admission counters plus
-/// queue-wait / service / end-to-end latency histograms. All writes are
-/// commutative atomics, so snapshots are interleaving-independent.
-#[derive(Debug)]
-pub struct TenantObs {
-    name: String,
-    /// Interned index in the flight recorder's tenant table.
-    idx: u64,
-    accepted: Counter,
-    rejected_overloaded: Counter,
-    rejected_quota: Counter,
-    errors: Counter,
-    degraded: Counter,
-    queue_ns: Histogram,
-    service_ns: Histogram,
-    e2e_ns: Histogram,
+metrics! {
+    /// One tenant's serve metrics, rendered with a `{tenant="…"}` label.
+    /// The counters are functional and written directly; the stage
+    /// histograms go through `record`.
+    struct TenantMetrics {
+        accepted: Counter = "serve.tenant_accepted",
+        rejected_overloaded: Counter = "serve.tenant_rejected_overloaded",
+        rejected_quota: Counter = "serve.tenant_rejected_quota",
+        errors: Counter = "serve.tenant_errors",
+        degraded: Counter = "serve.tenant_degraded",
+        queue_ns: Histogram = "serve.tenant_queue_ns",
+        service_ns: Histogram = "serve.tenant_service_ns",
+        e2e_ns: Histogram = "serve.tenant_e2e_ns",
+    }
 }
 
-impl TenantObs {
+/// One tenant, registered under its client id in [`ServeObs`]: its
+/// metric table and, under a [`ServeConfig::quota`], its token bucket.
+/// Connections cache the `Arc`, so admission reaches both without a
+/// lookup.
+#[derive(Debug)]
+struct Tenant {
+    name: String,
+    metrics: TenantMetrics,
+    bucket: Option<Mutex<TokenBucket>>,
+}
+
+impl Tenant {
     /// Whether this tenant has ever had a query admitted or rejected.
-    /// Connections are interned at hello time (or under their peer
+    /// Connections register at hello time (or under their peer
     /// address before it), so purely administrative clients — `cli
     /// metrics` scrapers, stats pollers — would otherwise clutter every
     /// per-tenant listing with all-zero rows.
     fn has_admissions(&self) -> bool {
-        self.accepted.get() + self.rejected_overloaded.get() + self.rejected_quota.get() > 0
+        let m = &self.metrics;
+        m.accepted.get() + m.rejected_overloaded.get() + m.rejected_quota.get() > 0
     }
 
     fn stats(&self) -> TenantStats {
+        let m = &self.metrics;
         TenantStats {
             client: self.name.clone(),
-            accepted: self.accepted.get(),
-            rejected_overloaded: self.rejected_overloaded.get(),
-            rejected_quota: self.rejected_quota.get(),
-            errors: self.errors.get(),
-            degraded: self.degraded.get(),
+            accepted: m.accepted.get(),
+            rejected_overloaded: m.rejected_overloaded.get(),
+            rejected_quota: m.rejected_quota.get(),
+            errors: m.errors.get(),
+            degraded: m.degraded.get(),
         }
     }
 }
 
 /// The server's observability state: the serve metric table, the
-/// per-tenant counters and latency histograms, the flight recorder,
-/// the request-id allocator, and the SLO breach latch.
+/// tenant registry, the flight recorder, the request-id allocator,
+/// and the SLO breach latch.
 ///
 /// Latency recording and recorder writes are compiled out without the
 /// `obs` cargo feature; request-id assignment and the admission, error
@@ -651,7 +652,9 @@ impl TenantObs {
 #[derive(Debug)]
 pub struct ServeObs {
     metrics: ServeMetrics,
-    tenants: Mutex<BTreeMap<String, Arc<TenantObs>>>,
+    tenants: Mutex<BTreeMap<String, Arc<Tenant>>>,
+    /// The quota each newly registered tenant's bucket starts with.
+    quota: Option<QuotaConfig>,
     recorder: FlightRecorder,
     next_request_id: AtomicU64,
     slo_p99_ns: Option<u64>,
@@ -670,6 +673,7 @@ impl ServeObs {
         ServeObs {
             metrics: ServeMetrics::new(),
             tenants: Mutex::new(BTreeMap::new()),
+            quota: cfg.quota,
             recorder: FlightRecorder::new(cfg.recorder_capacity),
             next_request_id: AtomicU64::new(0),
             slo_p99_ns: cfg.slo_p99_us.map(|us| us.saturating_mul(1000)),
@@ -685,49 +689,44 @@ impl ServeObs {
         self.next_request_id.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// The (interned) observability handle for a tenant. Takes the
-    /// tenant-map lock; callers cache the handle per connection, so
-    /// this runs at hello time, not per request.
-    fn tenant(&self, name: &str) -> Arc<TenantObs> {
+    /// The tenant registered under `name`, registering it on first
+    /// use. Takes the registry lock; callers cache the handle per
+    /// connection, so this runs at hello time, not per request.
+    fn tenant(&self, name: &str) -> Arc<Tenant> {
         let mut map = self.tenants.lock().expect("tenant map lock poisoned");
-        if let Some(t) = map.get(name) {
-            return t.clone();
-        }
-        let t = Arc::new(TenantObs {
-            name: name.to_string(),
-            idx: self.recorder.tenant_idx(name),
-            accepted: Counter::new(),
-            rejected_overloaded: Counter::new(),
-            rejected_quota: Counter::new(),
-            errors: Counter::new(),
-            degraded: Counter::new(),
-            queue_ns: Histogram::new(),
-            service_ns: Histogram::new(),
-            e2e_ns: Histogram::new(),
-        });
-        map.insert(name.to_string(), t.clone());
-        t
+        map.entry(name.to_string())
+            .or_insert_with(|| {
+                Arc::new(Tenant {
+                    name: name.to_string(),
+                    metrics: TenantMetrics::new(),
+                    bucket: self.quota.map(|q| Mutex::new(TokenBucket::new(q))),
+                })
+            })
+            .clone()
     }
 
     /// Records an admission-control rejection of a query command.
     fn record_rejection(
         &self,
-        tenant: &TenantObs,
+        tenant: &Tenant,
         outcome: RequestOutcome,
         request_id: u64,
         queries: u64,
         sched_lag_ns: u64,
     ) {
-        self.remember(&RequestRecord {
-            request_id,
-            tenant_idx: tenant.idx,
-            queries,
-            queue_ns: 0,
-            service_ns: 0,
-            e2e_ns: sched_lag_ns,
-            coverage_milli: 0,
-            outcome,
-        });
+        if cfg!(feature = "obs") {
+            self.remember(RequestSummary {
+                seq: 0,
+                request_id,
+                tenant: tenant.name.clone(),
+                queries,
+                queue_ns: 0,
+                service_ns: 0,
+                e2e_ns: sched_lag_ns,
+                coverage_milli: 0,
+                outcome,
+            });
+        }
     }
 
     /// Records a completed query pass: latency histograms (global and
@@ -736,7 +735,7 @@ impl ServeObs {
     #[allow(clippy::too_many_arguments)]
     fn record_done(
         &self,
-        tenant: &TenantObs,
+        tenant: &Tenant,
         request_id: u64,
         queries: u64,
         queue_ns: u64,
@@ -748,11 +747,11 @@ impl ServeObs {
         match outcome {
             RequestOutcome::Error => {
                 self.metrics.errors.incr();
-                tenant.errors.incr();
+                tenant.metrics.errors.incr();
             }
             RequestOutcome::Degraded => {
                 self.metrics.degraded_queries.add(queries);
-                tenant.degraded.add(queries);
+                tenant.metrics.degraded.add(queries);
             }
             _ => {}
         }
@@ -760,36 +759,40 @@ impl ServeObs {
             m.queue_ns.record(queue_ns);
             m.service_ns.record(service_ns);
             m.e2e_ns.record(e2e_ns);
-            tenant.queue_ns.record(queue_ns);
-            tenant.service_ns.record(service_ns);
-            tenant.e2e_ns.record(e2e_ns);
         });
-        self.remember(&RequestRecord {
-            request_id,
-            tenant_idx: tenant.idx,
-            queries,
-            queue_ns,
-            service_ns,
-            e2e_ns,
-            coverage_milli,
-            outcome,
+        tenant.metrics.record(|m| {
+            m.queue_ns.record(queue_ns);
+            m.service_ns.record(service_ns);
+            m.e2e_ns.record(e2e_ns);
         });
+        if cfg!(feature = "obs") {
+            self.remember(RequestSummary {
+                seq: 0,
+                request_id,
+                tenant: tenant.name.clone(),
+                queries,
+                queue_ns,
+                service_ns,
+                e2e_ns,
+                coverage_milli,
+                outcome,
+            });
+        }
     }
 
     /// Writes one request summary to the flight recorder, then fires
     /// the dump triggers: an error dumps, and a completed request
-    /// re-checks the SLO. Compiled out without the `obs` feature.
-    fn remember(&self, rec: &RequestRecord) {
-        if cfg!(feature = "obs") {
-            self.recorder.record(rec);
-            match rec.outcome {
-                RequestOutcome::Error => {
-                    self.auto_dump("error");
-                    self.check_slo();
-                }
-                RequestOutcome::Ok | RequestOutcome::Degraded => self.check_slo(),
-                RequestOutcome::Overloaded | RequestOutcome::QuotaExceeded => {}
+    /// re-checks the SLO. Callers skip it without the `obs` feature.
+    fn remember(&self, summary: RequestSummary) {
+        let outcome = summary.outcome;
+        self.recorder.record(summary);
+        match outcome {
+            RequestOutcome::Error => {
+                self.auto_dump("error");
+                self.check_slo();
             }
+            RequestOutcome::Ok | RequestOutcome::Degraded => self.check_slo(),
+            RequestOutcome::Overloaded | RequestOutcome::QuotaExceeded => {}
         }
     }
 
@@ -860,7 +863,7 @@ impl ServeObs {
         }
     }
 
-    fn tenant_list(&self) -> Vec<Arc<TenantObs>> {
+    fn tenant_list(&self) -> Vec<Arc<Tenant>> {
         self.tenants
             .lock()
             .expect("tenant map lock poisoned")
@@ -868,12 +871,6 @@ impl ServeObs {
             .filter(|t| t.has_admissions())
             .cloned()
             .collect()
-    }
-
-    /// Per-tenant admission stats, sorted by client id.
-    #[must_use]
-    pub fn tenant_stats(&self) -> Vec<TenantStats> {
-        self.tenant_list().iter().map(|t| t.stats()).collect()
     }
 
     fn server_stats(&self) -> ServerStats {
@@ -887,52 +884,44 @@ impl ServeObs {
             malformed_frames: m.malformed_frames.get(),
             engine_batches: m.engine_batches.get(),
             coalesced_queries: m.coalesced_queries.get(),
-            per_tenant: self.tenant_stats(),
+            per_tenant: self.tenant_list().iter().map(|t| t.stats()).collect(),
         }
     }
 
     /// Renders the serve-layer half of the Prometheus exposition page:
-    /// the serve metric table, then per-tenant labeled series.
-    /// Deterministic for equal workloads (tenants render in client-id
-    /// order).
+    /// the serve metric table, then each row of the tenant table as one
+    /// series per tenant under a single `# TYPE` header. Deterministic
+    /// for equal workloads (tenants render in client-id order).
     fn render_exposition(&self) -> String {
         let mut out = render_text(&self.metrics.snapshot(), "deepstore_");
-        let p = "deepstore_serve_";
-        let tenants = self.tenant_list();
-        if tenants.is_empty() {
+        let tenants: Vec<(String, MetricsSnapshot)> = self
+            .tenant_list()
+            .iter()
+            .map(|t| {
+                let label = format!("tenant=\"{}\"", label_escape(&t.name));
+                (label, t.metrics.snapshot())
+            })
+            .collect();
+        let Some((_, rows)) = tenants.first() else {
             return out;
-        }
-        let label = |t: &TenantObs| format!("tenant=\"{}\"", label_escape(&t.name));
-        type TenantCounter = fn(&TenantObs) -> u64;
-        type TenantHistogram = fn(&TenantObs) -> &Histogram;
-        let tenant_counters: [(&str, TenantCounter); 5] = [
-            ("tenant_accepted", |t| t.accepted.get()),
-            ("tenant_rejected_overloaded", |t| {
-                t.rejected_overloaded.get()
-            }),
-            ("tenant_rejected_quota", |t| t.rejected_quota.get()),
-            ("tenant_errors", |t| t.errors.get()),
-            ("tenant_degraded", |t| t.degraded.get()),
-        ];
-        for (name, get) in tenant_counters {
-            out.push_str(&format!("# TYPE {p}{name} counter\n"));
-            for t in &tenants {
-                out.push_str(&format!("{p}{name}{{{}}} {}\n", label(t), get(t)));
+        };
+        let full = |name: &str| format!("deepstore_{}", sanitize_name(name));
+        for (i, row) in rows.counters.iter().enumerate() {
+            let full = full(&row.name);
+            out.push_str(&format!("# TYPE {full} counter\n"));
+            for (label, snap) in &tenants {
+                out.push_str(&format!("{full}{{{label}}} {}\n", snap.counters[i].value));
             }
         }
-        let tenant_hists: [(&str, TenantHistogram); 3] = [
-            ("tenant_queue_ns", |t| &t.queue_ns),
-            ("tenant_service_ns", |t| &t.service_ns),
-            ("tenant_e2e_ns", |t| &t.e2e_ns),
-        ];
-        for (name, get) in tenant_hists {
-            out.push_str(&format!("# TYPE {p}{name} histogram\n"));
-            for t in &tenants {
+        for (i, row) in rows.histograms.iter().enumerate() {
+            let full = full(&row.name);
+            out.push_str(&format!("# TYPE {full} histogram\n"));
+            for (label, snap) in &tenants {
                 deepstore_obs::histo::render_histogram_series(
                     &mut out,
-                    &format!("{p}{name}"),
-                    &label(t),
-                    &get(t).sample(name),
+                    &full,
+                    label,
+                    &snap.histograms[i],
                 );
             }
         }
@@ -957,8 +946,8 @@ struct Job {
     /// The end-to-end trace id (assigned at admission when the frame
     /// arrived with 0).
     request_id: u64,
-    /// The issuing tenant's observability handle.
-    tenant: Arc<TenantObs>,
+    /// The issuing tenant.
+    tenant: Arc<Tenant>,
     /// Admission timestamp on the serve clock ([`ServeClock::now_ns`]).
     admitted_ns: u64,
     /// Scheduled-arrival lag carried in the frame.
@@ -973,7 +962,7 @@ impl Job {
     fn new(
         mut cmd: Command,
         obs: &ServeObs,
-        tenant: Arc<TenantObs>,
+        tenant: Arc<Tenant>,
         admitted_ns: u64,
     ) -> (Job, Receiver<Response>) {
         if cmd.request_id() == Some(0) {
@@ -994,7 +983,6 @@ impl Job {
 
 struct Shared {
     jobs: SyncSender<Job>,
-    quota: Option<Mutex<TokenBuckets>>,
     clock: ServeClock,
     obs: Arc<ServeObs>,
     shutdown: Arc<AtomicBool>,
@@ -1005,16 +993,19 @@ struct Shared {
 impl Shared {
     /// Run admission control and enqueue; on rejection, the typed
     /// rejection frame to send instead.
-    fn admit(&self, client: &str, job: Job) -> Result<(), Response> {
+    fn admit(&self, job: Job) -> Result<(), Response> {
         let cost = job.cmd.query_cost();
         let tenant = job.tenant.clone();
         if cost > 0 {
-            if let Some(quota) = &self.quota {
+            if let Some(bucket) = &tenant.bucket {
                 let now = self.clock.now_ns();
-                let mut buckets = quota.lock().expect("quota lock poisoned");
-                if !buckets.try_take(client, cost, now) {
+                if !bucket
+                    .lock()
+                    .expect("quota lock poisoned")
+                    .try_take(cost, now)
+                {
                     self.obs.metrics.rejected_quota.incr();
-                    tenant.rejected_quota.incr();
+                    tenant.metrics.rejected_quota.incr();
                     self.obs.record_rejection(
                         &tenant,
                         RequestOutcome::QuotaExceeded,
@@ -1023,7 +1014,7 @@ impl Shared {
                         job.sched_lag_ns,
                     );
                     return Err(Response::QuotaExceeded {
-                        client: client.to_string(),
+                        client: tenant.name.clone(),
                     });
                 }
             }
@@ -1032,12 +1023,12 @@ impl Shared {
         match self.jobs.try_send(job) {
             Ok(()) => {
                 self.obs.metrics.queries_admitted.add(cost);
-                tenant.accepted.add(cost);
+                tenant.metrics.accepted.add(cost);
                 Ok(())
             }
             Err(TrySendError::Full(_)) => {
                 self.obs.metrics.rejected_overloaded.incr();
-                tenant.rejected_overloaded.incr();
+                tenant.metrics.rejected_overloaded.incr();
                 if cost > 0 {
                     self.obs.record_rejection(
                         &tenant,
@@ -1059,8 +1050,7 @@ impl Shared {
 }
 
 fn conn_loop<C: Connection>(mut conn: C, shared: Arc<Shared>) {
-    let mut client = conn.peer();
-    let mut tenant = shared.obs.tenant(&client);
+    let mut tenant = shared.obs.tenant(&conn.peer());
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -1085,15 +1075,11 @@ fn conn_loop<C: Connection>(mut conn: C, shared: Arc<Shared>) {
                 shared.obs.metrics.malformed_frames.incr();
                 Response::Error(WireError::Malformed(e.to_string()))
             }
-            Ok(Command::Hello {
-                client: id,
-                version,
-            }) => {
+            Ok(Command::Hello { client, version }) => {
                 if version == PROTOCOL_VERSION {
-                    client = id.clone();
                     tenant = shared.obs.tenant(&client);
                     Response::HelloAck {
-                        client: id,
+                        client,
                         version: PROTOCOL_VERSION,
                     }
                 } else {
@@ -1106,7 +1092,7 @@ fn conn_loop<C: Connection>(mut conn: C, shared: Arc<Shared>) {
             Ok(cmd) => {
                 let now = shared.clock.now_ns();
                 let (job, reply) = Job::new(cmd, &shared.obs, tenant.clone(), now);
-                match shared.admit(&client, job) {
+                match shared.admit(job) {
                     Err(rejection) => rejection,
                     Ok(()) => reply.recv().unwrap_or_else(|_| {
                         Response::Error(WireError::Device("server dropped the request".to_string()))
@@ -1424,7 +1410,6 @@ pub fn serve<T: Transport>(mut transport: T, store: DeepStore, cfg: ServeConfig)
 
     let shared = Arc::new(Shared {
         jobs: jobs_tx,
-        quota: cfg.quota.map(|q| Mutex::new(TokenBuckets::new(q))),
         clock: cfg.clock.clone(),
         obs: obs.clone(),
         shutdown: shutdown.clone(),
@@ -1521,7 +1506,7 @@ pub fn simulate(
         while let Some((arrival, cmd)) = arrivals.next_if(|(a, _)| *a <= start) {
             let cost = cmd.query_cost();
             obs.metrics.queries_admitted.add(cost);
-            tenant.accepted.add(cost);
+            tenant.metrics.accepted.add(cost);
             let (job, reply) = Job::new(cmd, &obs, tenant.clone(), arrival);
             jobs.push(job);
             replies.push((arrival, reply));
@@ -1576,25 +1561,45 @@ mod tests {
 
     #[test]
     fn token_bucket_refill_is_deterministic_on_simulated_time() {
-        let mut buckets = TokenBuckets::new(QuotaConfig {
-            burst: 2.0,
-            refill_per_sec: 1.0,
+        let obs = ServeObs::new(&ServeConfig {
+            quota: Some(QuotaConfig {
+                burst: 2.0,
+                refill_per_sec: 1.0,
+            }),
+            ..ServeConfig::default()
         });
+        let try_take = |client: &str, cost: u64, now_ns: u64| {
+            let bucket = obs
+                .tenant(client)
+                .bucket
+                .as_ref()
+                .map(|b| b.lock().unwrap().try_take(cost, now_ns));
+            bucket.expect("a quota gives every tenant a bucket")
+        };
         // Burst of 2 at t=0, third rejected.
-        assert!(buckets.try_take("a", 1, 0));
-        assert!(buckets.try_take("a", 1, 0));
-        assert!(!buckets.try_take("a", 1, 0));
+        assert!(try_take("a", 1, 0));
+        assert!(try_take("a", 1, 0));
+        assert!(!try_take("a", 1, 0));
         // Half a second refills half a token: still rejected.
-        assert!(!buckets.try_take("a", 1, 500_000_000));
+        assert!(!try_take("a", 1, 500_000_000));
         // The next half second completes the token — and the sequence
         // is identical every run because time is simulated.
-        assert!(buckets.try_take("a", 1, 1_000_000_000));
-        assert!(!buckets.try_take("a", 1, 1_000_000_000));
+        assert!(try_take("a", 1, 1_000_000_000));
+        assert!(!try_take("a", 1, 1_000_000_000));
         // Refill caps at burst: a long sleep does not bank extra.
-        assert!(buckets.try_take("a", 2, 60_000_000_000));
-        assert!(!buckets.try_take("a", 1, 60_000_000_000));
+        assert!(try_take("a", 2, 60_000_000_000));
+        assert!(!try_take("a", 1, 60_000_000_000));
         // Tenants are independent.
-        assert!(buckets.try_take("b", 2, 60_000_000_000));
+        assert!(try_take("b", 2, 60_000_000_000));
+    }
+
+    #[test]
+    fn a_tenant_name_maps_to_one_record() {
+        let obs = ServeObs::new(&ServeConfig::default());
+        let a = obs.tenant("a");
+        assert!(Arc::ptr_eq(&a, &obs.tenant("a")));
+        assert!(!Arc::ptr_eq(&a, &obs.tenant("b")));
+        assert!(a.bucket.is_none(), "no quota, no bucket");
     }
 
     #[test]
@@ -1604,7 +1609,6 @@ mod tests {
         let tenant = obs.tenant("a");
         let shared = Shared {
             jobs,
-            quota: None,
             clock: ServeClock::wall(),
             obs,
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -1623,8 +1627,8 @@ mod tests {
             }
         };
         // _rx never drains, so the second admit must reject — not block.
-        assert!(shared.admit("a", job(Command::Stats)).is_ok());
-        match shared.admit("a", job(Command::Stats)) {
+        assert!(shared.admit(job(Command::Stats)).is_ok());
+        match shared.admit(job(Command::Stats)) {
             Err(Response::Overloaded { queue_depth }) => assert_eq!(queue_depth, 1),
             other => panic!("expected Overloaded, got {other:?}"),
         }
@@ -1651,9 +1655,14 @@ mod tests {
 
         let mut host = HostClient::over(connector.connect().unwrap());
         host.hello("tenant-a").unwrap();
+        // A second connection under the same tenant shares its bucket:
+        // one query from each spends the burst of 2.
+        let mut again = HostClient::over(connector.connect().unwrap());
+        again.hello("tenant-a").unwrap();
         let (mid, db) = (crate::api::ModelId(1), crate::engine::DbId(1));
-        for i in 0..2 {
-            host.query(&probe(i), 3, mid, db, AcceleratorLevel::Ssd, false)
+        for (i, client) in [&mut host, &mut again].into_iter().enumerate() {
+            client
+                .query(&probe(i as u64), 3, mid, db, AcceleratorLevel::Ssd, false)
                 .unwrap();
         }
         // Third query: bucket empty, refill zero — always rejected.
@@ -1677,6 +1686,13 @@ mod tests {
         let (_store, stats) = handle.shutdown();
         assert_eq!(stats.rejected_quota, 1);
         assert_eq!(stats.queries_admitted, 3);
+        // Both `tenant-a` connections count in one `per_tenant` row.
+        let rows: Vec<(&str, u64, u64)> = stats
+            .per_tenant
+            .iter()
+            .map(|t| (t.client.as_str(), t.accepted, t.rejected_quota))
+            .collect();
+        assert_eq!(rows, [("tenant-a", 2, 1), ("tenant-b", 1, 0)]);
     }
 
     #[test]

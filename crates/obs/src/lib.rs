@@ -18,9 +18,9 @@
 //! * [`histo`] — percentile estimation over the power-of-two bucket
 //!   histograms plus a Prometheus text-exposition renderer for
 //!   snapshots.
-//! * [`recorder`] — a fixed-size lock-free flight-recorder ring of
-//!   recent request summaries, dumped to deterministic JSON on error,
-//!   SLO breach, or explicit request.
+//! * [`recorder`] — a fixed-capacity, mutex-guarded flight-recorder
+//!   ring of recent request summaries, dumped to deterministic JSON on
+//!   error, SLO breach, or explicit request.
 //!
 //! The crate is dependency-light (serde shims only) and is always
 //! compiled. Recording is gated by the *consumer's* `obs` cargo
@@ -38,7 +38,6 @@ pub use histo::{
 };
 pub use metrics::{Counter, CounterSample, Histogram, HistogramSample, Metric, MetricsSnapshot};
 pub use recorder::{
-    FlightDump, FlightRecorder, RequestOutcome, RequestRecord, RequestSummary,
-    DEFAULT_RECORDER_CAPACITY,
+    FlightDump, FlightRecorder, RequestOutcome, RequestSummary, DEFAULT_RECORDER_CAPACITY,
 };
 pub use trace::{TraceEvent, TraceRecorder};

@@ -1,26 +1,22 @@
-//! Always-on flight recorder: a fixed-size lock-free ring of recent
-//! request summaries.
+//! Always-on flight recorder: a fixed-capacity ring of recent request
+//! summaries behind one mutex.
 //!
 //! The serving layer records one [`RequestSummary`] per finished (or
-//! rejected) request. The ring keeps the last `capacity` of them with
-//! no locks on the write path: a writer claims a unique global sequence
-//! number with one `fetch_add`, then publishes into slot
-//! `seq % capacity` under a per-slot seqlock (odd = write in progress).
-//! Two writers only touch the same slot after `capacity` intervening
-//! requests, so the common case is uncontended; a reader that races a
-//! wrap simply retries or skips the superseded slot.
+//! rejected) request, and the ring keeps the last `capacity` of them.
+//! A write is a short critical section: stamp the sequence number,
+//! evict the oldest entry if full, append. Writes come from the one
+//! engine thread (answered queries) and from connection threads only
+//! on rejection, so the lock is uncontended in steady state; a reader
+//! (a dump) holds it for one copy of the ring and never sees a
+//! half-written entry.
 //!
-//! Tenant names are interned once (at hello time, off the hot path)
-//! so the per-request record is a handful of atomic stores.
-//!
-//! `dump` serializes the surviving summaries — ordered by admission
-//! sequence — to JSON. All timestamps come from the caller's clock
-//! (the serving layer's `ServeClock`), so under a simulated clock two
-//! identical runs produce byte-identical dumps, which the test suite
-//! asserts.
+//! `dump` serializes the surviving summaries — in recording order — to
+//! JSON. All timestamps come from the caller's clock (the serving
+//! layer's `ServeClock`), so under a simulated clock two identical runs
+//! produce byte-identical dumps, which the test suite asserts.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize};
 
@@ -42,32 +38,11 @@ pub enum RequestOutcome {
     QuotaExceeded,
 }
 
-impl RequestOutcome {
-    fn as_u64(self) -> u64 {
-        match self {
-            RequestOutcome::Ok => 0,
-            RequestOutcome::Degraded => 1,
-            RequestOutcome::Error => 2,
-            RequestOutcome::Overloaded => 3,
-            RequestOutcome::QuotaExceeded => 4,
-        }
-    }
-
-    fn from_u64(v: u64) -> Self {
-        match v {
-            1 => RequestOutcome::Degraded,
-            2 => RequestOutcome::Error,
-            3 => RequestOutcome::Overloaded,
-            4 => RequestOutcome::QuotaExceeded,
-            _ => RequestOutcome::Ok,
-        }
-    }
-}
-
 /// One request's life, summarized for the ring.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RequestSummary {
-    /// Global admission sequence number (0-based, monotonic).
+    /// Recording sequence number (0-based, monotonic): the order the
+    /// summary entered the ring.
     pub seq: u64,
     /// The request id carried in (or assigned to) the wire frame.
     pub request_id: u64,
@@ -101,69 +76,19 @@ pub struct FlightDump {
     pub entries: Vec<RequestSummary>,
 }
 
-/// Sentinel for a slot that has never been written.
-const EMPTY: u64 = u64::MAX;
-
-/// One ring slot: a seqlock plus the summary's fields as atomics.
+/// The ring itself: the newest `capacity` summaries, oldest first.
 #[derive(Debug)]
-struct Slot {
-    /// Seqlock: odd while a write is in progress.
-    lock: AtomicU64,
-    seq: AtomicU64,
-    request_id: AtomicU64,
-    tenant_idx: AtomicU64,
-    queries: AtomicU64,
-    queue_ns: AtomicU64,
-    service_ns: AtomicU64,
-    e2e_ns: AtomicU64,
-    /// `coverage_milli << 8 | outcome`.
-    packed: AtomicU64,
+struct Ring {
+    entries: VecDeque<RequestSummary>,
+    /// Summaries ever recorded; the next one's `seq`.
+    total: u64,
 }
 
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            lock: AtomicU64::new(0),
-            seq: AtomicU64::new(EMPTY),
-            request_id: AtomicU64::new(0),
-            tenant_idx: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
-            queue_ns: AtomicU64::new(0),
-            service_ns: AtomicU64::new(0),
-            e2e_ns: AtomicU64::new(0),
-            packed: AtomicU64::new(0),
-        }
-    }
-}
-
-/// What the serving layer hands to [`FlightRecorder::record`]: a
-/// summary with the tenant pre-interned.
-#[derive(Debug, Clone, Copy)]
-pub struct RequestRecord {
-    /// The request id carried in (or assigned to) the wire frame.
-    pub request_id: u64,
-    /// Interned tenant index from [`FlightRecorder::tenant_idx`].
-    pub tenant_idx: u64,
-    /// Queries in the frame.
-    pub queries: u64,
-    /// Queue wait, ns.
-    pub queue_ns: u64,
-    /// Engine service time, ns.
-    pub service_ns: u64,
-    /// End-to-end latency from scheduled arrival, ns.
-    pub e2e_ns: u64,
-    /// Worst coverage across the frame, in 1/1000.
-    pub coverage_milli: u64,
-    /// How the request ended.
-    pub outcome: RequestOutcome,
-}
-
-/// Fixed-size lock-free ring of recent [`RequestSummary`]s.
+/// Fixed-capacity ring of recent [`RequestSummary`]s behind one mutex.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    slots: Box<[Slot]>,
-    cursor: AtomicU64,
-    tenants: Mutex<Vec<String>>,
+    capacity: usize,
+    ring: Mutex<Ring>,
 }
 
 impl FlightRecorder {
@@ -173,115 +98,60 @@ impl FlightRecorder {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         FlightRecorder {
-            slots: (0..capacity).map(|_| Slot::new()).collect(),
-            cursor: AtomicU64::new(0),
-            tenants: Mutex::new(Vec::new()),
+            capacity,
+            ring: Mutex::new(Ring {
+                entries: VecDeque::with_capacity(capacity),
+                total: 0,
+            }),
         }
+    }
+
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().expect("flight recorder poisoned")
     }
 
     /// Ring capacity.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Total requests ever recorded.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.cursor.load(Ordering::Acquire)
+        self.ring().total
     }
 
-    /// Interns a tenant name, returning its stable index. Called once
-    /// per connection (at hello), not per request.
-    pub fn tenant_idx(&self, name: &str) -> u64 {
-        let mut tenants = self.tenants.lock().expect("tenant interner poisoned");
-        if let Some(i) = tenants.iter().position(|t| t == name) {
-            return i as u64;
+    /// Records one request summary, stamping its `seq` with the next
+    /// sequence number and evicting the oldest entry when full.
+    pub fn record(&self, mut summary: RequestSummary) {
+        let mut ring = self.ring();
+        summary.seq = ring.total;
+        ring.total += 1;
+        if ring.entries.len() == self.capacity {
+            ring.entries.pop_front();
         }
-        tenants.push(name.to_string());
-        (tenants.len() - 1) as u64
+        ring.entries.push_back(summary);
     }
 
-    /// Records one request summary (lock-free).
-    pub fn record(&self, r: &RequestRecord) {
-        let seq = self.cursor.fetch_add(1, Ordering::AcqRel);
-        let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
-        slot.lock.fetch_add(1, Ordering::AcqRel); // now odd: write in progress
-        slot.seq.store(seq, Ordering::Relaxed);
-        slot.request_id.store(r.request_id, Ordering::Relaxed);
-        slot.tenant_idx.store(r.tenant_idx, Ordering::Relaxed);
-        slot.queries.store(r.queries, Ordering::Relaxed);
-        slot.queue_ns.store(r.queue_ns, Ordering::Relaxed);
-        slot.service_ns.store(r.service_ns, Ordering::Relaxed);
-        slot.e2e_ns.store(r.e2e_ns, Ordering::Relaxed);
-        slot.packed.store(
-            r.coverage_milli << 8 | r.outcome.as_u64(),
-            Ordering::Relaxed,
-        );
-        slot.lock.fetch_add(1, Ordering::Release); // even again: published
-    }
-
-    /// The surviving summaries, oldest first. Slots mid-write (or
-    /// superseded while being read) are skipped rather than torn.
+    /// The surviving summaries, oldest first.
     #[must_use]
     pub fn snapshot(&self) -> Vec<RequestSummary> {
-        let tenants = self
-            .tenants
-            .lock()
-            .expect("tenant interner poisoned")
-            .clone();
-        let total = self.total();
-        let oldest = total.saturating_sub(self.slots.len() as u64);
-        let mut entries = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            // Seqlock read: retry while a write is in flight, give up
-            // on a slot that keeps changing (it is being overwritten
-            // with newer data we will not wait for).
-            for _ in 0..8 {
-                let before = slot.lock.load(Ordering::Acquire);
-                if before % 2 == 1 {
-                    std::hint::spin_loop();
-                    continue;
-                }
-                let seq = slot.seq.load(Ordering::Relaxed);
-                let summary = RequestSummary {
-                    seq,
-                    request_id: slot.request_id.load(Ordering::Relaxed),
-                    tenant: tenants
-                        .get(slot.tenant_idx.load(Ordering::Relaxed) as usize)
-                        .cloned()
-                        .unwrap_or_default(),
-                    queries: slot.queries.load(Ordering::Relaxed),
-                    queue_ns: slot.queue_ns.load(Ordering::Relaxed),
-                    service_ns: slot.service_ns.load(Ordering::Relaxed),
-                    e2e_ns: slot.e2e_ns.load(Ordering::Relaxed),
-                    coverage_milli: slot.packed.load(Ordering::Relaxed) >> 8,
-                    outcome: RequestOutcome::from_u64(slot.packed.load(Ordering::Relaxed) & 0xff),
-                };
-                if slot.lock.load(Ordering::Acquire) != before {
-                    continue;
-                }
-                if seq != EMPTY && seq >= oldest && seq < total {
-                    entries.push(summary);
-                }
-                break;
-            }
-        }
-        entries.sort_by_key(|e| e.seq);
-        entries
+        self.ring().entries.iter().cloned().collect()
     }
 
     /// Serializes the ring to a deterministic JSON document.
     #[must_use]
     pub fn dump(&self, reason: &str) -> String {
-        let entries = self.snapshot();
-        serde_json::to_string(&FlightDump {
+        let ring = self.ring();
+        let dump = FlightDump {
             reason: reason.to_string(),
-            total: self.total(),
-            capacity: self.slots.len() as u64,
-            entries,
-        })
-        .expect("flight dump serializes")
+            total: ring.total,
+            capacity: self.capacity as u64,
+            entries: ring.entries.iter().cloned().collect(),
+        };
+        drop(ring);
+        serde_json::to_string(&dump).expect("flight dump serializes")
     }
 }
 
@@ -289,10 +159,11 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
-    fn rec(request_id: u64, tenant_idx: u64) -> RequestRecord {
-        RequestRecord {
+    fn rec(request_id: u64, tenant: &str) -> RequestSummary {
+        RequestSummary {
+            seq: 0,
             request_id,
-            tenant_idx,
+            tenant: tenant.to_string(),
             queries: 1,
             queue_ns: 10 * request_id,
             service_ns: 100,
@@ -305,9 +176,8 @@ mod tests {
     #[test]
     fn ring_keeps_the_newest_entries_on_wraparound() {
         let r = FlightRecorder::new(4);
-        let t = r.tenant_idx("cli");
         for i in 0..10 {
-            r.record(&rec(i, t));
+            r.record(rec(i, "cli"));
         }
         assert_eq!(r.total(), 10);
         let snap = r.snapshot();
@@ -322,9 +192,8 @@ mod tests {
     fn dump_is_deterministic_json() {
         let build = || {
             let r = FlightRecorder::new(8);
-            let t = r.tenant_idx("lg-0");
             for i in 0..5 {
-                r.record(&rec(i, t));
+                r.record(rec(i, "lg-0"));
             }
             r.dump("explicit")
         };
@@ -339,56 +208,41 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_round_trip_through_packing() {
-        for o in [
-            RequestOutcome::Ok,
-            RequestOutcome::Degraded,
-            RequestOutcome::Error,
-            RequestOutcome::Overloaded,
-            RequestOutcome::QuotaExceeded,
-        ] {
-            assert_eq!(RequestOutcome::from_u64(o.as_u64()), o);
-        }
+    fn a_recorded_summary_reads_back_unchanged() {
         let r = FlightRecorder::new(2);
-        let t = r.tenant_idx("x");
-        let mut q = rec(1, t);
+        let mut q = rec(1, "x");
         q.outcome = RequestOutcome::QuotaExceeded;
         q.coverage_milli = 875;
-        r.record(&q);
+        r.record(q);
         let snap = r.snapshot();
         assert_eq!(snap[0].outcome, RequestOutcome::QuotaExceeded);
         assert_eq!(snap[0].coverage_milli, 875);
     }
 
+    /// Capacities 1 and 2 make every write contend for one or two
+    /// slots, the case a per-slot seqlock tears under.
     #[test]
     fn concurrent_writers_never_tear_a_read() {
-        let r = FlightRecorder::new(16);
-        let t = r.tenant_idx("w");
-        std::thread::scope(|s| {
-            for w in 0..4 {
-                let r = &r;
-                s.spawn(move || {
-                    for i in 0..500 {
-                        r.record(&rec(w * 1000 + i, t));
-                    }
-                });
-            }
-            for _ in 0..50 {
-                // Every visible entry is internally consistent.
-                for e in r.snapshot() {
-                    assert_eq!(e.e2e_ns, 100 + 10 * e.request_id);
+        for capacity in [1, 2, 16] {
+            let r = FlightRecorder::new(capacity);
+            std::thread::scope(|s| {
+                for w in 0..4 {
+                    let r = &r;
+                    s.spawn(move || {
+                        for i in 0..500 {
+                            r.record(rec(w * 1000 + i, "w"));
+                        }
+                    });
                 }
-            }
-        });
-        assert_eq!(r.total(), 2000);
-        assert_eq!(r.snapshot().len(), 16);
-    }
-
-    #[test]
-    fn tenant_interning_is_stable() {
-        let r = FlightRecorder::new(2);
-        assert_eq!(r.tenant_idx("a"), 0);
-        assert_eq!(r.tenant_idx("b"), 1);
-        assert_eq!(r.tenant_idx("a"), 0);
+                for _ in 0..50 {
+                    // Every visible entry is internally consistent.
+                    for e in r.snapshot() {
+                        assert_eq!(e.e2e_ns, 100 + 10 * e.request_id, "capacity {capacity}");
+                    }
+                }
+            });
+            assert_eq!(r.total(), 2000);
+            assert_eq!(r.snapshot().len(), capacity);
+        }
     }
 }

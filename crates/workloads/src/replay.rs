@@ -8,7 +8,7 @@
 //! Poisson process over a [`QueryStream`], and save/load to JSON so traces
 //! can be captured once and replayed across experiments.
 
-use crate::trace::{QueryStream, TraceDistribution};
+use crate::trace::QueryStream;
 use deepstore_flash::SimDuration;
 use deepstore_nn::Tensor;
 use rand::rngs::StdRng;
@@ -123,21 +123,10 @@ impl QueryTrace {
     }
 }
 
-/// Convenience: a Zipf(0.7) TIR-shaped trace at a given load.
-pub fn tir_trace(n: usize, offered_qps: f64, seed: u64) -> QueryTrace {
-    let mut stream = QueryStream::new(
-        512,
-        10_000,
-        2_000,
-        TraceDistribution::Zipfian { alpha: 0.7 },
-        seed,
-    );
-    QueryTrace::generate(&mut stream, n, offered_qps, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceDistribution;
 
     fn stream() -> QueryStream {
         QueryStream::new(16, 100, 10, TraceDistribution::Uniform, 3)
@@ -196,13 +185,6 @@ mod tests {
         };
         assert!(t.is_empty());
         assert_eq!(t.duration(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn tir_trace_has_tir_dimension() {
-        let t = tir_trace(10, 5.0, 1);
-        assert_eq!(t.entries[0].qfv.len(), 512);
-        assert!((t.offered_qps - 5.0).abs() < 1e-12);
     }
 
     #[test]
