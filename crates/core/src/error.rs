@@ -8,14 +8,21 @@
 //! match on what actually went wrong, and wraps genuine flash/FTL
 //! failures as [`DeepStoreError::Flash`] (with a `From` impl, so `?`
 //! propagates them unchanged through the device layers).
+//!
+//! The same type is the wire's error: a `Response::Error` frame of the
+//! command protocol ([`crate::proto`]) carries a [`DeepStoreError`]
+//! as is, so a remote host gets back exactly the value the local API
+//! would have returned.
 
 use crate::api::{ModelId, QueryId};
 use crate::config::AcceleratorLevel;
 use deepstore_flash::FlashError;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Errors surfaced by the DeepStore device API.
-#[derive(Debug, Clone, PartialEq)]
+/// Errors surfaced by the DeepStore device API, locally and over the
+/// wire.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum DeepStoreError {
     /// A [`ModelId`] that was never returned by `loadModel` (or whose
     /// model was since unloaded).
@@ -69,9 +76,12 @@ pub enum DeepStoreError {
         /// out.
         client: String,
     },
-    /// A device-side failure reported over the wire that has no
-    /// structured local counterpart (e.g. a flash error carried as
-    /// prose in a response frame).
+    /// A command frame the device could not parse (framing or
+    /// payload); carries the [`crate::proto::ProtoError`] text.
+    Malformed(String),
+    /// A failure reported over the wire that has no structured type: a
+    /// model graph that does not parse, a server that is shutting down,
+    /// or a server that dropped the request.
     Remote(String),
 }
 
@@ -103,6 +113,7 @@ impl fmt::Display for DeepStoreError {
             DeepStoreError::QuotaExceeded { client } => {
                 write!(f, "quota exceeded for client `{client}`")
             }
+            DeepStoreError::Malformed(e) => write!(f, "malformed request: {e}"),
             DeepStoreError::Remote(e) => write!(f, "remote device error: {e}"),
         }
     }

@@ -9,6 +9,12 @@
 //! [`DeepStore`] engine; [`HostClient`] is the host-side convenience
 //! wrapper that speaks bytes to a device.
 //!
+//! A command that fails answers [`Response::Error`], which carries the
+//! [`DeepStoreError`] itself: a host on the wire gets back the very
+//! value the local API returns for the same call, and a serving front
+//! end's admission rejections are two of its variants
+//! ([`DeepStoreError::Overloaded`], [`DeepStoreError::QuotaExceeded`]).
+//!
 //! # Example
 //!
 //! ```
@@ -45,8 +51,13 @@ pub const VERSION: u8 = 1;
 /// handshake ([`Command::Hello`]/[`Response::HelloAck`]). Independent of
 /// the frame-header [`VERSION`]: the header byte gates frame *parsing*,
 /// this gates command *semantics*. A peer announcing a different value
-/// is rejected with [`WireError::VersionMismatch`].
-pub const PROTOCOL_VERSION: u32 = 2;
+/// is rejected with [`DeepStoreError::VersionMismatch`].
+///
+/// Version 3 made error frames carry [`DeepStoreError`] as is: flash
+/// errors travel structured instead of as text, and admission
+/// rejections became error frames, so a version-2 peer would misparse
+/// them.
+pub const PROTOCOL_VERSION: u32 = 3;
 /// Frame header length: magic(4) + version(1) + opcode(1) + len(4).
 pub const HEADER_LEN: usize = 10;
 /// Largest payload a peer may declare. A stream reader that trusted the
@@ -66,7 +77,8 @@ pub enum ProtoError {
     BadVersion(u8),
     /// Unknown opcode byte.
     UnknownOpcode(u8),
-    /// The payload failed to deserialize.
+    /// The payload failed to deserialize, or bytes follow it past the
+    /// length its header declared.
     BadPayload(String),
     /// The length prefix exceeds [`MAX_FRAME_LEN`].
     FrameTooLarge {
@@ -80,8 +92,9 @@ pub enum ProtoError {
     ConnectionClosed,
     /// A transport-level I/O failure.
     Io(String),
-    /// The device rejected the command (structured; see [`WireError`]).
-    Device(WireError),
+    /// The device rejected the command with the error the local API
+    /// returns for it.
+    Device(DeepStoreError),
 }
 
 impl ProtoError {
@@ -91,7 +104,7 @@ impl ProtoError {
     /// wire-level failure.
     pub fn device_error(&self) -> Option<DeepStoreError> {
         match self {
-            ProtoError::Device(w) => Some(w.clone().into()),
+            ProtoError::Device(e) => Some(e.clone()),
             _ => None,
         }
     }
@@ -101,8 +114,9 @@ impl ProtoError {
     pub fn is_rejection(&self) -> bool {
         matches!(
             self,
-            ProtoError::Device(WireError::Overloaded { .. })
-                | ProtoError::Device(WireError::QuotaExceeded { .. })
+            ProtoError::Device(
+                DeepStoreError::Overloaded { .. } | DeepStoreError::QuotaExceeded { .. }
+            )
         )
     }
 }
@@ -126,142 +140,6 @@ impl fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
-
-/// A device-side error as carried in a [`Response::Error`] frame: the
-/// serializable mirror of [`DeepStoreError`], plus the serving-layer
-/// rejections. Structured variants round-trip losslessly; flash/FTL
-/// failures travel as prose ([`WireError::Device`]) because their
-/// payload types are not wire types.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum WireError {
-    /// Mirror of [`DeepStoreError::UnknownModel`].
-    UnknownModel(u64),
-    /// Mirror of [`DeepStoreError::UnknownQuery`].
-    UnknownQuery(u64),
-    /// Mirror of [`DeepStoreError::LevelUnsupported`].
-    LevelUnsupported {
-        /// Name of the model that has no mapping at this level.
-        model: String,
-        /// The accelerator level that was requested.
-        level: AcceleratorLevel,
-    },
-    /// Mirror of [`DeepStoreError::InsufficientCoverage`].
-    InsufficientCoverage {
-        /// The coverage fraction the request demanded.
-        required: f64,
-        /// The coverage fraction the scan actually achieved.
-        achieved: f64,
-    },
-    /// The server's bounded pending queue was full (admission control).
-    Overloaded {
-        /// Capacity of the pending queue that was full.
-        queue_depth: u64,
-    },
-    /// The per-tenant token bucket was empty (admission control).
-    QuotaExceeded {
-        /// The client id whose quota ran out.
-        client: String,
-    },
-    /// Mirror of [`crate::DeepStoreError::VersionMismatch`]: the peer
-    /// (or a persisted image behind the device) speaks a different
-    /// format/protocol version than this build.
-    VersionMismatch {
-        /// The version this side understands.
-        expected: u32,
-        /// The version the peer announced (or the image carried).
-        found: u32,
-    },
-    /// Any other device-side failure, carried as prose (flash/FTL
-    /// errors, model-graph parse failures).
-    Device(String),
-    /// The request frame itself was malformed (framing or payload).
-    Malformed(String),
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::UnknownModel(id) => write!(f, "unknown model id {id}"),
-            WireError::UnknownQuery(id) => write!(f, "unknown query id {id}"),
-            WireError::LevelUnsupported { model, level } => {
-                write!(f, "model `{model}` has no {level}-level mapping")
-            }
-            WireError::InsufficientCoverage { required, achieved } => {
-                write!(
-                    f,
-                    "insufficient coverage: scan reached {achieved:.4} of the \
-                     database, request requires {required:.4}"
-                )
-            }
-            WireError::Overloaded { queue_depth } => {
-                write!(
-                    f,
-                    "server overloaded: pending queue (depth {queue_depth}) is full"
-                )
-            }
-            WireError::QuotaExceeded { client } => {
-                write!(f, "quota exceeded for client `{client}`")
-            }
-            WireError::VersionMismatch { expected, found } => {
-                write!(f, "version mismatch: expected {expected}, found {found}")
-            }
-            WireError::Device(e) => f.write_str(e),
-            WireError::Malformed(e) => write!(f, "malformed request: {e}"),
-        }
-    }
-}
-
-impl From<&DeepStoreError> for WireError {
-    fn from(e: &DeepStoreError) -> Self {
-        match e {
-            DeepStoreError::UnknownModel(id) => WireError::UnknownModel(id.0),
-            DeepStoreError::UnknownQuery(id) => WireError::UnknownQuery(id.0),
-            DeepStoreError::LevelUnsupported { model, level } => WireError::LevelUnsupported {
-                model: model.clone(),
-                level: *level,
-            },
-            DeepStoreError::InsufficientCoverage { required, achieved } => {
-                WireError::InsufficientCoverage {
-                    required: *required,
-                    achieved: *achieved,
-                }
-            }
-            DeepStoreError::Overloaded { queue_depth } => WireError::Overloaded {
-                queue_depth: *queue_depth,
-            },
-            DeepStoreError::QuotaExceeded { client } => WireError::QuotaExceeded {
-                client: client.clone(),
-            },
-            DeepStoreError::VersionMismatch { expected, found } => WireError::VersionMismatch {
-                expected: *expected,
-                found: *found,
-            },
-            DeepStoreError::Flash(e) => WireError::Device(e.to_string()),
-            DeepStoreError::Remote(e) => WireError::Device(e.clone()),
-        }
-    }
-}
-
-impl From<WireError> for DeepStoreError {
-    fn from(e: WireError) -> Self {
-        match e {
-            WireError::UnknownModel(id) => DeepStoreError::UnknownModel(ModelId(id)),
-            WireError::UnknownQuery(id) => DeepStoreError::UnknownQuery(QueryId(id)),
-            WireError::LevelUnsupported { model, level } => {
-                DeepStoreError::LevelUnsupported { model, level }
-            }
-            WireError::InsufficientCoverage { required, achieved } => {
-                DeepStoreError::InsufficientCoverage { required, achieved }
-            }
-            WireError::Overloaded { queue_depth } => DeepStoreError::Overloaded { queue_depth },
-            WireError::QuotaExceeded { client } => DeepStoreError::QuotaExceeded { client },
-            WireError::VersionMismatch { expected, found } => {
-                DeepStoreError::VersionMismatch { expected, found }
-            }
-            WireError::Device(e) | WireError::Malformed(e) => DeepStoreError::Remote(e),
-        }
-    }
-}
 
 /// Host→device commands (the Table 2 call set).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -350,9 +228,10 @@ pub enum Command {
     Stats,
     /// `hello`: the serving handshake. Identifies the tenant for
     /// per-client quota accounting and announces the client's
-    /// [`PROTOCOL_VERSION`]; a mismatched version is rejected with
-    /// [`WireError::VersionMismatch`]. Connections that skip the
-    /// handshake are billed to a per-connection anonymous id.
+    /// [`PROTOCOL_VERSION`]; a mismatched version is answered with a
+    /// [`Response::Error`] carrying [`DeepStoreError::VersionMismatch`],
+    /// by a bare device and a serving front end alike. Connections that
+    /// skip the handshake are billed to a per-connection anonymous id.
     Hello {
         /// The client/tenant id to bill subsequent queries to.
         client: String,
@@ -498,20 +377,12 @@ pub enum Response {
         /// The application protocol version the server speaks.
         version: u32,
     },
-    /// Rejected by admission control: the pending queue was full. The
-    /// request was not enqueued; retry after backing off.
-    Overloaded {
-        /// Capacity of the pending queue that was full.
-        queue_depth: u64,
-    },
-    /// Rejected by admission control: the client's token bucket was
-    /// empty.
-    QuotaExceeded {
-        /// The client id whose quota ran out.
-        client: String,
-    },
-    /// The command failed on the device.
-    Error(WireError),
+    /// The command failed: the error the local API returns for it, a
+    /// malformed frame ([`DeepStoreError::Malformed`]), or a serving
+    /// front end's admission rejection ([`DeepStoreError::Overloaded`],
+    /// [`DeepStoreError::QuotaExceeded`]; the request was not enqueued,
+    /// retry after backing off).
+    Error(DeepStoreError),
 }
 
 fn frame(opcode: u8, payload: &[u8]) -> Vec<u8> {
@@ -524,28 +395,41 @@ fn frame(opcode: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-fn unframe(bytes: &[u8]) -> Result<(u8, &[u8]), ProtoError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(ProtoError::Truncated);
-    }
-    if bytes[..4] != MAGIC {
+/// Checks a frame header (magic, version, the [`MAX_FRAME_LEN`] cap)
+/// and returns its opcode and declared payload length.
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, usize), ProtoError> {
+    if header[..4] != MAGIC {
         return Err(ProtoError::BadMagic);
     }
-    if bytes[4] != VERSION {
-        return Err(ProtoError::BadVersion(bytes[4]));
+    if header[4] != VERSION {
+        return Err(ProtoError::BadVersion(header[4]));
     }
-    let opcode = bytes[5];
-    let len = u32::from_le_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]) as usize;
+    let len = u32::from_le_bytes([header[6], header[7], header[8], header[9]]) as usize;
     if len > MAX_FRAME_LEN {
         return Err(ProtoError::FrameTooLarge {
             len: len as u64,
             max: MAX_FRAME_LEN as u64,
         });
     }
-    let payload = bytes
-        .get(HEADER_LEN..HEADER_LEN + len)
+    Ok((header[5], len))
+}
+
+/// Splits one whole frame into its opcode and payload. The payload must
+/// end exactly where the header says: a message holding more than one
+/// frame is refused, not answered once.
+fn unframe(bytes: &[u8]) -> Result<(u8, &[u8]), ProtoError> {
+    let (header, payload) = bytes
+        .split_first_chunk::<HEADER_LEN>()
         .ok_or(ProtoError::Truncated)?;
-    Ok((opcode, payload))
+    let (opcode, len) = parse_header(header)?;
+    match payload.len().cmp(&len) {
+        std::cmp::Ordering::Less => Err(ProtoError::Truncated),
+        std::cmp::Ordering::Equal => Ok((opcode, payload)),
+        std::cmp::Ordering::Greater => Err(ProtoError::BadPayload(format!(
+            "{} bytes follow the declared {len}-byte payload",
+            payload.len() - len
+        ))),
+    }
 }
 
 fn io_err(e: std::io::Error) -> ProtoError {
@@ -569,19 +453,7 @@ pub(crate) fn read_frame_after(first: u8, r: &mut impl Read) -> Result<Vec<u8>, 
     let mut header = [0u8; HEADER_LEN];
     header[0] = first;
     read_exact_frame(r, &mut header[1..])?;
-    if header[..4] != MAGIC {
-        return Err(ProtoError::BadMagic);
-    }
-    if header[4] != VERSION {
-        return Err(ProtoError::BadVersion(header[4]));
-    }
-    let len = u32::from_le_bytes([header[6], header[7], header[8], header[9]]) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(ProtoError::FrameTooLarge {
-            len: len as u64,
-            max: MAX_FRAME_LEN as u64,
-        });
-    }
+    let (_, len) = parse_header(&header)?;
     let mut out = vec![0u8; HEADER_LEN + len];
     out[..HEADER_LEN].copy_from_slice(&header);
     read_exact_frame(r, &mut out[HEADER_LEN..])?;
@@ -718,7 +590,7 @@ impl Device {
         self.frames_handled += 1;
         let resp = match decode_command(frame_bytes) {
             Ok(cmd) => self.dispatch(cmd),
-            Err(e) => Response::Error(WireError::Malformed(e.to_string())),
+            Err(e) => Response::Error(DeepStoreError::Malformed(e.to_string())),
         };
         encode_response(&resp)
     }
@@ -737,7 +609,7 @@ impl Device {
             }
             Command::LoadModel { graph } => match ModelGraph::from_bytes(&graph) {
                 Ok(g) => self.store.load_model(&g).map(Response::ModelLoaded),
-                Err(e) => return Response::Error(WireError::Device(e.to_string())),
+                Err(e) => Err(DeepStoreError::Remote(e.to_string())),
             },
             Command::SetQc { config } => {
                 self.store.set_qc(config);
@@ -800,22 +672,23 @@ impl Device {
             }),
             // A bare device accepts any tenant; the serving front end
             // intercepts `hello` for quota accounting before dispatch.
-            // Version skew is rejected here and there alike.
-            Command::Hello { client, version } => {
-                if version == PROTOCOL_VERSION {
-                    Ok(Response::HelloAck {
-                        client,
-                        version: PROTOCOL_VERSION,
-                    })
-                } else {
-                    return Response::Error(WireError::VersionMismatch {
-                        expected: PROTOCOL_VERSION,
-                        found: version,
-                    });
-                }
-            }
+            Command::Hello { client, version } => return answer_hello(client, version),
         };
-        result.unwrap_or_else(|e| Response::Error(WireError::from(&e)))
+        result.unwrap_or_else(Response::Error)
+    }
+}
+
+/// The answer to `hello`, from a bare device and a serving front end
+/// alike: an ack when the client speaks this build's
+/// [`PROTOCOL_VERSION`], a typed version mismatch otherwise.
+pub(crate) fn answer_hello(client: String, version: u32) -> Response {
+    if version == PROTOCOL_VERSION {
+        Response::HelloAck { client, version }
+    } else {
+        Response::Error(DeepStoreError::VersionMismatch {
+            expected: PROTOCOL_VERSION,
+            found: version,
+        })
     }
 }
 
@@ -875,17 +748,8 @@ impl<C: CommandChannel> HostClient<C> {
 
     fn round_trip(&mut self, cmd: &Command) -> Result<Response, ProtoError> {
         let resp_bytes = self.chan.exchange(&encode_command(cmd))?;
-        // Every rejection shape becomes a typed error here, so callers
-        // (load generators included) can survive rejection frames and
-        // recover the structured `DeepStoreError` via `device_error()`.
         match decode_response(&resp_bytes)? {
             Response::Error(e) => Err(ProtoError::Device(e)),
-            Response::Overloaded { queue_depth } => {
-                Err(ProtoError::Device(WireError::Overloaded { queue_depth }))
-            }
-            Response::QuotaExceeded { client } => {
-                Err(ProtoError::Device(WireError::QuotaExceeded { client }))
-            }
             other => Ok(other),
         }
     }
@@ -897,8 +761,8 @@ impl<C: CommandChannel> HostClient<C> {
     /// # Errors
     ///
     /// Returns [`ProtoError::Device`] if the server rejects the
-    /// handshake — [`WireError::VersionMismatch`] when the two sides
-    /// speak different protocol versions.
+    /// handshake — [`DeepStoreError::VersionMismatch`] when the two
+    /// sides speak different protocol versions.
     pub fn hello(&mut self, client: &str) -> Result<(), ProtoError> {
         match self.round_trip(&Command::Hello {
             client: client.to_string(),
@@ -906,7 +770,7 @@ impl<C: CommandChannel> HostClient<C> {
         })? {
             Response::HelloAck { version, .. } if version == PROTOCOL_VERSION => Ok(()),
             Response::HelloAck { version, .. } => {
-                Err(ProtoError::Device(WireError::VersionMismatch {
+                Err(ProtoError::Device(DeepStoreError::VersionMismatch {
                     expected: PROTOCOL_VERSION,
                     found: version,
                 }))
@@ -1439,13 +1303,12 @@ mod tests {
             .min_coverage(1.0)];
         let err = host.query_batch(&reqs).unwrap_err();
         match &err {
-            ProtoError::Device(WireError::InsufficientCoverage { required, achieved }) => {
+            ProtoError::Device(DeepStoreError::InsufficientCoverage { required, achieved }) => {
                 assert_eq!(*required, 1.0);
                 assert!(*achieved < 1.0);
             }
             other => panic!("expected a typed coverage error, got {other:?}"),
         }
-        // The wire error converts back into the engine's error type.
         assert!(matches!(
             err.device_error(),
             Some(DeepStoreError::InsufficientCoverage { required, .. }) if required == 1.0
@@ -1482,10 +1345,12 @@ mod tests {
         let mut host = HostClient::new(&mut device);
         let err = host.read_db(DbId(42), 0, 1).unwrap_err();
         assert!(matches!(err, ProtoError::Device(_)));
-        assert!(matches!(
+        assert_eq!(
             err.device_error(),
-            Some(DeepStoreError::Remote(_))
-        ));
+            Some(DeepStoreError::Flash(
+                deepstore_flash::FlashError::UnknownDb(42)
+            ))
+        );
         assert!(!err.is_rejection());
         // Unweighted model rejected through the wire too.
         let err = host
@@ -1524,7 +1389,7 @@ mod tests {
         });
         assert_eq!(
             resp,
-            Response::Error(WireError::VersionMismatch {
+            Response::Error(DeepStoreError::VersionMismatch {
                 expected: PROTOCOL_VERSION,
                 found: PROTOCOL_VERSION + 1,
             })
@@ -1559,13 +1424,13 @@ mod tests {
                 client: "t".into(),
                 version: PROTOCOL_VERSION,
             },
-            Response::Overloaded { queue_depth: 4 },
-            Response::QuotaExceeded { client: "t".into() },
-            Response::Error(WireError::InsufficientCoverage {
+            Response::Error(DeepStoreError::Overloaded { queue_depth: 4 }),
+            Response::Error(DeepStoreError::QuotaExceeded { client: "t".into() }),
+            Response::Error(DeepStoreError::InsufficientCoverage {
                 required: 0.9,
                 achieved: 0.25,
             }),
-            Response::Error(WireError::Malformed("bad magic".into())),
+            Response::Error(DeepStoreError::Malformed("bad magic".into())),
         ];
         for resp in frames {
             assert_eq!(decode_response(&encode_response(&resp)).unwrap(), resp);
@@ -1578,7 +1443,9 @@ mod tests {
                 Ok(self.0.clone())
             }
         }
-        let overloaded = encode_response(&Response::Overloaded { queue_depth: 8 });
+        let overloaded = encode_response(&Response::Error(DeepStoreError::Overloaded {
+            queue_depth: 8,
+        }));
         let mut host = HostClient::over(Canned(overloaded));
         let err = host.stats().unwrap_err();
         assert!(err.is_rejection());
@@ -1586,36 +1453,6 @@ mod tests {
             err.device_error(),
             Some(DeepStoreError::Overloaded { queue_depth: 8 })
         );
-    }
-
-    #[test]
-    fn wire_errors_mirror_engine_errors() {
-        let cases = vec![
-            DeepStoreError::UnknownModel(ModelId(4)),
-            DeepStoreError::UnknownQuery(QueryId(9)),
-            DeepStoreError::LevelUnsupported {
-                model: "reid".into(),
-                level: AcceleratorLevel::Chip,
-            },
-            DeepStoreError::InsufficientCoverage {
-                required: 0.75,
-                achieved: 0.5,
-            },
-            DeepStoreError::Overloaded { queue_depth: 2 },
-            DeepStoreError::QuotaExceeded { client: "t".into() },
-            DeepStoreError::VersionMismatch {
-                expected: 1,
-                found: 4,
-            },
-        ];
-        for e in cases {
-            let wire = WireError::from(&e);
-            assert_eq!(DeepStoreError::from(wire), e, "lossless mirror");
-        }
-        // Flash errors degrade to prose but keep their message.
-        let flash = DeepStoreError::Flash(deepstore_flash::FlashError::UnknownDb(3));
-        let wire = WireError::from(&flash);
-        assert!(matches!(&wire, WireError::Device(msg) if msg.contains('3')));
     }
 
     #[test]

@@ -27,17 +27,18 @@
 //!   accelerators, §4.7.1).
 //!
 //! * **Admission control before the queue.** A bounded pending queue
-//!   rejects with a typed `Overloaded` frame when full (backpressure,
-//!   never a hang), and optional per-tenant token buckets — keyed by
-//!   the client id from the `hello` handshake — reject with
-//!   `QuotaExceeded`. Buckets refill on a [`ServeClock`] that tests
-//!   can drive manually, making refill deterministic on simulated
-//!   time.
+//!   rejects with a [`DeepStoreError::Overloaded`] error frame when full
+//!   (backpressure, never a hang), and optional per-tenant token
+//!   buckets — keyed by the client id from the `hello` handshake —
+//!   reject with [`DeepStoreError::QuotaExceeded`]. Buckets refill on
+//!   a [`ServeClock`] that tests can drive manually, making refill
+//!   deterministic on simulated time.
 
 use crate::api::{DeepStore, QueryId, QueryRequest};
+use crate::error::DeepStoreError;
 use crate::proto::{
-    decode_command, encode_response, read_frame, read_frame_after, write_frame, Command, Device,
-    ProtoError, Response, WireError, PROTOCOL_VERSION,
+    answer_hello, decode_command, encode_response, read_frame, read_frame_after, write_frame,
+    Command, Device, ProtoError, Response,
 };
 use deepstore_obs::{
     metrics, render_text, sanitize_name, FlightRecorder, MetricsSnapshot, RequestOutcome,
@@ -991,9 +992,9 @@ struct Shared {
 }
 
 impl Shared {
-    /// Run admission control and enqueue; on rejection, the typed
-    /// rejection frame to send instead.
-    fn admit(&self, job: Job) -> Result<(), Response> {
+    /// Run admission control and enqueue; on rejection, the error to
+    /// answer with instead.
+    fn admit(&self, job: Job) -> Result<(), DeepStoreError> {
         let cost = job.cmd.query_cost();
         let tenant = job.tenant.clone();
         if cost > 0 {
@@ -1013,7 +1014,7 @@ impl Shared {
                         cost,
                         job.sched_lag_ns,
                     );
-                    return Err(Response::QuotaExceeded {
+                    return Err(DeepStoreError::QuotaExceeded {
                         client: tenant.name.clone(),
                     });
                 }
@@ -1038,13 +1039,13 @@ impl Shared {
                         sched_lag_ns,
                     );
                 }
-                Err(Response::Overloaded {
+                Err(DeepStoreError::Overloaded {
                     queue_depth: self.queue_depth as u64,
                 })
             }
-            Err(TrySendError::Disconnected(_)) => Err(Response::Error(WireError::Device(
+            Err(TrySendError::Disconnected(_)) => Err(DeepStoreError::Remote(
                 "server is shutting down".to_string(),
-            ))),
+            )),
         }
     }
 }
@@ -1064,7 +1065,7 @@ fn conn_loop<C: Connection>(mut conn: C, shared: Arc<Shared>) {
                 // unsynchronized: answer with a typed error, then hang
                 // up rather than misparse everything that follows.
                 shared.obs.metrics.malformed_frames.incr();
-                let resp = Response::Error(WireError::Malformed(e.to_string()));
+                let resp = Response::Error(DeepStoreError::Malformed(e.to_string()));
                 let _ = conn.send(&encode_response(&resp));
                 return;
             }
@@ -1073,29 +1074,24 @@ fn conn_loop<C: Connection>(mut conn: C, shared: Arc<Shared>) {
         let resp = match decode_command(&frame) {
             Err(e) => {
                 shared.obs.metrics.malformed_frames.incr();
-                Response::Error(WireError::Malformed(e.to_string()))
+                Response::Error(DeepStoreError::Malformed(e.to_string()))
             }
             Ok(Command::Hello { client, version }) => {
-                if version == PROTOCOL_VERSION {
-                    tenant = shared.obs.tenant(&client);
-                    Response::HelloAck {
-                        client,
-                        version: PROTOCOL_VERSION,
-                    }
-                } else {
-                    Response::Error(WireError::VersionMismatch {
-                        expected: PROTOCOL_VERSION,
-                        found: version,
-                    })
+                let resp = answer_hello(client, version);
+                if let Response::HelloAck { client, .. } = &resp {
+                    tenant = shared.obs.tenant(client);
                 }
+                resp
             }
             Ok(cmd) => {
                 let now = shared.clock.now_ns();
                 let (job, reply) = Job::new(cmd, &shared.obs, tenant.clone(), now);
                 match shared.admit(job) {
-                    Err(rejection) => rejection,
+                    Err(rejection) => Response::Error(rejection),
                     Ok(()) => reply.recv().unwrap_or_else(|_| {
-                        Response::Error(WireError::Device("server dropped the request".to_string()))
+                        Response::Error(DeepStoreError::Remote(
+                            "server dropped the request".to_string(),
+                        ))
                     }),
                 }
             }
@@ -1629,7 +1625,7 @@ mod tests {
         // _rx never drains, so the second admit must reject — not block.
         assert!(shared.admit(job(Command::Stats)).is_ok());
         match shared.admit(job(Command::Stats)) {
-            Err(Response::Overloaded { queue_depth }) => assert_eq!(queue_depth, 1),
+            Err(DeepStoreError::Overloaded { queue_depth }) => assert_eq!(queue_depth, 1),
             other => panic!("expected Overloaded, got {other:?}"),
         }
         assert_eq!(shared.obs.server_stats().rejected_overloaded, 1);
@@ -1855,14 +1851,10 @@ mod tests {
                     AcceleratorLevel::Channel,
                 ),
                 false,
-                // Flash errors cross the wire as their rendered text.
-                DeepStoreError::Remote(
-                    deepstore_flash::FlashError::SizeMismatch {
-                        expected: 4 * probe(0).len(),
-                        found: 28,
-                    }
-                    .to_string(),
-                ),
+                DeepStoreError::Flash(deepstore_flash::FlashError::SizeMismatch {
+                    expected: 4 * probe(0).len(),
+                    found: 28,
+                }),
             ),
             // Coverage refusal, cache on: the good client's group *has*
             // scanned by then, and must not have been cached.

@@ -14,11 +14,11 @@
 //! ```
 //!
 //! Everything past the page region is placed by one first-fit rule
-//! ([`ImageFile::write_extent`] and [`ImageFile::commit`] share it): the
+//! ([`MmapStore::write_extent`] and [`MmapStore::commit`] share it): the
 //! lowest offset where the bytes overlap neither the live manifest nor
 //! any live extent. The live extents are those the committed manifest
 //! references (the engine hands them down after decoding it, see
-//! [`ImageFile::set_live_extents`]) plus every extent written since.
+//! [`MmapStore::set_live_extents`]) plus every extent written since.
 //!
 //! # Commit protocol (crash safety)
 //!
@@ -37,7 +37,7 @@
 //!
 //! A crash before step 3 leaves the old header (and its intact
 //! manifest) authoritative; a torn header write fails its CRC and the
-//! other slot wins. [`ImageFile::open`] validates both slots and uses
+//! other slot wins. [`MmapStore::open`] validates both slots and uses
 //! the highest-generation slot whose header *and* manifest CRCs check
 //! out, so recovery is simply "state = last committed manifest". An
 //! extent written for a commit that never published is referenced by
@@ -71,9 +71,9 @@ use crate::store::PageStore;
 use crate::{FlashError, Result};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// On-disk image format version (checked by [`ImageFile::open`]).
+/// On-disk image format version (checked by [`MmapStore::open`]).
 pub const IMAGE_FORMAT_VERSION: u32 = 1;
 
 const MAGIC: [u8; 8] = *b"DPSTIMG\0";
@@ -236,7 +236,7 @@ struct MapRegion {
     len: usize,
 }
 
-// SAFETY: the region is uniquely owned by one ImageFile; shared (&self)
+// SAFETY: the region is uniquely owned by one MmapStore; shared (&self)
 // access only reads, mutation goes through &mut self.
 unsafe impl Send for MapRegion {}
 unsafe impl Sync for MapRegion {}
@@ -349,13 +349,12 @@ pub struct ImageExtent {
     pub crc: u32,
 }
 
-/// A single-file persistent device image: header slots, mmap'ed page
-/// region, the committed manifest and its extents. See the module docs
-/// for the format and the commit protocol.
+/// The persistent [`PageStore`] backend: a single-file device image
+/// whose page payloads live directly in its mmap'ed page region. See
+/// the module docs for the format and the commit protocol.
 #[derive(Debug)]
-pub struct ImageFile {
+pub struct MmapStore {
     file: File,
-    path: PathBuf,
     geometry: SsdGeometry,
     map: MapRegion,
     page_region_len: u64,
@@ -367,14 +366,14 @@ pub struct ImageFile {
     extents: Vec<ImageExtent>,
 }
 
-impl ImageFile {
+impl MmapStore {
     /// Creates a fresh image file for `geometry`. Fails if `path`
     /// already exists (images are opened, not silently overwritten).
     /// The page region is a sparse hole, so a terabyte-scale geometry
     /// costs no disk until pages are programmed.
     ///
     /// The new image carries no committed manifest yet: the first
-    /// [`ImageFile::commit`] publishes generation 2. Opening an image
+    /// [`MmapStore::commit`] publishes generation 2. Opening an image
     /// that was never committed fails (creation did not complete).
     ///
     /// # Errors
@@ -407,9 +406,8 @@ impl ImageFile {
             .map_err(|e| io_err("write image header", e))?;
         file.sync_all().map_err(|e| io_err("sync image", e))?;
         let ptr = map_page_region(&file, page_region_len)?;
-        Ok(ImageFile {
+        Ok(MmapStore {
             file,
-            path: path.to_path_buf(),
             geometry,
             map: MapRegion {
                 ptr,
@@ -426,7 +424,7 @@ impl ImageFile {
     /// Opens an existing image, returning the image, the last committed
     /// manifest bytes, and whether the image was closed cleanly. The
     /// image knows no live extents until the caller, having decoded the
-    /// manifest, hands them down with [`ImageFile::set_live_extents`].
+    /// manifest, hands them down with [`MmapStore::set_live_extents`].
     ///
     /// Both header slots are validated (magic, CRC, format version) and
     /// the highest-generation slot whose manifest also passes its CRC
@@ -478,9 +476,8 @@ impl ImageFile {
                 continue;
             }
             let ptr = map_page_region(&file, header.page_region_len)?;
-            let image = ImageFile {
+            let store = MmapStore {
                 file,
-                path: path.to_path_buf(),
                 geometry: header.geometry,
                 map: MapRegion {
                     ptr,
@@ -492,7 +489,7 @@ impl ImageFile {
                 manifest_len: header.manifest_len,
                 extents: Vec::new(),
             };
-            return Ok((image, manifest, header.clean));
+            return Ok((store, manifest, header.clean));
         }
         Err(FlashError::Image(format!(
             "{}: image holds no committed state (creation or every commit was interrupted)",
@@ -505,71 +502,8 @@ impl ImageFile {
         self.geometry
     }
 
-    /// The image file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The committed header generation.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     fn page_region_end(&self) -> u64 {
         PAGE_REGION_OFFSET + self.page_region_len
-    }
-
-    /// Syncs the page region to the file (step 1 of the commit
-    /// protocol, also useful on its own as a data barrier).
-    pub fn sync_pages(&self) -> Result<()> {
-        sys::sync_region(self.map.ptr, self.map.len).map_err(|e| io_err("msync page region", e))
-    }
-
-    /// Commits `manifest` with the full ordering described in the
-    /// module docs. `clean` marks a clean close.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlashError::Image`] on any I/O failure; the previous
-    /// commit stays authoritative in that case.
-    pub fn commit(&mut self, manifest: &[u8], clean: bool) -> Result<()> {
-        // 1. Page payloads reach the file before anything references them.
-        self.sync_pages()?;
-        // 2. Write the manifest somewhere that overlaps neither the live
-        //    one nor a live extent, so a crash mid-write cannot corrupt
-        //    committed state. The sync also covers extents written since
-        //    the last commit.
-        let manifest_len = manifest.len() as u64;
-        let offset = self.place(manifest_len);
-        sys::write_all_at(&self.file, manifest, offset).map_err(|e| io_err("write manifest", e))?;
-        self.file
-            .sync_all()
-            .map_err(|e| io_err("sync manifest", e))?;
-        // 3. Publish: bump the generation in the inactive header slot.
-        let generation = self.generation + 1;
-        let header = Header {
-            format_version: IMAGE_FORMAT_VERSION,
-            clean,
-            generation,
-            geometry: self.geometry,
-            page_region_offset: PAGE_REGION_OFFSET,
-            page_region_len: self.page_region_len,
-            manifest_offset: offset,
-            manifest_len,
-            manifest_crc: crc32(manifest),
-        };
-        let slot = generation % 2;
-        sys::write_all_at(
-            &self.file,
-            &header.encode(),
-            slot * HEADER_SLOT_BYTES as u64,
-        )
-        .map_err(|e| io_err("write image header", e))?;
-        self.file.sync_all().map_err(|e| io_err("sync header", e))?;
-        self.generation = generation;
-        self.manifest_offset = offset;
-        self.manifest_len = manifest_len;
-        Ok(())
     }
 
     /// First-fit placement past the page region: the lowest offset at
@@ -597,71 +531,11 @@ impl ImageFile {
 
     /// Declares the extents the committed manifest references, so that
     /// no later extent or manifest write lands on them. The caller
-    /// decodes the manifest [`ImageFile::open`] returned and hands its
+    /// decodes the manifest [`MmapStore::open`] returned and hands its
     /// extents down before writing anything; any other bytes past the
     /// page region (an extent whose commit never published) are free.
     pub fn set_live_extents(&mut self, extents: Vec<ImageExtent>) {
         self.extents = extents;
-    }
-
-    /// Writes `bytes` once into a fresh extent, placed by the module's
-    /// first-fit rule, and returns where it landed. Nothing is synced: the
-    /// next [`ImageFile::commit`]'s fsync makes the extent durable
-    /// before its header publishes a manifest that references it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlashError::Image`] if the write fails.
-    pub fn write_extent(&mut self, bytes: &[u8]) -> Result<ImageExtent> {
-        let extent = ImageExtent {
-            offset: self.place(bytes.len() as u64),
-            len: bytes.len() as u64,
-            crc: crc32(bytes),
-        };
-        sys::write_all_at(&self.file, bytes, extent.offset)
-            .map_err(|e| io_err("write extent", e))?;
-        self.extents.push(extent);
-        Ok(extent)
-    }
-
-    /// Reads an extent back.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlashError::Image`] if the extent reaches into the
-    /// header or page region, runs past the end of the file, or fails
-    /// its CRC.
-    pub fn read_extent(&self, extent: &ImageExtent) -> Result<Vec<u8>> {
-        let ImageExtent { offset, len, crc } = *extent;
-        let describe = || format!("extent {offset}+{len}");
-        if offset < self.page_region_end() {
-            return Err(FlashError::Image(format!(
-                "{} starts inside the header or page region (which ends at {})",
-                describe(),
-                self.page_region_end()
-            )));
-        }
-        let file_len = self
-            .file
-            .metadata()
-            .map_err(|e| io_err("stat image", e))?
-            .len();
-        // Checked before allocating, so a corrupt length cannot ask for
-        // more memory than the file holds.
-        if offset.checked_add(len).is_none_or(|end| end > file_len) {
-            return Err(FlashError::Image(format!(
-                "{} runs past the end of the {file_len}-byte image",
-                describe()
-            )));
-        }
-        let len = usize::try_from(len)
-            .map_err(|_| FlashError::Image(format!("{} is too large", describe())))?;
-        let mut bytes = vec![0u8; len];
-        sys::read_exact_at(&self.file, &mut bytes, offset).map_err(|e| io_err("read extent", e))?;
-        if crc32(&bytes) != crc {
-            return Err(FlashError::Image(format!("{} fails its CRC", describe())));
-        }
-        Ok(bytes)
     }
 
     fn page_range(&self, idx: u64, count: u64) -> std::ops::Range<usize> {
@@ -703,87 +577,136 @@ fn map_page_region(file: &File, len: u64) -> Result<*mut u8> {
     sys::map_shared(file, PAGE_REGION_OFFSET, len).map_err(|e| io_err("mmap page region", e))
 }
 
-/// The persistent [`PageStore`] backend: page payloads live directly in
-/// the image's mmap'ed page region.
-#[derive(Debug)]
-pub struct MmapStore {
-    image: ImageFile,
-}
-
-impl MmapStore {
-    /// Creates a store over a fresh image file (see [`ImageFile::create`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ImageFile::create`] errors.
-    pub fn create(path: &Path, geometry: SsdGeometry) -> Result<Self> {
-        Ok(MmapStore {
-            image: ImageFile::create(path, geometry)?,
-        })
-    }
-
-    /// Opens a store over an existing image, returning the store, the
-    /// committed manifest bytes, and whether the image was closed
-    /// cleanly (see [`ImageFile::open`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ImageFile::open`] errors.
-    pub fn open(path: &Path) -> Result<(Self, Vec<u8>, bool)> {
-        let (image, manifest, clean) = ImageFile::open(path)?;
-        Ok((MmapStore { image }, manifest, clean))
-    }
-
-    /// The backing image's geometry.
-    pub fn geometry(&self) -> SsdGeometry {
-        self.image.geometry()
-    }
-
-    /// The backing image file.
-    pub fn image(&self) -> &ImageFile {
-        &self.image
-    }
-
-    /// Hands down the extents the committed manifest references (see
-    /// [`ImageFile::set_live_extents`]).
-    pub fn set_live_extents(&mut self, extents: Vec<ImageExtent>) {
-        self.image.set_live_extents(extents);
-    }
-}
-
 impl PageStore for MmapStore {
     fn page(&self, idx: u64) -> &[u8] {
-        let range = self.image.page_range(idx, 1);
-        &self.image.pages()[range]
+        let range = self.page_range(idx, 1);
+        &self.pages()[range]
     }
 
     fn program(&mut self, idx: u64, data: &[u8]) {
-        let range = self.image.page_range(idx, 1);
-        let page = &mut self.image.pages_mut()[range];
+        let range = self.page_range(idx, 1);
+        let page = &mut self.pages_mut()[range];
         page[..data.len()].copy_from_slice(data);
         page[data.len()..].fill(0);
     }
 
     fn erase(&mut self, first: u64, count: u64) {
         // NAND erase drives every cell to the all-ones state.
-        let range = self.image.page_range(first, count);
-        self.image.pages_mut()[range].fill(0xFF);
+        let range = self.page_range(first, count);
+        self.pages_mut()[range].fill(0xFF);
     }
 
+    /// Syncs the page region to the file (step 1 of the commit
+    /// protocol).
     fn flush(&mut self) -> Result<()> {
-        self.image.sync_pages()
+        sys::sync_region(self.map.ptr, self.map.len).map_err(|e| io_err("msync page region", e))
     }
 
+    /// Commits `manifest` with the full ordering described in the
+    /// module docs. `clean` marks a clean close.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlashError::Image`] on any I/O failure; the previous
+    /// commit stays authoritative in that case.
     fn commit(&mut self, manifest: &[u8], clean: bool) -> Result<()> {
-        self.image.commit(manifest, clean)
+        // 1. Page payloads reach the file before anything references them.
+        self.flush()?;
+        // 2. Write the manifest somewhere that overlaps neither the live
+        //    one nor a live extent, so a crash mid-write cannot corrupt
+        //    committed state. The sync also covers extents written since
+        //    the last commit.
+        let manifest_len = manifest.len() as u64;
+        let offset = self.place(manifest_len);
+        sys::write_all_at(&self.file, manifest, offset).map_err(|e| io_err("write manifest", e))?;
+        self.file
+            .sync_all()
+            .map_err(|e| io_err("sync manifest", e))?;
+        // 3. Publish: bump the generation in the inactive header slot.
+        let generation = self.generation + 1;
+        let header = Header {
+            format_version: IMAGE_FORMAT_VERSION,
+            clean,
+            generation,
+            geometry: self.geometry,
+            page_region_offset: PAGE_REGION_OFFSET,
+            page_region_len: self.page_region_len,
+            manifest_offset: offset,
+            manifest_len,
+            manifest_crc: crc32(manifest),
+        };
+        let slot = generation % 2;
+        sys::write_all_at(
+            &self.file,
+            &header.encode(),
+            slot * HEADER_SLOT_BYTES as u64,
+        )
+        .map_err(|e| io_err("write image header", e))?;
+        self.file.sync_all().map_err(|e| io_err("sync header", e))?;
+        self.generation = generation;
+        self.manifest_offset = offset;
+        self.manifest_len = manifest_len;
+        Ok(())
     }
 
+    /// Writes `bytes` once into a fresh extent, placed by the module's
+    /// first-fit rule, and returns where it landed. Nothing is synced: the
+    /// next [`MmapStore::commit`]'s fsync makes the extent durable
+    /// before its header publishes a manifest that references it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlashError::Image`] if the write fails.
     fn write_extent(&mut self, bytes: &[u8]) -> Result<ImageExtent> {
-        self.image.write_extent(bytes)
+        let extent = ImageExtent {
+            offset: self.place(bytes.len() as u64),
+            len: bytes.len() as u64,
+            crc: crc32(bytes),
+        };
+        sys::write_all_at(&self.file, bytes, extent.offset)
+            .map_err(|e| io_err("write extent", e))?;
+        self.extents.push(extent);
+        Ok(extent)
     }
 
+    /// Reads an extent back.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlashError::Image`] if the extent reaches into the
+    /// header or page region, runs past the end of the file, or fails
+    /// its CRC.
     fn read_extent(&self, extent: &ImageExtent) -> Result<Vec<u8>> {
-        self.image.read_extent(extent)
+        let ImageExtent { offset, len, crc } = *extent;
+        let describe = || format!("extent {offset}+{len}");
+        if offset < self.page_region_end() {
+            return Err(FlashError::Image(format!(
+                "{} starts inside the header or page region (which ends at {})",
+                describe(),
+                self.page_region_end()
+            )));
+        }
+        let file_len = self
+            .file
+            .metadata()
+            .map_err(|e| io_err("stat image", e))?
+            .len();
+        // Checked before allocating, so a corrupt length cannot ask for
+        // more memory than the file holds.
+        if offset.checked_add(len).is_none_or(|end| end > file_len) {
+            return Err(FlashError::Image(format!(
+                "{} runs past the end of the {file_len}-byte image",
+                describe()
+            )));
+        }
+        let len = usize::try_from(len)
+            .map_err(|_| FlashError::Image(format!("{} is too large", describe())))?;
+        let mut bytes = vec![0u8; len];
+        sys::read_exact_at(&self.file, &mut bytes, offset).map_err(|e| io_err("read extent", e))?;
+        if crc32(&bytes) != crc {
+            return Err(FlashError::Image(format!("{} fails its CRC", describe())));
+        }
+        Ok(bytes)
     }
 
     fn is_persistent(&self) -> bool {
@@ -799,6 +722,7 @@ impl PageStore for MmapStore {
 mod tests {
     use super::*;
     use crate::SsdConfig;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Unique temp path per test without wall-clock or RNG use.
@@ -987,7 +911,7 @@ mod tests {
                 store
                     .commit(format!("manifest-{i}").as_bytes(), i == 5)
                     .unwrap();
-                let live = (store.image.manifest_offset, store.image.manifest_len);
+                let live = (store.manifest_offset, store.manifest_len);
                 for e in [first, second] {
                     assert!(!overlaps(live, (e.offset, e.len)), "commit {i}");
                 }

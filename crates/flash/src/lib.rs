@@ -47,7 +47,7 @@ pub mod timing;
 pub use array::{FlashOpCounts, FlashStateSnapshot};
 pub use fault::{FaultOutcome, FaultPlan, OutageSummary};
 pub use geometry::{PageAddr, SsdGeometry};
-pub use image::{ImageExtent, ImageFile, MmapStore, IMAGE_FORMAT_VERSION};
+pub use image::{ImageExtent, MmapStore, IMAGE_FORMAT_VERSION};
 pub use obs::{FlashEventCounts, FlashMetrics};
 pub use store::{HeapStore, PageStore};
 pub use timing::{FlashTiming, ReadRetryPolicy, SimDuration};
@@ -100,7 +100,7 @@ impl Default for SsdConfig {
 }
 
 /// Errors produced by the SSD simulator.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FlashError {
     /// A physical address fell outside the configured geometry.
     AddressOutOfRange(String),

@@ -12,7 +12,8 @@
 //! ```
 
 use deepstore::core::proto::{encode_command, Command, Device, HostClient};
-use deepstore::core::{AcceleratorLevel, DeepStoreConfig};
+use deepstore::core::{AcceleratorLevel, DeepStoreConfig, DeepStoreError};
+use deepstore::flash::FlashError;
 use deepstore::nn::{zoo, ModelGraph};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -63,9 +64,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Feature 17's exact duplicate was the query, so it must win.
     assert_eq!(results.top_k[0].feature_index, 17);
 
-    // Errors come back as frames too, never as device crashes.
+    // Errors come back as frames too, never as device crashes, and
+    // carry the very error the local API returns.
     let err = host.read_db(deepstore::core::DbId(99), 0, 1).unwrap_err();
     println!("bad readDB  -> {err}");
+    assert_eq!(
+        err.device_error(),
+        Some(DeepStoreError::Flash(FlashError::UnknownDb(99)))
+    );
     println!("device handled {} frames total", device.frames_handled());
     Ok(())
 }

@@ -9,19 +9,29 @@
 
 use deepstore::core::proto::{
     decode_command, decode_response, encode_command, encode_response, read_frame, write_frame,
-    Command, Device, HostClient, ProtoError, Response, WireError, HEADER_LEN, MAGIC, MAX_FRAME_LEN,
-    PROTOCOL_VERSION, VERSION,
+    Command, CommandChannel, Device, HostClient, ProtoError, Response, HEADER_LEN, MAGIC,
+    MAX_FRAME_LEN, PROTOCOL_VERSION, VERSION,
 };
 use deepstore::core::serve::{channel_transport, serve, ServeConfig, TcpClient, TcpTransport};
 use deepstore::core::{
-    AcceleratorLevel, DbId, DeepStore, DeepStoreConfig, ModelId, QueryCacheConfig, QueryId,
-    QueryRequest,
+    AcceleratorLevel, DbId, DeepStore, DeepStoreConfig, DeepStoreError, ModelId, QueryCacheConfig,
+    QueryId, QueryRequest,
 };
+use deepstore::flash::{FlashError, PageAddr};
 use deepstore::nn::{zoo, ModelGraph, Tensor};
 use proptest::prelude::*;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::Duration;
+
+/// A channel that answers every command with one fixed frame.
+struct Canned(Vec<u8>);
+
+impl CommandChannel for Canned {
+    fn exchange(&mut self, _frame: &[u8]) -> Result<Vec<u8>, ProtoError> {
+        Ok(self.0.clone())
+    }
+}
 
 fn sample_commands() -> Vec<Command> {
     let t = Tensor::random(vec![8], 1.0, 7);
@@ -101,29 +111,67 @@ fn sample_responses() -> Vec<Response> {
             client: "tenant-a".into(),
             version: PROTOCOL_VERSION,
         },
-        Response::Overloaded { queue_depth: 64 },
-        Response::QuotaExceeded {
-            client: "tenant-a".into(),
+    ]
+    .into_iter()
+    .chain(sample_errors().into_iter().map(Response::Error))
+    .collect()
+}
+
+/// One error per [`DeepStoreError`] variant, with one per
+/// [`FlashError`] variant inside `Flash`: every value an error frame
+/// can carry.
+fn sample_errors() -> Vec<DeepStoreError> {
+    let addr = PageAddr {
+        channel: 1,
+        chip: 2,
+        plane: 0,
+        block: 5,
+        page: 9,
+    };
+    let flash = [
+        FlashError::AddressOutOfRange("channel 40 of 32".into()),
+        FlashError::ProgramWithoutErase(addr),
+        FlashError::ReadUnwritten(addr),
+        FlashError::UncorrectableEcc(addr),
+        FlashError::OutOfSpace,
+        FlashError::UnknownDb(99),
+        FlashError::SizeMismatch {
+            expected: 800,
+            found: 28,
         },
-        Response::Error(WireError::UnknownModel(7)),
-        Response::Error(WireError::UnknownQuery(8)),
-        Response::Error(WireError::LevelUnsupported {
-            model: "reid".into(),
-            level: AcceleratorLevel::Chip,
-        }),
-        Response::Error(WireError::InsufficientCoverage {
-            required: 0.9,
-            achieved: 0.25,
-        }),
-        Response::Error(WireError::Overloaded { queue_depth: 2 }),
-        Response::Error(WireError::QuotaExceeded { client: "t".into() }),
-        Response::Error(WireError::VersionMismatch {
+        FlashError::Image("manifest fails its CRC".into()),
+        // `From<FlashError>` promotes this one; inside `Flash` it must
+        // still cross the wire as itself.
+        FlashError::VersionMismatch {
             expected: 1,
             found: 2,
-        }),
-        Response::Error(WireError::Device("ecc storm".into())),
-        Response::Error(WireError::Malformed("bad magic".into())),
+        },
+    ];
+    [
+        DeepStoreError::UnknownModel(ModelId(7)),
+        DeepStoreError::UnknownQuery(QueryId(8)),
+        DeepStoreError::LevelUnsupported {
+            model: "reid".into(),
+            level: AcceleratorLevel::Chip,
+        },
+        DeepStoreError::InsufficientCoverage {
+            required: 0.9,
+            achieved: 0.25,
+        },
+        DeepStoreError::VersionMismatch {
+            expected: PROTOCOL_VERSION,
+            found: PROTOCOL_VERSION + 1,
+        },
+        DeepStoreError::Overloaded { queue_depth: 64 },
+        DeepStoreError::QuotaExceeded {
+            client: "tenant-a".into(),
+        },
+        DeepStoreError::Malformed("bad magic".into()),
+        DeepStoreError::Remote("server is shutting down".into()),
     ]
+    .into_iter()
+    .chain(flash.into_iter().map(DeepStoreError::Flash))
+    .collect()
 }
 
 #[test]
@@ -141,6 +189,18 @@ fn every_response_frame_roundtrips() {
     for resp in sample_responses() {
         let frame = encode_response(&resp);
         assert_eq!(decode_response(&frame).expect("decodes"), resp);
+    }
+    // An error frame hands the client the error itself, and only the
+    // admission rejections count as rejections.
+    for err in sample_errors() {
+        let frame = encode_response(&Response::Error(err.clone()));
+        let got = HostClient::over(Canned(frame)).stats().unwrap_err();
+        let rejection = matches!(
+            err,
+            DeepStoreError::Overloaded { .. } | DeepStoreError::QuotaExceeded { .. }
+        );
+        assert_eq!(got.is_rejection(), rejection, "{err:?}");
+        assert_eq!(got.device_error(), Some(err));
     }
     // Results and Stats frames round-trip through a real device
     // session (their payloads are too stateful to hand-construct).
@@ -215,6 +275,12 @@ fn header_corruption_is_typed() {
     let mut bad = frame.clone();
     bad[6..10].copy_from_slice(&1_000u32.to_le_bytes());
     assert_eq!(decode_command(&bad).unwrap_err(), ProtoError::Truncated);
+    // Bytes past the declared length: a second frame is not dropped.
+    let two = [frame.clone(), frame.clone()].concat();
+    assert!(matches!(
+        decode_command(&two).unwrap_err(),
+        ProtoError::BadPayload(_)
+    ));
     // Oversized length prefix is rejected before any allocation.
     let mut bad = frame;
     bad[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -285,10 +351,16 @@ fn served_connection_survives_garbage_frames() {
             f.truncate(len - 1); // truncated payload... of a 0-len payload frame
             f
         },
+        // Two whole frames in one message: refused, not answered once.
+        [
+            encode_command(&Command::Stats),
+            encode_command(&Command::Stats),
+        ]
+        .concat(),
     ] {
         conn.send_frame(&garbage).unwrap();
         match decode_response(&conn.recv_frame().unwrap()).unwrap() {
-            Response::Error(WireError::Malformed(_)) => {}
+            Response::Error(DeepStoreError::Malformed(_)) => {}
             other => panic!("expected Malformed, got {other:?}"),
         }
     }
@@ -328,7 +400,7 @@ fn tcp_server_survives_partial_frames_and_disconnects() {
     let reply = read_frame(&mut s).unwrap();
     match reply {
         Some(bytes) => match decode_response(&bytes).unwrap() {
-            Response::Error(WireError::Malformed(msg)) => {
+            Response::Error(DeepStoreError::Malformed(msg)) => {
                 assert!(msg.contains("exceeds"), "unexpected message: {msg}")
             }
             other => panic!("expected Malformed, got {other:?}"),

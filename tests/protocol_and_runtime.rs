@@ -2,15 +2,21 @@
 //! scheduler on a simulated clock.
 
 use deepstore::core::proto::{
-    decode_command, decode_response, encode_command, Command, Device, HostClient, ProtoError,
-    Response,
+    decode_command, decode_response, encode_command, Command, CommandChannel, Device, HostClient,
+    ProtoError, Response, PROTOCOL_VERSION,
 };
-use deepstore::core::serve::{simulate, ServeConfig, Simulation};
+use deepstore::core::serve::{
+    channel_transport, serve, simulate, QuotaConfig, ServeClock, ServeConfig, Simulation,
+};
 use deepstore::core::{
-    AcceleratorLevel, DbId, DeepStore, DeepStoreConfig, QueryCacheConfig, QueryRequest,
+    AcceleratorLevel, DbId, DeepStore, DeepStoreConfig, DeepStoreError, ModelId, QueryCacheConfig,
+    QueryId, QueryRequest,
 };
+use deepstore::flash::fault::FaultPlan;
+use deepstore::flash::FlashError;
 use deepstore::nn::{zoo, ModelGraph, Tensor};
 use proptest::prelude::*;
+use std::time::Duration;
 
 #[test]
 fn full_session_over_the_wire_matches_direct_api() {
@@ -47,6 +53,203 @@ fn full_session_over_the_wire_matches_direct_api() {
     let wire_ids: Vec<u64> = wire_result.top_k.iter().map(|h| h.feature_index).collect();
     assert_eq!(direct_ids, wire_ids);
     assert_eq!(direct_result.elapsed, wire_result.elapsed);
+}
+
+/// One failing Table 2 call, issued alike through the local API and
+/// through a [`HostClient`].
+enum Call {
+    ReadDb(DbId),
+    Query(QueryRequest),
+    GetResults(QueryId),
+}
+
+impl Call {
+    fn local(&self, store: &mut DeepStore) -> DeepStoreError {
+        match self {
+            Call::ReadDb(db) => store.read_db(*db, 0, 1).map(drop),
+            Call::Query(req) => store.query_batch(std::slice::from_ref(req)).map(drop),
+            Call::GetResults(id) => store.results(*id).map(drop),
+        }
+        .unwrap_err()
+    }
+
+    fn wire<C: CommandChannel>(&self, host: &mut HostClient<C>) -> ProtoError {
+        match self {
+            Call::ReadDb(db) => host.read_db(*db, 0, 1).map(drop),
+            Call::Query(req) => host.query_batch(std::slice::from_ref(req)).map(drop),
+            Call::GetResults(id) => host.get_results(*id).map(drop),
+        }
+        .unwrap_err()
+    }
+}
+
+/// Whether a failing call returned the error its table row names.
+type Expect = fn(&DeepStoreError) -> bool;
+
+/// A store holding a textqa database on a dead channel 0 (so full
+/// coverage is out of reach) and a reid database, both models loaded,
+/// plus one call per failure the local API can return, each with the
+/// error it must produce.
+fn failing_calls() -> (DeepStore, Vec<(Call, Expect)>) {
+    let textqa = zoo::textqa().seeded_metric(5);
+    let reid = zoo::reid().seeded(3);
+    let mut store = DeepStore::in_memory(DeepStoreConfig::small());
+    store.disable_qc();
+    let features: Vec<Tensor> = (0..24).map(|i| textqa.random_feature(i)).collect();
+    let db = store.write_db(&features).unwrap();
+    let features: Vec<Tensor> = (0..4).map(|i| reid.random_feature(i)).collect();
+    let reid_db = store.write_db(&features).unwrap();
+    let mid = store.load_model(&ModelGraph::from_model(&textqa)).unwrap();
+    let reid_mid = store.load_model(&ModelGraph::from_model(&reid)).unwrap();
+    store.inject_faults(FaultPlan::none().dead_channel(0));
+    let calls: Vec<(Call, Expect)> = vec![
+        (Call::ReadDb(DbId(99)), |e| {
+            *e == DeepStoreError::Flash(FlashError::UnknownDb(99))
+        }),
+        (
+            Call::Query(QueryRequest::new(
+                textqa.random_feature(1),
+                ModelId(999),
+                db,
+            )),
+            |e| *e == DeepStoreError::UnknownModel(ModelId(999)),
+        ),
+        (Call::GetResults(QueryId(77)), |e| {
+            *e == DeepStoreError::UnknownQuery(QueryId(77))
+        }),
+        (
+            Call::Query(QueryRequest::new(Tensor::random(vec![7], 1.0, 0), mid, db)),
+            |e| {
+                matches!(
+                    e,
+                    DeepStoreError::Flash(FlashError::SizeMismatch { found: 28, .. })
+                )
+            },
+        ),
+        (
+            Call::Query(
+                QueryRequest::new(reid.random_feature(0), reid_mid, reid_db)
+                    .level(AcceleratorLevel::Chip),
+            ),
+            |e| matches!(e, DeepStoreError::LevelUnsupported { model, .. } if model == "reid"),
+        ),
+        (
+            Call::Query(QueryRequest::new(textqa.random_feature(900), mid, db).min_coverage(1.0)),
+            |e| {
+                matches!(e, DeepStoreError::InsufficientCoverage { required, achieved }
+                if *required == 1.0 && *achieved < 1.0)
+            },
+        ),
+    ];
+    (store, calls)
+}
+
+/// Every failure the local API can return comes back over the wire as
+/// an equal `DeepStoreError`, through a direct device and through a
+/// served connection; a served connection's admission rejections and a
+/// skewed `hello` come back typed too.
+#[test]
+fn wire_errors_equal_local_errors() {
+    let (mut store, calls) = failing_calls();
+    let mut device = Device::with_store(failing_calls().0);
+    let mut direct = HostClient::new(&mut device);
+    let (transport, connector) = channel_transport();
+    let handle = serve(transport, failing_calls().0, ServeConfig::default());
+    let mut served = HostClient::over(connector.connect().unwrap());
+    for (call, is_expected) in &calls {
+        let local = call.local(&mut store);
+        assert!(is_expected(&local), "unexpected local error {local:?}");
+        for err in [call.wire(&mut direct), call.wire(&mut served)] {
+            assert!(!err.is_rejection());
+            assert_eq!(err.device_error().as_ref(), Some(&local));
+        }
+    }
+
+    // A skewed `hello` is refused by a bare device and a server alike.
+    let skewed = encode_command(&Command::Hello {
+        client: "t".into(),
+        version: PROTOCOL_VERSION + 1,
+    });
+    let skew = Response::Error(DeepStoreError::VersionMismatch {
+        expected: PROTOCOL_VERSION,
+        found: PROTOCOL_VERSION + 1,
+    });
+    assert_eq!(decode_response(&device.handle(&skewed)).unwrap(), skew);
+    let mut conn = connector.connect().unwrap();
+    assert_eq!(
+        decode_response(&conn.exchange(&skewed).unwrap()).unwrap(),
+        skew
+    );
+    drop((served, conn));
+    handle.shutdown();
+
+    // An empty token bucket that never refills: the second query is
+    // refused for the tenant's quota.
+    let (clock, _time) = ServeClock::manual();
+    let quota = QuotaConfig {
+        burst: 1.0,
+        refill_per_sec: 0.0,
+    };
+    let (transport, connector) = channel_transport();
+    let handle = serve(
+        transport,
+        failing_calls().0,
+        ServeConfig {
+            quota: Some(quota),
+            clock,
+            ..ServeConfig::default()
+        },
+    );
+    let mut host = HostClient::over(connector.connect().unwrap());
+    host.hello("tenant-q").unwrap();
+    let probe = [QueryRequest::new(
+        zoo::textqa().seeded_metric(5).random_feature(900),
+        ModelId(1),
+        DbId(1),
+    )];
+    host.query_batch(&probe).unwrap();
+    let err = host.query_batch(&probe).unwrap_err();
+    assert!(err.is_rejection());
+    assert_eq!(
+        err.device_error(),
+        Some(DeepStoreError::QuotaExceeded {
+            client: "tenant-q".into()
+        })
+    );
+    drop(host);
+    handle.shutdown();
+
+    // A one-slot queue behind a slow engine: concurrent clients beyond
+    // the slot are refused as overloaded.
+    let (transport, connector) = channel_transport();
+    let handle = serve(
+        transport,
+        failing_calls().0,
+        ServeConfig {
+            queue_depth: 1,
+            engine_delay: Some(Duration::from_millis(100)),
+            ..ServeConfig::default()
+        },
+    );
+    let clients: Vec<_> = (0..4)
+        .map(|_| {
+            let mut host = HostClient::over(connector.connect().unwrap());
+            std::thread::spawn(move || host.stats().err())
+        })
+        .collect();
+    let refused: Vec<ProtoError> = clients
+        .into_iter()
+        .filter_map(|c| c.join().unwrap())
+        .collect();
+    assert!(!refused.is_empty(), "a one-slot queue must refuse someone");
+    for err in refused {
+        assert!(err.is_rejection());
+        assert_eq!(
+            err.device_error(),
+            Some(DeepStoreError::Overloaded { queue_depth: 1 })
+        );
+    }
+    handle.shutdown();
 }
 
 #[test]
