@@ -566,9 +566,6 @@ fn cmd_stats(args: &[String]) -> CmdResult {
     let s = host.stats()?;
     println!("device stats for `{app_name}` ({features} features, parallelism {parallelism}):");
     print_device_stats(&s);
-    if s.queries == 0 {
-        println!("  (pipeline counters are zero: built without the `obs` feature)");
-    }
     Ok(())
 }
 

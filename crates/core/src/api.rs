@@ -49,9 +49,7 @@
 //! Errors arrive as [`DeepStoreError`], which separates device-API
 //! misuse ([`DeepStoreError::UnknownModel`],
 //! [`DeepStoreError::UnknownQuery`], [`DeepStoreError::LevelUnsupported`])
-//! from genuine flash failures ([`DeepStoreError::Flash`]). The
-//! deprecated five-positional-argument `query_positional` shim from the
-//! builder migration has been removed; build a [`QueryRequest`].
+//! from genuine flash failures ([`DeepStoreError::Flash`]).
 //!
 //! # Observability
 //!
@@ -527,11 +525,19 @@ impl DeepStore {
     ///
     /// Returns [`DeepStoreError::Flash`] wrapping
     /// [`FlashError::UnknownDb`] or [`FlashError::AddressOutOfRange`]
-    /// for bad ids/ranges.
+    /// for bad ids/ranges, including a range whose end overflows `u64`.
     pub fn read_db(&self, db: DbId, start: u64, num: u64) -> Result<Vec<Tensor>> {
-        (start..start + num)
-            .map(|i| self.engine.read_feature(db, i))
-            .collect()
+        let total = self.engine.db_meta(db)?.num_features;
+        match start.checked_add(num) {
+            Some(end) if end <= total => (start..end)
+                .map(|i| self.engine.read_feature(db, i))
+                .collect(),
+            _ => Err(FlashError::AddressOutOfRange(format!(
+                "features {start}..+{num} of {total} in db {}",
+                db.0
+            ))
+            .into()),
+        }
     }
 
     /// `loadModel`: registers a similarity model shipped as a serialized
@@ -622,10 +628,10 @@ impl DeepStore {
     pub fn recover_faults(&mut self) -> crate::engine::RecoveryReport {
         let recovery = self.engine.recover_faults();
         if !recovery.is_empty() {
-            self.telemetry.record(|m| {
-                m.recovery_pages_remapped.add(recovery.pages_remapped);
-                m.recovery_pages_lost.add(recovery.pages_lost);
-            });
+            self.telemetry
+                .recovery_pages_remapped
+                .add(recovery.pages_remapped);
+            self.telemetry.recovery_pages_lost.add(recovery.pages_lost);
             if let Some(t) = &mut self.tracer {
                 t.instant("recovery", "fault", self.trace_clock_ns, 0)
                     .arg_u64("blocks_retired", recovery.blocks_retired)
@@ -769,10 +775,8 @@ impl DeepStore {
                 );
                 elapsed[i] += lookup;
                 qc_ns[i] = lookup.as_nanos();
-                self.telemetry.record(|m| {
-                    m.stage_qc_lookup_ns.add(lookup.as_nanos());
-                    m.qc_lookup_ns.record(lookup.as_nanos());
-                });
+                self.telemetry.stage_qc_lookup_ns.add(lookup.as_nanos());
+                self.telemetry.qc_lookup_ns.record(lookup.as_nanos());
                 if let Some(hit) = qc.lookup(&req.qfv) {
                     cache_hit[i] = true;
                     ranked[i] = Some(hit);
@@ -826,32 +830,28 @@ impl DeepStore {
                 (num_features - group_skipped) as f64 / num_features as f64
             };
             // Read retries stall the flash stream: charge the escalating
-            // ladder cost to the group's simulated latency. The histogram
-            // is functional (identical with `obs` on and off), so timing
-            // and traces never depend on the telemetry feature.
+            // ladder cost to the group's simulated latency.
             let stall = retry_stall(&cfg.ssd.timing, &group_faults.reads.retries_by_round);
             self.engine
                 .flash_metrics()
-                .record(|m| m.read_retry_ns.add(stall.as_nanos()));
+                .read_retry_ns
+                .add(stall.as_nanos());
 
             // Per-shard page-walk detail: stream time and channel-bus
             // arbitration waits from the flash sim's timing model.
             let shards = shard_timings(*level, workload, cfg);
             let bus_wait: u64 = shards.iter().map(|s| s.bus_wait.as_nanos()).sum();
             let transfers: u64 = shards.iter().map(|s| s.pages).sum();
-            self.engine.flash_metrics().record(|m| {
-                m.bus_wait_ns.add(bus_wait);
-                m.bus_transfers.add(transfers);
-            });
-            self.telemetry.record(|m| {
-                m.scan_groups.incr();
-                m.unreadable_skipped.add(group_skipped);
-                m.stage_flash_ns.add(timing.flash.as_nanos());
-                m.stage_compute_ns.add(timing.compute.as_nanos());
-                m.stage_weights_ns.add(timing.weights.as_nanos());
-                m.stage_scan_ns.add(timing.elapsed.as_nanos());
-                m.scan_group_members.record(members.len() as u64);
-            });
+            self.engine.flash_metrics().bus_wait_ns.add(bus_wait);
+            self.engine.flash_metrics().bus_transfers.add(transfers);
+            let m = &self.telemetry;
+            m.scan_groups.incr();
+            m.unreadable_skipped.add(group_skipped);
+            m.stage_flash_ns.add(timing.flash.as_nanos());
+            m.stage_compute_ns.add(timing.compute.as_nanos());
+            m.stage_weights_ns.add(timing.weights.as_nanos());
+            m.stage_scan_ns.add(timing.elapsed.as_nanos());
+            m.scan_group_members.record(members.len() as u64);
             if let Some(t) = &mut self.tracer {
                 // Each group gets a private block of trace lanes so its
                 // spans never interleave with another group's: the
@@ -994,19 +994,18 @@ impl DeepStore {
             let id = QueryId(self.next_query);
             self.next_query += 1;
             let degraded = coverage[i] < 1.0;
-            self.telemetry.record(|m| {
-                m.queries.incr();
-                if cache_hit[i] {
-                    m.cache_hits.incr();
-                } else {
-                    m.cache_misses.incr();
-                }
-                m.stage_total_ns.add(elapsed[i].as_nanos());
-                m.query_ns.record(elapsed[i].as_nanos());
-                if degraded {
-                    m.degraded_queries.incr();
-                }
-            });
+            let m = &self.telemetry;
+            m.queries.incr();
+            if cache_hit[i] {
+                m.cache_hits.incr();
+            } else {
+                m.cache_misses.incr();
+            }
+            m.stage_total_ns.add(elapsed[i].as_nanos());
+            m.query_ns.record(elapsed[i].as_nanos());
+            if degraded {
+                m.degraded_queries.incr();
+            }
             if let Some(t) = &mut self.tracer {
                 // One lane per request: the query span covers lookup
                 // through merge, with the cache probe nested inside it.
@@ -1042,11 +1041,10 @@ impl DeepStore {
         }
         // Counted only once the batch has published: a refused batch
         // is not a served one.
-        self.telemetry.record(|m| {
-            m.batches.incr();
-            m.tagged_requests
-                .add(request_ids.iter().filter(|&&r| r != 0).count() as u64);
-        });
+        self.telemetry.batches.incr();
+        self.telemetry
+            .tagged_requests
+            .add(request_ids.iter().filter(|&&r| r != 0).count() as u64);
         let batch_ns = elapsed.iter().map(|e| e.as_nanos()).max().unwrap_or(0);
         if let Some(t) = &mut self.tracer {
             t.instant("merge", "pipeline", base + batch_ns, 0);
@@ -1082,8 +1080,7 @@ impl DeepStore {
     /// The snapshot is deterministic: all counters are driven by the
     /// simulated timing model and physical data placement, so the same
     /// request sequence yields byte-identical stats at any
-    /// `parallelism` setting. With the `obs` feature disabled all
-    /// counters read zero.
+    /// `parallelism` setting.
     #[must_use]
     pub fn stats(&self) -> DeviceStats {
         let (scan, t) = (self.engine.metrics(), &self.telemetry);
@@ -1239,26 +1236,19 @@ mod tests {
             let _ = store.results(id).unwrap();
         }
         let stats = store.stats();
-        if cfg!(feature = "obs") {
-            assert_eq!(stats.queries, 4);
-            assert_eq!(stats.batches, 2);
-            assert_eq!(stats.cache_hits + stats.cache_misses, 4);
-            assert!(stats.scan_groups >= 1);
-            assert!(stats.stages.scan_ns > 0);
-            assert!(stats.stages.total_ns >= stats.stages.scan_ns);
-            assert!(stats.flash.page_reads > 0);
-            assert!(stats.metrics.counter("api.queries").is_some());
-            // Every scan group is exactly one flash pass.
-            assert_eq!(
-                stats.metrics.counter("engine.batch_scans"),
-                Some(stats.scan_groups)
-            );
-        } else {
-            assert_eq!(stats.queries, 0);
-            // Flash op counts come from the functional sim, not the
-            // obs hooks, so they survive the feature being disabled.
-            assert!(stats.flash.page_reads > 0);
-        }
+        assert_eq!(stats.queries, 4);
+        assert_eq!(stats.batches, 2);
+        assert_eq!(stats.cache_hits + stats.cache_misses, 4);
+        assert!(stats.scan_groups >= 1);
+        assert!(stats.stages.scan_ns > 0);
+        assert!(stats.stages.total_ns >= stats.stages.scan_ns);
+        assert!(stats.flash.page_reads > 0);
+        assert!(stats.metrics.counter("api.queries").is_some());
+        // Every scan group is exactly one flash pass.
+        assert_eq!(
+            stats.metrics.counter("engine.batch_scans"),
+            Some(stats.scan_groups)
+        );
     }
 
     #[test]

@@ -608,7 +608,6 @@ impl DeepStoreCluster {
     }
 
     /// Cluster-level metrics (scatter-gather, failover, rebalance).
-    /// All-zero when the `obs` feature is compiled out.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.telemetry.snapshot()
     }
@@ -870,15 +869,14 @@ impl DeepStoreCluster {
             covered_total as f64 / total as f64
         };
         let degraded = covered_total < total;
-        self.telemetry.record(|m| {
-            m.queries.incr();
-            m.partitions_scanned.add(partitions.len() as u64);
-            m.replica_failovers.add(failovers_total);
-            if degraded {
-                m.degraded_queries.incr();
-            }
-            m.query_ns.record(elapsed.as_nanos());
-        });
+        let m = &self.telemetry;
+        m.queries.incr();
+        m.partitions_scanned.add(partitions.len() as u64);
+        m.replica_failovers.add(failovers_total);
+        if degraded {
+            m.degraded_queries.incr();
+        }
+        m.query_ns.record(elapsed.as_nanos());
         let top_k = merged
             .ranked()
             .into_iter()
@@ -958,10 +956,8 @@ impl DeepStoreCluster {
                     report.unrecoverable += 1;
                     self.dbs[dbi].partitions[pi].replicas = healthy;
                     min_rep = 0;
-                    self.telemetry.record(|m| {
-                        m.partition_replication.record(0);
-                        m.moved_bytes_per_partition.record(0);
-                    });
+                    self.telemetry.partition_replication.record(0);
+                    self.telemetry.moved_bytes_per_partition.record(0);
                     continue;
                 }
                 // Re-replicate from the first healthy copy onto the
@@ -998,21 +994,21 @@ impl DeepStoreCluster {
                 }
                 min_rep = min_rep.min(healthy.len() as u64);
                 max_rep = max_rep.max(healthy.len() as u64);
-                self.telemetry.record(|m| {
-                    m.partition_replication.record(healthy.len() as u64);
-                    m.moved_bytes_per_partition.record(moved_for_partition);
-                });
+                self.telemetry
+                    .partition_replication
+                    .record(healthy.len() as u64);
+                self.telemetry
+                    .moved_bytes_per_partition
+                    .record(moved_for_partition);
                 self.dbs[dbi].partitions[pi].replicas = healthy;
             }
         }
         report.min_replication = if min_rep == u64::MAX { 0 } else { min_rep };
         report.max_replication = max_rep;
-        self.telemetry.record(|m| {
-            m.rebalances.incr();
-            m.moved_bytes.add(report.moved_bytes);
-            m.re_replicated.add(report.re_replicated);
-            m.dropped_replicas.add(report.dropped_replicas);
-        });
+        self.telemetry.rebalances.incr();
+        self.telemetry.moved_bytes.add(report.moved_bytes);
+        self.telemetry.re_replicated.add(report.re_replicated);
+        self.telemetry.dropped_replicas.add(report.dropped_replicas);
         Ok(report)
     }
 }
@@ -1228,15 +1224,11 @@ mod tests {
         assert!(r.partitions.iter().all(|p| p.drive != Some(1)));
         // Telemetry saw the move.
         let snap = c.metrics_snapshot();
-        if cfg!(feature = "obs") {
-            assert_eq!(
-                snap.counter("cluster.rebalance.moved_bytes"),
-                Some(report.moved_bytes)
-            );
-            assert_eq!(snap.counter("cluster.rebalances"), Some(1));
-        } else {
-            assert_eq!(snap.counter("cluster.rebalance.moved_bytes"), Some(0));
-        }
+        assert_eq!(
+            snap.counter("cluster.rebalance.moved_bytes"),
+            Some(report.moved_bytes)
+        );
+        assert_eq!(snap.counter("cluster.rebalances"), Some(1));
     }
 
     #[test]

@@ -68,9 +68,8 @@ pub struct DbMeta {
 }
 
 /// Fault-path outcome of one scan pass, aggregated across its shards in
-/// channel order. The counts are functional (identical with `obs` on and
-/// off): the retry histogram drives the timing model's retry stall and
-/// the per-query trace spans.
+/// channel order. The retry histogram drives the timing model's retry
+/// stall and the per-query trace spans.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScanFaults {
     /// Features skipped because a page stayed unreadable after retries.
@@ -397,10 +396,8 @@ impl Engine {
                         self.dbs.get_mut(&db).expect("victim db exists").pages[pos] = new_addr;
                     }
                     report.pages_remapped += remapped;
-                    self.array.metrics().record(|m| {
-                        m.remapped_pages.add(remapped);
-                        m.retired_blocks.incr();
-                    });
+                    self.array.metrics().remapped_pages.add(remapped);
+                    self.array.metrics().retired_blocks.incr();
                 }
                 None => {
                     // No remap source or no spare capacity: every victim
@@ -410,7 +407,7 @@ impl Engine {
             }
             if lost > 0 {
                 report.pages_lost += lost;
-                self.array.metrics().record(|m| m.lost_pages.add(lost));
+                self.array.metrics().lost_pages.add(lost);
             }
             self.ftl.retire(old);
             report.blocks_retired += 1;
@@ -1228,15 +1225,14 @@ impl Engine {
         // One pass: `requests.len()` requests (one for a single query)
         // shared it, and the cascade's per-query decisions are summed
         // over the shards first.
-        self.metrics.record(|m| {
-            m.batch_scans.incr();
-            m.batch_queries.add(requests.len() as u64);
-            m.features_scanned.add(meta.num_features - faults.skipped);
-            m.features_skipped.add(faults.skipped);
-            m.scan_features.record(meta.num_features);
-            m.features_pruned.add(cascade.pruned);
-            m.features_rescored.add(cascade.rescored);
-        });
+        let m = &self.metrics;
+        m.batch_scans.incr();
+        m.batch_queries.add(requests.len() as u64);
+        m.features_scanned.add(meta.num_features - faults.skipped);
+        m.features_skipped.add(faults.skipped);
+        m.scan_features.record(meta.num_features);
+        m.features_pruned.add(cascade.pruned);
+        m.features_rescored.add(cascade.rescored);
         Ok((
             merged.into_iter().map(|m| m.ranked()).collect(),
             faults,

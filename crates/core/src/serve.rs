@@ -503,10 +503,9 @@ impl Default for ServeConfig {
 }
 
 metrics! {
-    /// The serve layer's unlabelled metrics. The counters are
-    /// functional — admission control, engine passes, errors — and are
-    /// written directly, with or without `obs`; only the per-stage
-    /// latency histograms go through `record`.
+    /// The serve layer's unlabelled metrics: admission control, engine
+    /// passes and errors as counters, and the per-stage latency
+    /// histograms.
     pub struct ServeMetrics {
         connections: Counter = "serve.connections",
         frames: Counter = "serve.frames",
@@ -646,10 +645,6 @@ impl Tenant {
 /// The server's observability state: the serve metric table, the
 /// tenant registry, the flight recorder, the request-id allocator,
 /// and the SLO breach latch.
-///
-/// Latency recording and recorder writes are compiled out without the
-/// `obs` cargo feature; request-id assignment and the admission, error
-/// and degraded counters are functional and always on.
 #[derive(Debug)]
 pub struct ServeObs {
     metrics: ServeMetrics,
@@ -715,19 +710,17 @@ impl ServeObs {
         queries: u64,
         sched_lag_ns: u64,
     ) {
-        if cfg!(feature = "obs") {
-            self.remember(RequestSummary {
-                seq: 0,
-                request_id,
-                tenant: tenant.name.clone(),
-                queries,
-                queue_ns: 0,
-                service_ns: 0,
-                e2e_ns: sched_lag_ns,
-                coverage_milli: 0,
-                outcome,
-            });
-        }
+        self.remember(RequestSummary {
+            seq: 0,
+            request_id,
+            tenant: tenant.name.clone(),
+            queries,
+            queue_ns: 0,
+            service_ns: 0,
+            e2e_ns: sched_lag_ns,
+            coverage_milli: 0,
+            outcome,
+        });
     }
 
     /// Records a completed query pass: latency histograms (global and
@@ -756,34 +749,28 @@ impl ServeObs {
             }
             _ => {}
         }
-        self.metrics.record(|m| {
-            m.queue_ns.record(queue_ns);
-            m.service_ns.record(service_ns);
-            m.e2e_ns.record(e2e_ns);
+        self.metrics.queue_ns.record(queue_ns);
+        self.metrics.service_ns.record(service_ns);
+        self.metrics.e2e_ns.record(e2e_ns);
+        tenant.metrics.queue_ns.record(queue_ns);
+        tenant.metrics.service_ns.record(service_ns);
+        tenant.metrics.e2e_ns.record(e2e_ns);
+        self.remember(RequestSummary {
+            seq: 0,
+            request_id,
+            tenant: tenant.name.clone(),
+            queries,
+            queue_ns,
+            service_ns,
+            e2e_ns,
+            coverage_milli,
+            outcome,
         });
-        tenant.metrics.record(|m| {
-            m.queue_ns.record(queue_ns);
-            m.service_ns.record(service_ns);
-            m.e2e_ns.record(e2e_ns);
-        });
-        if cfg!(feature = "obs") {
-            self.remember(RequestSummary {
-                seq: 0,
-                request_id,
-                tenant: tenant.name.clone(),
-                queries,
-                queue_ns,
-                service_ns,
-                e2e_ns,
-                coverage_milli,
-                outcome,
-            });
-        }
     }
 
     /// Writes one request summary to the flight recorder, then fires
     /// the dump triggers: an error dumps, and a completed request
-    /// re-checks the SLO. Callers skip it without the `obs` feature.
+    /// re-checks the SLO.
     fn remember(&self, summary: RequestSummary) {
         let outcome = summary.outcome;
         self.recorder.record(summary);
@@ -848,8 +835,7 @@ impl ServeObs {
         self.dumps.lock().expect("dump store lock poisoned").clone()
     }
 
-    /// Percentile summary of the per-stage histograms. Zeros when
-    /// built without `obs`.
+    /// Percentile summary of the per-stage histograms.
     #[must_use]
     pub fn stage_percentiles(&self) -> StagePercentiles {
         let m = &self.metrics;
@@ -1928,10 +1914,8 @@ mod tests {
             // Only the good client's batch was served: the refused
             // merged batch and the bad client's own are not counted.
             let stats = handle.shutdown().0.stats();
-            if cfg!(feature = "obs") {
-                assert_eq!(stats.batches, 1);
-                assert_eq!(stats.metrics.counter("api.tagged_requests"), Some(1));
-            }
+            assert_eq!(stats.batches, 1);
+            assert_eq!(stats.metrics.counter("api.tagged_requests"), Some(1));
         }
     }
 
@@ -2124,11 +2108,9 @@ mod tests {
         assert_eq!(sim.stats.engine_batches, 2);
         let ds = sim.store.stats();
         assert!(ds.flash.page_reads > 0);
-        if cfg!(feature = "obs") {
-            assert_eq!(ds.queries, 3);
-            assert_eq!(ds.batches, 2);
-            assert!(ds.stages.scan_ns > 0);
-        }
+        assert_eq!(ds.queries, 3);
+        assert_eq!(ds.batches, 2);
+        assert!(ds.stages.scan_ns > 0);
     }
 
     #[test]
@@ -2185,8 +2167,7 @@ mod tests {
     /// through the recording hot path costs at most 2% of the CPU of a
     /// directly dispatched query — a conservative denominator, since a
     /// served query costs more. Both loops run on this thread, so CPU
-    /// accounting charges neither for a neighbour's cycles. Without `obs`
-    /// the hot path is compiled out: the null experiment.
+    /// accounting charges neither for a neighbour's cycles.
     #[test]
     fn recording_hot_path_costs_under_two_percent_of_a_query() {
         const REQUESTS: u64 = 100_000;

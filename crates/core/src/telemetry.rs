@@ -17,10 +17,7 @@
 //!   [`DeepStoreCluster`](crate::cluster::DeepStoreCluster); counts
 //!   scatter-gather fan-out, replica failovers and rebalance outcomes.
 //!
-//! Every `record` call compiles out when the `obs` cargo feature is
-//! off; the tables, their snapshots and [`DeviceStats`] stay available
-//! (reporting zeros) so the API surface is identical in both
-//! configurations. Snapshots are deterministic under any `parallelism`
+//! Snapshots are deterministic under any `parallelism`
 //! setting — every mutation is a commutative atomic add and every
 //! recorded quantity is derived from the physically-determined shard
 //! plan or the deterministic timing model, never from host wall-clock.
@@ -148,23 +145,19 @@ mod tests {
     #[test]
     fn stage_totals_accumulate() {
         let t = ApiTelemetry::new();
-        t.record(|m| {
-            m.batches.incr();
-            m.stage_qc_lookup_ns.add(100);
-            m.scan_groups.incr();
-            m.unreadable_skipped.add(1);
-            m.stage_flash_ns.add(50);
-            m.stage_compute_ns.add(30);
-            m.stage_weights_ns.add(20);
-            m.stage_scan_ns.add(80);
-        });
+        t.batches.incr();
+        t.stage_qc_lookup_ns.add(100);
+        t.scan_groups.incr();
+        t.unreadable_skipped.add(1);
+        t.stage_flash_ns.add(50);
+        t.stage_compute_ns.add(30);
+        t.stage_weights_ns.add(20);
+        t.stage_scan_ns.add(80);
         for (ns, hit) in [(180, false), (100, true)] {
-            t.record(|m| {
-                m.queries.incr();
-                (if hit { &m.cache_hits } else { &m.cache_misses }).incr();
-                m.stage_total_ns.add(ns);
-                m.query_ns.record(ns);
-            });
+            t.queries.incr();
+            (if hit { &t.cache_hits } else { &t.cache_misses }).incr();
+            t.stage_total_ns.add(ns);
+            t.query_ns.record(ns);
         }
         let got = [
             t.queries.get(),
@@ -179,51 +172,36 @@ mod tests {
             t.stage_scan_ns.get(),
             t.stage_total_ns.get(),
         ];
-        if cfg!(feature = "obs") {
-            assert_eq!(got, [2, 1, 1, 1, 1, 100, 50, 30, 20, 80, 280]);
-            assert_eq!(t.query_ns.count(), 2);
-        } else {
-            assert_eq!(got, [0; 11]);
-            assert_eq!(t.query_ns.count(), 0);
-        }
+        assert_eq!(got, [2, 1, 1, 1, 1, 100, 50, 30, 20, 80, 280]);
+        assert_eq!(t.query_ns.count(), 2);
     }
 
     #[test]
     fn degraded_queries_and_recovery_accumulate() {
         let t = ApiTelemetry::new();
-        t.record(|m| m.degraded_queries.incr());
-        t.record(|m| m.degraded_queries.incr());
+        t.degraded_queries.incr();
+        t.degraded_queries.incr();
         for (remapped, lost) in [(8, 3), (0, 1)] {
-            t.record(|m| {
-                m.recovery_pages_remapped.add(remapped);
-                m.recovery_pages_lost.add(lost);
-            });
+            t.recovery_pages_remapped.add(remapped);
+            t.recovery_pages_lost.add(lost);
         }
         let snap = t.snapshot();
-        if cfg!(feature = "obs") {
-            assert_eq!(t.degraded_queries.get(), 2);
-            assert_eq!(snap.counter("api.degraded_queries"), Some(2));
-            assert_eq!(snap.counter("api.recovery.pages_remapped"), Some(8));
-            assert_eq!(snap.counter("api.recovery.pages_lost"), Some(4));
-        } else {
-            assert_eq!(t.degraded_queries.get(), 0);
-            assert_eq!(snap.counter("api.recovery.pages_lost"), Some(0));
-        }
+        assert_eq!(t.degraded_queries.get(), 2);
+        assert_eq!(snap.counter("api.degraded_queries"), Some(2));
+        assert_eq!(snap.counter("api.recovery.pages_remapped"), Some(8));
+        assert_eq!(snap.counter("api.recovery.pages_lost"), Some(4));
     }
 
     #[test]
     fn merged_snapshot_keeps_namespaced_parts() {
         let e = ScanMetrics::new();
         let a = ApiTelemetry::new();
-        e.record(|m| {
-            m.features_scanned.add(8);
-            m.scan_features.record(10);
-        });
-        a.record(|m| m.queries.incr());
+        e.features_scanned.add(8);
+        e.scan_features.record(10);
+        a.queries.incr();
         let mut merged = e.snapshot();
         merged.merge(&a.snapshot());
-        let expected = if cfg!(feature = "obs") { 8 } else { 0 };
-        assert_eq!(merged.counter("engine.features_scanned"), Some(expected));
+        assert_eq!(merged.counter("engine.features_scanned"), Some(8));
         assert!(merged.counter("api.queries").is_some());
         assert!(merged.histogram("engine.scan_features").is_some());
         // The disjoint tables concatenate: engine rows, then API rows.

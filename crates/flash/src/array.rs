@@ -325,7 +325,7 @@ impl FlashArray {
 
     /// [`FlashArray::read`] with per-read fault attribution: retry
     /// rounds, recoveries and permanent failures are recorded into
-    /// `stats` (functional counts — identical with `obs` on and off).
+    /// `stats`.
     ///
     /// The layered fault pipeline, per attempt `a` (0-based):
     ///
@@ -360,7 +360,7 @@ impl FlashArray {
                 match self.faults.outcome(&self.geometry, addr, attempt, wear) {
                     FaultOutcome::Ok => break,
                     FaultOutcome::Transient => {
-                        self.metrics.record(|m| m.ecc_failures.incr());
+                        self.metrics.ecc_failures.incr();
                         if attempt + 1 >= max_attempts {
                             // Retry budget exhausted. The fault is still
                             // transient, so the block is NOT retired — a
@@ -368,11 +368,11 @@ impl FlashArray {
                             return Err(FlashError::UncorrectableEcc(addr));
                         }
                         stats.on_retry(attempt as usize);
-                        self.metrics.record(|m| m.read_retries.incr());
+                        self.metrics.read_retries.incr();
                         attempt += 1;
                     }
                     FaultOutcome::Permanent => {
-                        self.metrics.record(|m| m.ecc_failures.incr());
+                        self.metrics.ecc_failures.incr();
                         if self.faults.in_outage_domain(addr) {
                             stats.lost += 1;
                         } else {
@@ -395,7 +395,7 @@ impl FlashArray {
         }
         if attempt > 0 {
             stats.recovered += 1;
-            self.metrics.record(|m| m.reads_recovered.incr());
+            self.metrics.reads_recovered.incr();
         }
         self.reads.fetch_add(1, Ordering::Relaxed);
         Ok(self.store.page(idx))
@@ -752,10 +752,9 @@ mod tests {
         // Failed attempts do not advance the page-read counter.
         assert_eq!(a.op_counts().reads, 1);
         let m = a.metrics();
-        let recorded = u64::from(cfg!(feature = "obs"));
-        assert_eq!(m.read_retries.get(), recorded);
-        assert_eq!(m.reads_recovered.get(), recorded);
-        assert_eq!(m.ecc_failures.get(), recorded);
+        assert_eq!(m.read_retries.get(), 1);
+        assert_eq!(m.reads_recovered.get(), 1);
+        assert_eq!(m.ecc_failures.get(), 1);
     }
 
     #[test]

@@ -350,13 +350,12 @@ impl OutageSummary {
     }
 }
 
-/// Functional per-scan read-fault statistics.
+/// Per-scan read-fault statistics.
 ///
-/// These are **not** obs-gated: retry counts feed the timing model (each
-/// retry round has an escalating simulated cost) and the per-retry trace
-/// spans, both of which must be identical with and without the `obs`
-/// feature. Deterministic by construction: every count is derived from
-/// the fault plan and the read order, which are fixed per scan shard.
+/// Retry counts feed the timing model (each retry round has an
+/// escalating simulated cost) and the per-retry trace spans.
+/// Deterministic by construction: every count is derived from the fault
+/// plan and the read order, which are fixed per scan shard.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReadFaultStats {
     /// `retries_by_round[r]` counts issued retry number `r + 1` across

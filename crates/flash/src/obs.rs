@@ -4,9 +4,7 @@
 //! events that the [`crate::array::FlashArray`] operation counters do
 //! not cover: uncorrectable-ECC failures, channel-bus arbitration waits
 //! from the timing model, read retries and the recovery pipeline's
-//! remaps. Its `record` calls compile out when the `obs` cargo feature
-//! is off — the table and [`FlashEventCounts`] stay available
-//! (reporting zeros) so no API surface changes between configurations.
+//! remaps; [`FlashEventCounts`] is its plain-data copy.
 //!
 //! All storage is [`deepstore_obs::Counter`] (single relaxed atomic
 //! adds), so counts are deterministic under any host thread

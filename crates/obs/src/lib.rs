@@ -22,11 +22,8 @@
 //!   ring of recent request summaries, dumped to deterministic JSON on
 //!   error, SLO breach, or explicit request.
 //!
-//! The crate is dependency-light (serde shims only) and is always
-//! compiled. Recording is gated by the *consumer's* `obs` cargo
-//! feature: a [`metrics!`] table's `record` call compiles out in a
-//! crate built without it, while the types and snapshots stay
-//! available in both configurations.
+//! The crate is dependency-light (serde shims only). There is one
+//! build: every layer records into its table unconditionally.
 
 pub mod histo;
 pub mod metrics;

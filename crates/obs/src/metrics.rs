@@ -212,10 +212,8 @@ impl Metric for Histogram {
 ///     }
 /// }
 ///
-/// layer_metrics.record(|m| {
-///     m.passes.incr();
-///     m.pass_ns.record(elapsed_ns);
-/// });
+/// layer_metrics.passes.incr();
+/// layer_metrics.pass_ns.record(elapsed_ns);
 /// ```
 ///
 /// The table expands to a struct with one public field per row, plus:
@@ -223,15 +221,10 @@ impl Metric for Histogram {
 /// * `new()` — every metric at zero;
 /// * `snapshot()` — a [`MetricsSnapshot`] whose counters, then
 ///   histograms, appear in table order under their row names, which
-///   is the only place a name is spelled;
-/// * `record(|m| ...)` — the layer's recording call. Its body is
-///   compiled out when the `obs` cargo feature *of the crate that
-///   expands the table* is off, so such a crate must declare an `obs`
-///   feature. With it off the table still snapshots, reading zero.
+///   is the only place a name is spelled.
 ///
-/// A functional count that must stay on without `obs` (for example an
-/// admission counter) is written directly through its field instead of
-/// through `record`.
+/// A layer records by writing its fields directly; there is one build,
+/// and every table records in it.
 #[macro_export]
 macro_rules! metrics {
     (
@@ -251,16 +244,6 @@ macro_rules! metrics {
             #[must_use]
             pub fn new() -> Self {
                 Self::default()
-            }
-
-            /// Runs one recording call on the table. The call compiles
-            /// out when this crate's `obs` feature is off.
-            #[inline]
-            pub fn record(&self, f: impl FnOnce(&Self)) {
-                #[cfg(feature = "obs")]
-                f(self);
-                #[cfg(not(feature = "obs"))]
-                let _ = f;
             }
 
             /// A deterministic snapshot of every metric, in table order.

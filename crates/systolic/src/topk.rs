@@ -25,6 +25,11 @@ pub struct ScoredFeature {
     pub feature_id: u64,
 }
 
+/// The most entries [`TopKSorter::new`] reserves up front. `k` arrives
+/// from the wire unchecked, so a larger `k` grows the table on demand
+/// instead of reserving memory it may never fill.
+const MAX_RESERVED: usize = 4096;
+
 /// Hardware-style top-K priority queue: sorted tag array + mapping table.
 #[derive(Debug, Clone)]
 pub struct TopKSorter {
@@ -46,10 +51,11 @@ impl TopKSorter {
     /// and [`TopKSorter::ranked`] stays empty. (The wire protocol lets a
     /// host submit `k = 0`; the device must degrade, not abort.)
     pub fn new(k: usize) -> Self {
+        let reserved = k.min(MAX_RESERVED);
         TopKSorter {
             k,
-            tags: Vec::with_capacity(k),
-            table: Vec::with_capacity(k),
+            tags: Vec::with_capacity(reserved),
+            table: Vec::with_capacity(reserved),
             cycles: 0,
             inserts: 0,
         }
@@ -347,5 +353,23 @@ mod tests {
         assert_eq!(s.len(), 0);
         assert_eq!(s.threshold(), None);
         assert!(s.ranked().is_empty());
+    }
+
+    /// A small `k` reserves exactly `k` entries; a `k` from the wire
+    /// that no allocation could hold reserves a bounded table that
+    /// grows as entries arrive, and still retains every offer.
+    #[test]
+    fn huge_k_grows_on_demand() {
+        for k in [8, 10] {
+            let s = TopKSorter::new(k);
+            assert_eq!((s.tags.capacity(), s.table.capacity()), (k, k));
+        }
+        let mut s = TopKSorter::new(1 << 60);
+        assert_eq!(s.table.capacity(), MAX_RESERVED);
+        for i in 0..MAX_RESERVED as u64 + 3 {
+            assert!(s.offer(i as f32, i));
+        }
+        assert_eq!(s.len(), MAX_RESERVED + 3);
+        assert_eq!(s.threshold(), None);
     }
 }

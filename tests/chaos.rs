@@ -477,8 +477,7 @@ proptest! {
 
 /// Transient faults on every page recover within the retry ladder:
 /// identical answers, strictly more simulated latency (the escalating
-/// retry cost is functional, charged with `obs` on and off), and — with
-/// `obs` on — retry/recovery counters that account for the work.
+/// retry cost), and retry/recovery counters that account for the work.
 #[test]
 fn transient_retries_charge_latency_but_not_answers() {
     let model = zoo::textqa().seeded_metric(41);
@@ -525,12 +524,10 @@ fn transient_retries_charge_latency_but_not_answers() {
         faulted.elapsed,
         clean.elapsed
     );
-    if cfg!(feature = "obs") {
-        assert!(stats.flash.read_retries > 0, "retries were counted");
-        assert!(stats.flash.reads_recovered > 0, "recoveries were counted");
-        assert!(stats.flash.read_retry_ns > 0, "retry stall was counted");
-        assert_eq!(stats.flash.lost_pages, 0);
-    }
+    assert!(stats.flash.read_retries > 0, "retries were counted");
+    assert!(stats.flash.reads_recovered > 0, "recoveries were counted");
+    assert!(stats.flash.read_retry_ns > 0, "retry stall was counted");
+    assert_eq!(stats.flash.lost_pages, 0);
 }
 
 /// Permanent page faults degrade answers until `recover_faults` remaps
@@ -637,9 +634,7 @@ fn dead_channel_outage_stays_degraded_after_recovery() {
         "recovery cannot resurrect an outage domain"
     );
     assert!(after.degraded);
-    if cfg!(feature = "obs") {
-        assert!(store.stats().degraded_queries >= 2);
-    }
+    assert!(store.stats().degraded_queries >= 2);
 }
 
 /// Sanity for the artifact plumbing itself: a recorded case lands in

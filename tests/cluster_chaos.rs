@@ -777,15 +777,13 @@ fn cluster_metrics_account_for_failovers_and_rebalance() {
     assert_eq!(r.coverage, 1.0);
     let report = cluster.rebalance().unwrap();
     assert!(report.fully_replicated(2));
-    if cfg!(feature = "obs") {
-        let snap = cluster.metrics_snapshot();
-        let counter = |name: &str| snap.counter(name).unwrap_or(0);
-        assert_eq!(counter("cluster.queries"), 1);
-        assert!(counter("cluster.replica_failovers") >= 1);
-        assert_eq!(counter("cluster.rebalances"), 1);
-        assert!(counter("cluster.rebalance.moved_bytes") > 0);
-        // Fleet metrics fold per-drive engine counters on top.
-        let fleet = cluster.fleet_metrics();
-        assert!(fleet.counters.len() >= snap.counters.len());
-    }
+    let snap = cluster.metrics_snapshot();
+    let counter = |name: &str| snap.counter(name).unwrap_or(0);
+    assert_eq!(counter("cluster.queries"), 1);
+    assert!(counter("cluster.replica_failovers") >= 1);
+    assert_eq!(counter("cluster.rebalances"), 1);
+    assert!(counter("cluster.rebalance.moved_bytes") > 0);
+    // Fleet metrics fold per-drive engine counters on top.
+    let fleet = cluster.fleet_metrics();
+    assert!(fleet.counters.len() >= snap.counters.len());
 }

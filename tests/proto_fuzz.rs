@@ -22,6 +22,7 @@ use deepstore::nn::{zoo, ModelGraph, Tensor};
 use proptest::prelude::*;
 use std::io::Write as _;
 use std::net::TcpStream;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A channel that answers every command with one fixed frame.
@@ -434,6 +435,130 @@ fn tcp_server_survives_partial_frames_and_disconnects() {
     let (_store, stats) = handle.shutdown();
     assert_eq!(stats.connections, 4);
     assert!(stats.malformed_frames >= 1);
+}
+
+/// A device shared between channels, so a bare [`Device`] can be
+/// reached over more than one connection.
+#[derive(Clone)]
+struct SharedDevice(Arc<Mutex<Device>>);
+
+impl CommandChannel for SharedDevice {
+    fn exchange(&mut self, frame: &[u8]) -> Result<Vec<u8>, ProtoError> {
+        Ok(self.0.lock().unwrap().handle(frame))
+    }
+}
+
+/// Sends one command and decodes the answer.
+fn ask(chan: &mut dyn CommandChannel, cmd: &Command) -> Response {
+    decode_response(&chan.exchange(&encode_command(cmd)).unwrap()).unwrap()
+}
+
+/// Asserts that `chan` still answers a valid two-feature query.
+fn answers_a_query(chan: impl CommandChannel, qfv: &Tensor) {
+    let mut host = HostClient::over(chan);
+    let (mid, db, level) = (ModelId(1), DbId(1), AcceleratorLevel::Ssd);
+    let qid = host.query(qfv, 2, mid, db, level, false).unwrap();
+    assert_eq!(host.get_results(qid).unwrap().top_k.len(), 2);
+}
+
+/// Well-formed frames with hostile values — a `k` no allocation can
+/// hold, a `readDB` range past `u64::MAX`, query-cache settings the
+/// cache refuses — each get a typed answer, from a bare device and over
+/// a served connection, and leave the endpoint serving: the same
+/// connection and a new one both answer a valid query afterwards. A `k`
+/// larger than the database ranks every feature.
+#[test]
+fn hostile_frames_get_typed_answers_and_leave_the_device_serving() {
+    const FEATURES: u64 = 16;
+    let model = zoo::textqa().seeded(5);
+    let qfv = model.random_feature(50);
+    let store = || {
+        let mut store = DeepStore::in_memory(DeepStoreConfig::small());
+        store.disable_qc();
+        let features: Vec<Tensor> = (0..FEATURES).map(|i| model.random_feature(i)).collect();
+        store.write_db(&features).unwrap();
+        store.load_model(&ModelGraph::from_model(&model)).unwrap();
+        store
+    };
+    let huge_k = 1usize << 60;
+    let set_qc = |capacity, threshold| Command::SetQc {
+        config: QueryCacheConfig {
+            capacity,
+            threshold,
+            qcn_accuracy: 1.0,
+        },
+    };
+    let frames = [
+        Command::Query {
+            qfv: qfv.clone(),
+            k: huge_k,
+            model: ModelId(1),
+            db: DbId(1),
+            level: AcceleratorLevel::Channel,
+            exact: false,
+            request_id: 0,
+            sched_lag_ns: 0,
+        },
+        Command::QueryBatch {
+            requests: vec![
+                QueryRequest::new(qfv.clone(), ModelId(1), DbId(1)).k(huge_k),
+                QueryRequest::new(qfv.clone(), ModelId(1), DbId(1))
+                    .k(huge_k)
+                    .exact(),
+            ],
+            request_id: 0,
+            sched_lag_ns: 0,
+        },
+        Command::ReadDb {
+            db: DbId(1),
+            start: u64::MAX - 1,
+            num: 5,
+        },
+        set_qc(0, 0.1),
+        set_qc(4, f64::NAN),
+    ];
+    // Checks one hostile frame's answer on `chan`, fetching the
+    // rankings of an accepted huge-`k` query.
+    let check = |chan: &mut dyn CommandChannel, cmd: &Command| {
+        let ids = match (cmd, ask(chan, cmd)) {
+            (Command::Query { .. }, Response::QuerySubmitted { id, .. }) => vec![id],
+            (Command::QueryBatch { .. }, Response::BatchSubmitted { ids, .. }) => ids,
+            (
+                Command::ReadDb { .. },
+                Response::Error(DeepStoreError::Flash(FlashError::AddressOutOfRange(_))),
+            )
+            | (Command::SetQc { .. }, Response::Error(DeepStoreError::Malformed(_))) => vec![],
+            (_, other) => panic!("{cmd:?} answered {other:?}"),
+        };
+        for query in ids {
+            match ask(chan, &Command::GetResults { query }) {
+                Response::Results(r) => {
+                    let mut got: Vec<u64> = r.top_k.iter().map(|h| h.feature_index).collect();
+                    got.sort_unstable();
+                    assert_eq!(got, (0..FEATURES).collect::<Vec<_>>(), "{cmd:?}");
+                }
+                other => panic!("results of {cmd:?}: {other:?}"),
+            }
+        }
+    };
+
+    let device = SharedDevice(Arc::new(Mutex::new(Device::with_store(store()))));
+    for cmd in &frames {
+        let mut chan = device.clone();
+        check(&mut chan, cmd);
+        answers_a_query(chan, &qfv);
+        answers_a_query(device.clone(), &qfv);
+    }
+
+    let (transport, connector) = channel_transport();
+    let handle = serve(transport, store(), ServeConfig::default());
+    for cmd in &frames {
+        let mut conn = connector.connect().unwrap();
+        check(&mut conn, cmd);
+        answers_a_query(conn, &qfv);
+        answers_a_query(connector.connect().unwrap(), &qfv);
+    }
+    handle.shutdown();
 }
 
 proptest! {

@@ -72,19 +72,15 @@ fn tcp_request_is_joinable_end_to_end() {
     assert!(page.contains("# TYPE deepstore_serve_queries_admitted counter"));
     assert!(page.contains("deepstore_serve_queries_admitted 2"));
     assert!(page.contains("deepstore_serve_tenant_accepted{tenant=\"tenant-a\"} 2"));
-    if cfg!(feature = "obs") {
-        assert!(page.contains("# TYPE deepstore_serve_e2e_ns histogram"));
-        assert!(page.contains("deepstore_serve_tenant_e2e_ns_count{tenant=\"tenant-a\"} 2"));
-        // The device half of the page is appended to the serve half.
-        assert!(page.contains("deepstore_api_queries 2"));
-        assert!(page.contains("deepstore_api_tagged_requests 2"));
-    }
+    assert!(page.contains("# TYPE deepstore_serve_e2e_ns histogram"));
+    assert!(page.contains("deepstore_serve_tenant_e2e_ns_count{tenant=\"tenant-a\"} 2"));
+    // The device half of the page is appended to the serve half.
+    assert!(page.contains("deepstore_api_queries 2"));
+    assert!(page.contains("deepstore_api_tagged_requests 2"));
 
     // Serve-layer stats ride the same Stats frame as the device's.
     let (device_stats, server) = host.stats_full().unwrap();
-    if cfg!(feature = "obs") {
-        assert_eq!(device_stats.queries, 2);
-    }
+    assert_eq!(device_stats.queries, 2);
     let server = server.expect("a served Stats frame carries ServerStats");
     assert_eq!(server.queries_admitted, 2);
     assert_eq!(server.per_tenant.len(), 1);
@@ -94,15 +90,13 @@ fn tcp_request_is_joinable_end_to_end() {
     // The flight recorder saw both requests, tagged with their ids.
     let dump: FlightDump = serde_json::from_str(&host.dump().unwrap()).unwrap();
     assert_eq!(dump.reason, "explicit");
-    if cfg!(feature = "obs") {
-        assert_eq!(dump.total, 2);
-        let rids: Vec<u64> = dump.entries.iter().map(|e| e.request_id).collect();
-        assert_eq!(rids, vec![rid, 777]);
-        assert!(dump
-            .entries
-            .iter()
-            .all(|e| e.tenant == "tenant-a" && e.outcome == RequestOutcome::Ok && e.queries == 1));
-    }
+    assert_eq!(dump.total, 2);
+    let rids: Vec<u64> = dump.entries.iter().map(|e| e.request_id).collect();
+    assert_eq!(rids, vec![rid, 777]);
+    assert!(dump
+        .entries
+        .iter()
+        .all(|e| e.tenant == "tenant-a" && e.outcome == RequestOutcome::Ok && e.queries == 1));
 
     drop(host);
     let (store, stats) = handle.shutdown();
@@ -151,22 +145,19 @@ fn dump_is_byte_identical_across_parallelism() {
         dumps.iter().all(|d| d == &dumps[0]),
         "flight-recorder dumps must be byte-identical across parallelism"
     );
-    if cfg!(feature = "obs") {
-        let dump: FlightDump = serde_json::from_str(&dumps[0]).unwrap();
-        assert_eq!(dump.total, 5);
-        assert_eq!(dump.entries.len(), 5);
-        // Manual clock pinned at 0: every recorded latency is exactly 0.
-        assert!(dump
-            .entries
-            .iter()
-            .all(|e| e.queue_ns == 0 && e.service_ns == 0 && e.e2e_ns == 0));
-    }
+    let dump: FlightDump = serde_json::from_str(&dumps[0]).unwrap();
+    assert_eq!(dump.total, 5);
+    assert_eq!(dump.entries.len(), 5);
+    // Manual clock pinned at 0: every recorded latency is exactly 0.
+    assert!(dump
+        .entries
+        .iter()
+        .all(|e| e.queue_ns == 0 && e.service_ns == 0 && e.e2e_ns == 0));
 }
 
 /// Satellite (d): crossing the configured e2e p99 SLO takes exactly one
 /// `slo_breach` auto-dump — the latch keeps a sustained breach from
 /// dumping per request.
-#[cfg(feature = "obs")]
 #[test]
 fn slo_breach_takes_one_auto_dump() {
     let store = seeded_store(32, 1);
@@ -222,7 +213,6 @@ fn slo_breach_takes_one_auto_dump() {
 
 /// Satellite (d): an error response triggers an automatic `error` dump
 /// whose entries record the failed request's outcome.
-#[cfg(feature = "obs")]
 #[test]
 fn error_response_takes_auto_dump() {
     let store = seeded_store(16, 1);
@@ -272,7 +262,6 @@ fn error_response_takes_auto_dump() {
 /// Satellite (d): the recorder is a fixed-size ring — once `total`
 /// passes `recorder_capacity`, a dump holds exactly the newest
 /// `capacity` summaries, oldest first.
-#[cfg(feature = "obs")]
 #[test]
 fn recorder_ring_wraps_at_capacity() {
     let store = seeded_store(32, 1);

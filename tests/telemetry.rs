@@ -255,9 +255,6 @@ fn snapshot_roundtrips_through_json() {
 /// `[min, max]`.
 #[test]
 fn histogram_min_max_are_exact_and_bracket_percentiles() {
-    if !cfg!(feature = "obs") {
-        return; // histograms are empty stubs without the obs feature
-    }
     let (stats, _, _) = run_workload("textqa", 11, 32, 1, None);
     let mut populated = 0;
     for h in &stats.metrics.histograms {
@@ -400,34 +397,9 @@ fn golden_fleet_metrics() -> MetricsSnapshot {
     c.fleet_metrics()
 }
 
-/// The metric names of a snapshot, counters then histograms.
-fn names(snap: &MetricsSnapshot) -> Vec<&str> {
-    snap.counters
-        .iter()
-        .map(|c| c.name.as_str())
-        .chain(snap.histograms.iter().map(|h| h.name.as_str()))
-        .collect()
-}
-
-/// With `obs` off a snapshot keeps the golden's names, in order, and
-/// reads zero everywhere.
-fn assert_zero_with_golden_names(golden: &MetricsSnapshot, actual: &MetricsSnapshot) {
-    assert_eq!(names(golden), names(actual));
-    assert!(actual.counters.iter().all(|c| c.value == 0), "{actual:?}");
-    assert!(
-        actual
-            .histograms
-            .iter()
-            .all(|h| (h.count, h.sum, h.min, h.max, h.buckets.len()) == (0, 0, 0, 0, 0)),
-        "{actual:?}"
-    );
-}
-
 /// Every telemetry surface, byte for byte: the metrics page, the device
 /// and server stats JSON of `Command::Stats`, and the cluster's fleet
-/// metrics. With `obs` off the names and their order still match, the
-/// recorded values read zero, and the serve layer's functional counters
-/// (admissions, passes, errors) are unchanged.
+/// metrics.
 #[test]
 fn every_telemetry_surface_matches_its_golden() {
     let golden_page = include_str!("golden/metrics_page.txt");
@@ -438,50 +410,9 @@ fn every_telemetry_surface_matches_its_golden() {
     let fleet = golden_fleet_metrics();
     let server_json = serde_json::to_string(&server).unwrap() + "\n";
     assert_golden("server_stats.json", golden_server, &server_json);
-    if cfg!(feature = "obs") {
-        assert_golden("metrics_page.txt", golden_page, &page);
-        let device_json = serde_json::to_string(&device).unwrap() + "\n";
-        assert_golden("device_stats.json", golden_device, &device_json);
-        let fleet_json = serde_json::to_string(&fleet).unwrap() + "\n";
-        assert_golden("fleet_metrics.json", golden_fleet, &fleet_json);
-        return;
-    }
-    let type_lines = |p: &str| -> Vec<String> {
-        p.lines()
-            .filter(|l| l.starts_with("# TYPE"))
-            .map(str::to_string)
-            .collect()
-    };
-    assert_eq!(type_lines(golden_page), type_lines(&page));
-    let counter_of = |p: &str, series: &str| -> Option<String> {
-        p.lines()
-            .filter(|l| !l.starts_with('#'))
-            .find_map(|l| l.rsplit_once(' ').filter(|(s, _)| *s == series))
-            .map(|(_, v)| v.to_string())
-    };
-    let serve_counters: Vec<String> = type_lines(golden_page)
-        .iter()
-        .filter_map(|l| l.strip_suffix(" counter"))
-        .filter_map(|l| l.strip_prefix("# TYPE "))
-        .filter(|n| n.starts_with("deepstore_serve_"))
-        .map(str::to_string)
-        .collect();
-    assert!(!serve_counters.is_empty());
-    for line in page.lines().filter(|l| !l.starts_with('#')) {
-        let (series, value) = line.rsplit_once(' ').unwrap();
-        let name = series.split('{').next().unwrap();
-        if serve_counters.iter().any(|c| c == name) {
-            assert_eq!(
-                counter_of(golden_page, series).as_deref(),
-                Some(value),
-                "functional counter {series}"
-            );
-        } else {
-            assert_eq!(value, "0", "{line} is recorded with obs off");
-        }
-    }
-    let golden_device: DeviceStats = serde_json::from_str(golden_device).unwrap();
-    assert_zero_with_golden_names(&golden_device.metrics, &device.metrics);
-    let golden_fleet: MetricsSnapshot = serde_json::from_str(golden_fleet).unwrap();
-    assert_zero_with_golden_names(&golden_fleet, &fleet);
+    assert_golden("metrics_page.txt", golden_page, &page);
+    let device_json = serde_json::to_string(&device).unwrap() + "\n";
+    assert_golden("device_stats.json", golden_device, &device_json);
+    let fleet_json = serde_json::to_string(&fleet).unwrap() + "\n";
+    assert_golden("fleet_metrics.json", golden_fleet, &fleet_json);
 }
