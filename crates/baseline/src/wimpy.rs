@@ -9,7 +9,7 @@
 //! flash bandwidth.
 
 use crate::ScanSpec;
-use deepstore_flash::stream::{stripe_pages, ChannelStream};
+use deepstore_flash::stream::stripe_pages;
 use deepstore_flash::{SimDuration, SsdConfig};
 use serde::{Deserialize, Serialize};
 
@@ -46,11 +46,6 @@ impl WimpyCores {
         let per_channel = stripe_pages(pages, self.ssd.geometry.channels);
         let stream = deepstore_flash::stream::all_channels_stream(&self.ssd, &per_channel);
         compute.max(stream)
-    }
-
-    /// Sanity helper: the single-channel stream model for this drive.
-    pub fn channel_stream(&self) -> ChannelStream {
-        ChannelStream::new(&self.ssd)
     }
 }
 

@@ -60,7 +60,7 @@ commands:
   serve      [--app <name>] [--features N] [--port P] [--addr-file <file>]
              [--duration-ms MS] [--queue-depth D] [--quota-qps F]
              [--quota-burst F] [--batch-window-us W] [--parallelism P]
-             [--seed S] [--force-exact] [--image <path>]
+             [--seed S] [--image <path>]
              [--slo-p99-us US] [--dump-dir <dir>] [--recorder-capacity N]
                                           serve a store over loopback TCP
   loadgen    (--addr H:P | --addr-file <file>) [--app <name>] [--qps F]
@@ -97,8 +97,7 @@ them as one batch: the device scores every probe in a single flash pass.
 the file is byte-identical across runs.
 `query --exact` disables the int8 pruning cascade and scores every
 feature through the exact f32 path (results are bit-identical either
-way; the flag exists for perf comparisons). `serve --force-exact` does
-the same server-side for every served query.
+way; the flag exists for perf comparisons).
 `query --dead-channel` injects a whole-channel outage before querying;
 features on the dead channel are skipped and results come back degraded
 with their coverage fraction. `query --min-coverage` (0..=1) rejects the
@@ -794,7 +793,7 @@ fn latency_summary(times: &[(u64, u64, u64)]) -> (f64, [SimDuration; 4]) {
 }
 
 fn cmd_serve(args: &[String]) -> CmdResult {
-    let flags = Flags::parse_with_switches(args, &["force-exact"])?;
+    let flags = Flags::parse(args)?;
     flags.expect_only(&[
         "app",
         "features",
@@ -807,7 +806,6 @@ fn cmd_serve(args: &[String]) -> CmdResult {
         "batch-window-us",
         "parallelism",
         "seed",
-        "force-exact",
         "image",
         "slo-p99-us",
         "dump-dir",
@@ -854,7 +852,6 @@ fn cmd_serve(args: &[String]) -> CmdResult {
             },
             refill_per_sec: quota_qps,
         }),
-        force_exact: flags.switch("force-exact"),
         slo_p99_us: (slo_p99_us > 0).then_some(slo_p99_us),
         recorder_capacity,
         dump_dir: flags.opt("dump-dir").map(std::path::PathBuf::from),

@@ -246,27 +246,12 @@ impl DeepStore {
     /// heap and vanish with the process. [`DeepStore::flush`] and
     /// [`DeepStore::close`] are no-ops.
     ///
-    /// Setting the environment variable `DEEPSTORE_BACKEND=mmap` makes
-    /// this construct the device over an anonymous (immediately
-    /// unlinked) single-file mmap image instead — same semantics, file
-    /// lives and dies with the process — which lets an entire test
-    /// suite exercise the persistent read/write path unchanged.
+    /// The page store is chosen by the constructor, never by the
+    /// environment: this one is always the heap. For the same device
+    /// over an mmap image use [`DeepStore::create`] (a test that wants
+    /// the image gone afterwards can unlink the path at once — the
+    /// mapping keeps it alive).
     pub fn in_memory(cfg: DeepStoreConfig) -> Self {
-        if std::env::var("DEEPSTORE_BACKEND").as_deref() == Ok("mmap") {
-            use std::sync::atomic::{AtomicU64, Ordering};
-            static SCRATCH: AtomicU64 = AtomicU64::new(0);
-            let path = std::env::temp_dir().join(format!(
-                "deepstore-scratch-{}-{}.img",
-                std::process::id(),
-                SCRATCH.fetch_add(1, Ordering::Relaxed)
-            ));
-            if let Ok(store) = MmapStore::create(&path, cfg.ssd.geometry) {
-                // Unlink immediately: the mapping and fd keep the image
-                // alive; nothing is left behind on exit.
-                let _ = std::fs::remove_file(&path);
-                return Self::from_engine(Engine::with_store(cfg, Box::new(store)));
-            }
-        }
         Self::from_engine(Engine::new(cfg))
     }
 

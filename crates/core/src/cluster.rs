@@ -315,26 +315,7 @@ impl DeepStoreCluster {
     ///
     /// Panics if `n == 0`, `r == 0`, or `r > n`.
     pub fn with_replication(n: usize, r: usize, cfg: DeepStoreConfig) -> Self {
-        assert!(n > 0, "cluster needs at least one drive");
-        assert!(r > 0, "replication factor must be at least 1");
-        assert!(
-            r <= n,
-            "cannot place {r} replicas on {n} drives without co-location"
-        );
-        let mut drive_cfg = cfg;
-        drive_cfg.qc_capacity = 0;
-        DeepStoreCluster {
-            drives: (0..n)
-                .map(|_| DeepStore::in_memory(drive_cfg.clone()))
-                .collect(),
-            down: vec![false; n],
-            hosted_bytes: vec![0; n],
-            replicas: r,
-            dbs: Vec::new(),
-            models: Vec::new(),
-            telemetry: ClusterTelemetry::new(),
-            image_dir: None,
-        }
+        Self::build(n, r, cfg, None).expect("heap drives are infallible")
     }
 
     /// Creates a persistent cluster: `n` single-file flash images named
@@ -354,24 +335,32 @@ impl DeepStoreCluster {
         r: usize,
         cfg: DeepStoreConfig,
     ) -> Result<Self> {
+        Self::build(n, r, cfg, Some(dir.as_ref()))
+    }
+
+    /// The one door of both fresh-cluster constructors: checks the
+    /// shape, turns the per-drive query cache off, and builds `n` empty
+    /// drives — images under `image_dir` when given, heap drives
+    /// otherwise.
+    fn build(n: usize, r: usize, cfg: DeepStoreConfig, image_dir: Option<&Path>) -> Result<Self> {
         assert!(n > 0, "cluster needs at least one drive");
         assert!(r > 0, "replication factor must be at least 1");
         assert!(
             r <= n,
             "cannot place {r} replicas on {n} drives without co-location"
         );
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)
-            .map_err(|e| FlashError::Image(format!("create cluster dir: {e}")))?;
         let mut drive_cfg = cfg;
         drive_cfg.qc_capacity = 0;
-        let mut drives = Vec::with_capacity(n);
-        for d in 0..n {
-            drives.push(DeepStore::create(
-                Self::drive_image_path(dir, d),
-                drive_cfg.clone(),
-            )?);
+        if let Some(dir) = image_dir {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| FlashError::Image(format!("create cluster dir: {e}")))?;
         }
+        let drives = (0..n)
+            .map(|d| match image_dir {
+                Some(dir) => DeepStore::create(Self::drive_image_path(dir, d), drive_cfg.clone()),
+                None => Ok(DeepStore::in_memory(drive_cfg.clone())),
+            })
+            .collect::<Result<Vec<_>>>()?;
         Ok(DeepStoreCluster {
             drives,
             down: vec![false; n],
@@ -380,7 +369,7 @@ impl DeepStoreCluster {
             dbs: Vec::new(),
             models: Vec::new(),
             telemetry: ClusterTelemetry::new(),
-            image_dir: Some(dir.to_path_buf()),
+            image_dir: image_dir.map(Path::to_path_buf),
         })
     }
 
@@ -536,6 +525,17 @@ impl DeepStoreCluster {
     /// Target replication factor.
     pub fn replicas(&self) -> usize {
         self.replicas
+    }
+
+    /// Which storage backend holds the drives' page payloads (`"heap"`
+    /// or `"mmap"`); every drive of a cluster has the same one.
+    pub fn backend(&self) -> &'static str {
+        self.drives[0].backend()
+    }
+
+    /// Whether the drives' committed state survives process exit.
+    pub fn is_persistent(&self) -> bool {
+        self.drives[0].is_persistent()
     }
 
     /// Partition count of a database (always the drive count).

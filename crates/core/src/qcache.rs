@@ -251,19 +251,6 @@ impl QueryCache {
     pub fn invalidate_all(&mut self) {
         self.entries.clear();
     }
-
-    /// Time to search the cache: one QCN execution per entry, spread over
-    /// the channel-level accelerators (§4.6: "the query engine offloads
-    /// the execution of the QCN to the DeepStore channel-level
-    /// accelerators").
-    pub fn lookup_time(
-        &self,
-        qcn_shapes: &[LayerShape],
-        channels: usize,
-        overhead_cycles: u64,
-    ) -> SimDuration {
-        lookup_time_for(self.entries.len(), qcn_shapes, channels, overhead_cycles)
-    }
 }
 
 /// Lookup-time model for a cache of `entries` entries (standalone so the

@@ -465,12 +465,6 @@ pub struct ServeConfig {
     /// The clock quota refill, the batch window and the latency stamps
     /// run on.
     pub clock: ServeClock,
-    /// Force every served query onto the exact scoring path,
-    /// overriding the per-request cascade flag: the server rewrites
-    /// `exact = true` into each query before dispatch. Results are
-    /// bit-identical either way (the cascade's recall is exactly 1.0);
-    /// this is the operational escape hatch / measurement knob.
-    pub force_exact: bool,
     /// End-to-end p99 SLO in microseconds. When set, every completed
     /// query re-estimates the e2e p99; the first request that pushes it
     /// over the threshold triggers one flight-recorder dump (reason
@@ -494,7 +488,6 @@ impl Default for ServeConfig {
             poll: Duration::from_millis(2),
             engine_delay: None,
             clock: ServeClock::wall(),
-            force_exact: false,
             slo_p99_us: None,
             recorder_capacity: DEFAULT_RECORDER_CAPACITY,
             dump_dir: None,
@@ -1129,7 +1122,7 @@ fn engine_loop(
         // Queue wait ends here for every job in the batch; service time
         // starts. One stamp per batch keeps merged jobs comparable.
         let picked_ns = cfg.clock.now_ns();
-        engine_pass(jobs, &mut device, &cfg, &obs, picked_ns, |_, _| {
+        engine_pass(jobs, &mut device, &obs, picked_ns, |_, _| {
             cfg.clock.now_ns()
         });
     }
@@ -1142,17 +1135,13 @@ fn engine_loop(
 /// the pass's start on the serve clock; `stamp_done` stamps each job's
 /// completion, in job order, just before it is recorded.
 fn engine_pass(
-    mut jobs: Vec<Job>,
+    jobs: Vec<Job>,
     device: &mut Device,
-    cfg: &ServeConfig,
     obs: &ServeObs,
     picked_ns: u64,
     mut stamp_done: impl FnMut(&Device, &Response) -> u64,
 ) {
     obs.metrics.engine_batches.incr();
-    if cfg.force_exact {
-        jobs.iter_mut().for_each(|job| force_exact(&mut job.cmd));
-    }
 
     let mut replies: Vec<Option<Response>> = (0..jobs.len()).map(|_| None).collect();
     let query_jobs: Vec<usize> = jobs
@@ -1298,16 +1287,6 @@ fn query_outcome(device: &Device, resp: &Response) -> (RequestOutcome, u64) {
         (RequestOutcome::Degraded, worst)
     } else {
         (RequestOutcome::Ok, worst)
-    }
-}
-
-/// Rewrites a query command onto the exact scoring path
-/// ([`ServeConfig::force_exact`]); any other command is left as is.
-fn force_exact(cmd: &mut Command) {
-    match cmd {
-        Command::Query { exact, .. } => *exact = true,
-        Command::QueryBatch { requests, .. } => requests.iter_mut().for_each(|r| r.exact = true),
-        _ => {}
     }
 }
 
@@ -1494,7 +1473,7 @@ pub fn simulate(
             replies.push((arrival, reply));
         }
         let mut dones = Vec::with_capacity(jobs.len());
-        engine_pass(jobs, &mut device, &cfg, &obs, start, |device, resp| {
+        engine_pass(jobs, &mut device, &obs, start, |device, resp| {
             let done = submitted_ids(resp)
                 .iter()
                 .filter_map(|id| device.store().peek_results(*id))

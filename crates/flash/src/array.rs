@@ -183,16 +183,6 @@ impl FlashArray {
         self.store.is_persistent()
     }
 
-    /// Forces buffered page payloads to durable storage (no-op on the
-    /// heap backend).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlashError::Image`] if the backing file cannot sync.
-    pub fn flush_store(&mut self) -> Result<()> {
-        self.store.flush()
-    }
-
     /// Commits `manifest` to the persistent backend with the crash-safe
     /// ordering documented in [`crate::image`].
     ///

@@ -231,11 +231,6 @@ impl FaultPlan {
         }
     }
 
-    /// The armed transient layer, if any.
-    pub fn transient_layer(&self) -> Option<&TransientFaults> {
-        self.transient.as_ref()
-    }
-
     /// How many attempts a transient-faulty page fails before it
     /// recovers: a deterministic value in `1..=max_fail_attempts`.
     /// `0` for pages the transient layer does not affect.

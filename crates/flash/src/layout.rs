@@ -63,15 +63,6 @@ impl DbLayout {
         }
     }
 
-    /// Pages a single feature occupies (page-aligned placement), or the
-    /// average page cost per feature (packed).
-    pub fn pages_per_feature(&self) -> f64 {
-        match self.placement {
-            Placement::PageAligned => self.feature_bytes.div_ceil(self.page_bytes) as f64,
-            Placement::Packed => self.feature_bytes as f64 / self.page_bytes as f64,
-        }
-    }
-
     /// Total flash pages the database occupies.
     pub fn total_pages(&self) -> u64 {
         match self.placement {

@@ -107,11 +107,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns the backing data.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reinterprets the tensor with a new shape of the same element count.
     ///
     /// # Errors

@@ -5,11 +5,15 @@
 //! flash traffic: with the query cache disabled, the ranked results of a
 //! batch must be bit-identical to the same requests issued one at a
 //! time through `DeepStore::query`, at every parallelism setting, for
-//! every zoo model shape, and in the presence of injected read faults.
+//! every zoo model shape, on both page stores, and in the presence of
+//! injected read faults.
 //! A deterministic companion test pins the flash-traffic claim itself:
 //! a batch of B queries issues exactly the page reads of one scan, not
 //! B scans.
 
+mod common;
+
+use common::{backends, Backend, Ranked};
 use deepstore::core::{AcceleratorLevel, DeepStore, DeepStoreConfig, QueryRequest};
 use deepstore::flash::fault::FaultPlan;
 use deepstore::nn::{zoo, ModelGraph, Tensor};
@@ -20,9 +24,6 @@ use proptest::prelude::*;
 const WORKER_COUNTS: [usize; 4] = [2, 4, 8, 0];
 
 const APPS: [&str; 3] = ["textqa", "tir", "mir"];
-
-/// Ranked results for one request, reduced to comparable bits.
-type Ranked = Vec<(u64, u32)>;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -41,15 +42,15 @@ proptest! {
             0usize..2,
             any::<bool>(),
             0u64..1_000_000,
-        )
+        ),
+        backend in backends(),
     ) {
         let level = [AcceleratorLevel::Ssd, AcceleratorLevel::Channel][level_idx];
         let run = |workers: usize| -> (Vec<Ranked>, Vec<Ranked>) {
             let model = zoo::by_name(APPS[app_idx])
                 .expect("known app")
                 .seeded_metric(model_seed);
-            let mut store =
-                DeepStore::in_memory(DeepStoreConfig::small().with_parallelism(workers));
+            let mut store = backend.store(DeepStoreConfig::small().with_parallelism(workers));
             store.disable_qc();
             let features: Vec<Tensor> = (0..n).map(|i| model.random_feature(i)).collect();
             let db = store.write_db(&features).unwrap();
@@ -107,39 +108,41 @@ proptest! {
 /// page reads are exactly countable.
 #[test]
 fn batched_query_reads_each_page_once() {
-    const BATCH: usize = 8;
-    let model = zoo::tir().seeded_metric(11);
-    let mut store = DeepStore::in_memory(DeepStoreConfig::small());
-    store.disable_qc();
-    let features: Vec<Tensor> = (0..64).map(|i| model.random_feature(i)).collect();
-    let db = store.write_db(&features).unwrap();
-    let mid = store.load_model(&ModelGraph::from_model(&model)).unwrap();
-    let requests: Vec<QueryRequest> = (0..BATCH as u64)
-        .map(|i| QueryRequest::new(model.random_feature(5_000 + i), mid, db).k(4))
-        .collect();
+    for backend in Backend::ALL {
+        const BATCH: usize = 8;
+        let model = zoo::tir().seeded_metric(11);
+        let mut store = backend.store(DeepStoreConfig::small());
+        store.disable_qc();
+        let features: Vec<Tensor> = (0..64).map(|i| model.random_feature(i)).collect();
+        let db = store.write_db(&features).unwrap();
+        let mid = store.load_model(&ModelGraph::from_model(&model)).unwrap();
+        let requests: Vec<QueryRequest> = (0..BATCH as u64)
+            .map(|i| QueryRequest::new(model.random_feature(5_000 + i), mid, db).k(4))
+            .collect();
 
-    let r0 = store.flash_op_counts().reads;
-    store.query(requests[0].clone()).unwrap();
-    let r1 = store.flash_op_counts().reads;
-    let single_pass = r1 - r0;
-    assert!(single_pass > 0, "a scan must read flash pages");
+        let r0 = store.flash_op_counts().reads;
+        store.query(requests[0].clone()).unwrap();
+        let r1 = store.flash_op_counts().reads;
+        let single_pass = r1 - r0;
+        assert!(single_pass > 0, "a scan must read flash pages");
 
-    let qids = store.query_batch(&requests).unwrap();
-    let r2 = store.flash_op_counts().reads;
-    assert_eq!(
-        r2 - r1,
-        single_pass,
-        "a batch of {BATCH} must cost exactly one pass"
-    );
-    assert_eq!(qids.len(), BATCH);
+        let qids = store.query_batch(&requests).unwrap();
+        let r2 = store.flash_op_counts().reads;
+        assert_eq!(
+            r2 - r1,
+            single_pass,
+            "a batch of {BATCH} must cost exactly one pass"
+        );
+        assert_eq!(qids.len(), BATCH);
 
-    for r in &requests {
-        store.query(r.clone()).unwrap();
+        for r in &requests {
+            store.query(r.clone()).unwrap();
+        }
+        let r3 = store.flash_op_counts().reads;
+        assert_eq!(
+            r3 - r2,
+            BATCH as u64 * single_pass,
+            "sequential queries re-read the database every time"
+        );
     }
-    let r3 = store.flash_op_counts().reads;
-    assert_eq!(
-        r3 - r2,
-        BATCH as u64 * single_pass,
-        "sequential queries re-read the database every time"
-    );
 }

@@ -19,12 +19,18 @@
 //! against the whole database) and it is gated (an armed fault plan
 //! can hide its witnesses, so it is not trusted then).
 //!
+//! The engine-level properties draw the page store (heap or mmap image)
+//! as their last argument; the API test runs on both.
+//!
 //! Run with `DEEPSTORE_FORCE_SCALAR=1` to exercise the scalar kernel
 //! dispatch arm; CI runs both.
 
+mod common;
+
+use common::{backends, engine_with, Backend};
 use deepstore_core::config::DeepStoreConfig;
 use deepstore_core::engine::{DbId, Engine};
-use deepstore_core::{DeepStore, DeepStoreError, QueryRequest};
+use deepstore_core::{DeepStoreError, QueryRequest};
 use deepstore_flash::fault::FaultPlan;
 use deepstore_flash::FlashError;
 use deepstore_nn::{
@@ -58,18 +64,6 @@ fn linear_model(merge: MergeOp, dims: &[usize], seed: u64) -> Model {
         inp = out;
     }
     b.build().seeded(seed)
-}
-
-/// Builds a sealed engine with `n` random features from `app`'s model.
-fn engine_with(app: &str, model_seed: u64, n: u64, parallelism: usize) -> (Engine, Model, DbId) {
-    let model = zoo::by_name(app)
-        .expect("known app")
-        .seeded_metric(model_seed);
-    let mut engine = Engine::new(DeepStoreConfig::small().with_parallelism(parallelism));
-    let features: Vec<Tensor> = (0..n).map(|i| model.random_feature(i)).collect();
-    let db = engine.write_db(&features).unwrap();
-    engine.seal_db(db).unwrap();
-    (engine, model, db)
 }
 
 /// Page reads of a fault-free cascade scan that visits exactly the
@@ -135,9 +129,10 @@ proptest! {
             1u64..96,
             0usize..12,
             0u64..1_000_000,
-        )
+        ),
+        backend in backends(),
     ) {
-        let (mut engine, model, db) = engine_with("textqa", model_seed, n, 1);
+        let (mut engine, model, db) = engine_with("textqa", model_seed, n, 1, backend);
         let probe = model.random_feature(q_seed ^ 0x5EED);
         let (exact, exact_faults, exact_stats) = engine
             .scan_top_k_with(db, &model, &probe, k, true)
@@ -168,9 +163,10 @@ proptest! {
     /// path: identical results, zero cascade decisions.
     #[test]
     fn non_foldable_models_fall_back_to_exact(
-        (model_seed, n, q_seed) in (0u64..1_000_000, 1u64..32, 0u64..1_000_000)
+        (model_seed, n, q_seed) in (0u64..1_000_000, 1u64..32, 0u64..1_000_000),
+        backend in backends(),
     ) {
-        let (engine, model, db) = engine_with("tir", model_seed, n, 1);
+        let (engine, model, db) = engine_with("tir", model_seed, n, 1, backend);
         let probe = model.random_feature(q_seed ^ 0x7E57);
         let (exact, _, _) = engine.scan_top_k_with(db, &model, &probe, 4, true).unwrap();
         let (cascade, _, stats) = engine.scan_top_k_with(db, &model, &probe, 4, false).unwrap();
@@ -185,10 +181,11 @@ proptest! {
     /// at every worker count.
     #[test]
     fn cascade_matches_exact_under_armed_faults(
-        (model_seed, n, fault_seed) in (0u64..1_000_000, 16u64..96, 0u64..1_000_000)
+        (model_seed, n, fault_seed) in (0u64..1_000_000, 16u64..96, 0u64..1_000_000),
+        backend in backends(),
     ) {
         let scan_at = |workers: usize, exact: bool| {
-            let (mut engine, model, db) = engine_with("textqa", model_seed, n, workers);
+            let (mut engine, model, db) = engine_with("textqa", model_seed, n, workers, backend);
             let geometry = engine.config().ssd.geometry;
             engine.inject_faults(FaultPlan::random(&geometry, 0.10, fault_seed));
             let probe = model.random_feature(model_seed ^ 0xFA017);
@@ -224,7 +221,7 @@ proptest! {
 fn floor_prunes_against_the_whole_database() {
     const K: usize = 10;
     let n = 2_000u64;
-    let (mut engine, model, db) = engine_with("textqa", 5, n, 1);
+    let (mut engine, model, db) = engine_with("textqa", 5, n, 1, Backend::Heap);
     let meta = engine.db_meta(db).unwrap();
     assert!(
         meta.pages
@@ -286,7 +283,7 @@ fn floor_prunes_against_the_whole_database() {
 fn fault_free_cascade_reads_only_candidate_pages() {
     const K: usize = 10;
     let n = 20_000u64;
-    let (mut engine, model, db) = engine_with("textqa", 17, n, 1);
+    let (mut engine, model, db) = engine_with("textqa", 17, n, 1, Backend::Heap);
     let probe = model.random_feature(0xC0DE);
     let scorer = BoundScorer::new(&model, &probe).expect("textqa folds");
     let bounds: Vec<(f32, f32)> = (0..n)
@@ -414,30 +411,32 @@ fn floor_is_not_trusted_when_its_witnesses_are_unreadable() {
 /// device's stats surface the pruning it actually did.
 #[test]
 fn api_exact_and_cascade_requests_agree() {
-    let model = zoo::textqa().seeded_metric(7);
-    let mut store = DeepStore::in_memory(DeepStoreConfig::small());
-    store.disable_qc();
-    let features: Vec<Tensor> = (0..256).map(|i| model.random_feature(i)).collect();
-    let db = store.write_db(&features).unwrap();
-    let mid = store.load_model(&ModelGraph::from_model(&model)).unwrap();
+    for backend in Backend::ALL {
+        let model = zoo::textqa().seeded_metric(7);
+        let mut store = backend.store(DeepStoreConfig::small());
+        store.disable_qc();
+        let features: Vec<Tensor> = (0..256).map(|i| model.random_feature(i)).collect();
+        let db = store.write_db(&features).unwrap();
+        let mid = store.load_model(&ModelGraph::from_model(&model)).unwrap();
 
-    for probe_seed in [900u64, 901, 902] {
-        let probe = model.random_feature(probe_seed);
-        let reqs = vec![
-            QueryRequest::new(probe.clone(), mid, db).k(8),
-            QueryRequest::new(probe.clone(), mid, db).k(8).exact(),
-        ];
-        let ids = store.query_batch(&reqs).unwrap();
-        let cascade = store.results(ids[0]).unwrap();
-        let exact = store.results(ids[1]).unwrap();
-        assert_eq!(cascade.top_k, exact.top_k, "probe {probe_seed} diverged");
+        for probe_seed in [900u64, 901, 902] {
+            let probe = model.random_feature(probe_seed);
+            let reqs = vec![
+                QueryRequest::new(probe.clone(), mid, db).k(8),
+                QueryRequest::new(probe.clone(), mid, db).k(8).exact(),
+            ];
+            let ids = store.query_batch(&reqs).unwrap();
+            let cascade = store.results(ids[0]).unwrap();
+            let exact = store.results(ids[1]).unwrap();
+            assert_eq!(cascade.top_k, exact.top_k, "probe {probe_seed} diverged");
+        }
+
+        let stats = store.stats();
+        // A 256-feature db at k=8 must have pruned something.
+        assert!(
+            stats.pruned_features > 0,
+            "cascade pruned nothing on a 256-feature db"
+        );
+        assert!(stats.rescored_features > 0 || stats.pruned_features > 0);
     }
-
-    let stats = store.stats();
-    // A 256-feature db at k=8 must have pruned something.
-    assert!(
-        stats.pruned_features > 0,
-        "cascade pruned nothing on a 256-feature db"
-    );
-    assert!(stats.rescored_features > 0 || stats.pruned_features > 0);
 }

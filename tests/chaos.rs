@@ -2,10 +2,11 @@
 //! retry/remap/degrade pipeline.
 //!
 //! Each property draws a random scenario — SSD geometry (channels ×
-//! chips × pages-per-block), zoo model, database size, query batch, and
-//! a layered [`FaultPlan`] (permanent page faults, transient ECC
-//! faults, whole-channel/chip outages, wear-out) — and pins the
-//! fault-tolerance contract across parallelism 1/2/4/auto:
+//! chips × pages-per-block), zoo model, database size, query batch, a
+//! layered [`FaultPlan`] (permanent page faults, transient ECC faults,
+//! whole-channel/chip outages, wear-out) and, last, the page store (heap
+//! or mmap image) — and pins the fault-tolerance contract across
+//! parallelism 1/2/4/auto:
 //!
 //! * no panic: every batch either answers or returns
 //!   [`DeepStoreError::InsufficientCoverage`] (only when a
@@ -27,9 +28,12 @@
 //! `target/chaos-seeds/<property>.txt`, which CI uploads as an artifact
 //! on failure.
 
+mod common;
+
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
+use common::{backends, chaos_seed_dir, check, record_failing_case, run_recorded, Backend, Ranked};
 use deepstore::core::{
     AcceleratorLevel, DeepStore, DeepStoreConfig, DeepStoreError, ModelId, QueryRequest,
 };
@@ -45,9 +49,6 @@ const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 0];
 const APPS: [&str; 3] = ["textqa", "tir", "mir"];
 
 const LEVELS: [AcceleratorLevel; 2] = [AcceleratorLevel::Ssd, AcceleratorLevel::Channel];
-
-/// Ranked hits reduced to comparable bits: `(feature_index, score bits)`.
-type Ranked = Vec<(u64, u32)>;
 
 /// One query's observable outcome, reduced to exactly comparable bits.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,60 +80,7 @@ struct Scenario {
     plan: FaultPlan,
     /// `min_coverage` policy exercised by the last phase of the case.
     required: f64,
-}
-
-/// Early-return check used by case runners so that a violated invariant
-/// reports the whole scenario instead of panicking mid-case.
-macro_rules! check {
-    ($cond:expr, $($fmt:tt)*) => {
-        if !($cond) {
-            return Err(format!($($fmt)*));
-        }
-    };
-}
-
-fn chaos_seed_dir() -> std::path::PathBuf {
-    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into());
-    std::path::PathBuf::from(target).join("chaos-seeds")
-}
-
-/// Appends the failing scenario to `target/chaos-seeds/<property>.txt`
-/// so CI can upload it as an artifact. The shim has no shrinking, so
-/// the recorded scenario (already small by construction) is the
-/// reproduction recipe.
-fn record_failing_case(property: &str, case: &str, msg: &str) {
-    use std::io::Write;
-    let dir = chaos_seed_dir();
-    std::fs::create_dir_all(&dir).ok();
-    let path = dir.join(format!("{property}.txt"));
-    if let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-    {
-        let _ = writeln!(f, "== failing case ==\n{case}\n-- violation --\n{msg}\n");
-    }
-}
-
-/// Runs `case`, recording the scenario to the seed directory on either
-/// an invariant violation or a panic, then failing the test.
-fn run_recorded(property: &str, case_desc: &str, case: impl FnOnce() -> Result<(), String>) {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(case)) {
-        Ok(Ok(())) => {}
-        Ok(Err(msg)) => {
-            record_failing_case(property, case_desc, &msg);
-            panic!("{property}: {msg}\n(scenario recorded under target/chaos-seeds/)");
-        }
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "non-string panic payload".into());
-            record_failing_case(property, case_desc, &format!("panic: {msg}"));
-            std::panic::resume_unwind(payload);
-        }
-    }
+    backend: Backend,
 }
 
 fn store_config(scn: &Scenario, workers: usize) -> DeepStoreConfig {
@@ -149,7 +97,7 @@ fn fresh_store(scn: &Scenario, workers: usize, faulted: bool) -> (DeepStore, Mod
     let model = zoo::by_name(scn.app)
         .expect("known app")
         .seeded_metric(scn.model_seed);
-    let mut store = DeepStore::in_memory(store_config(scn, workers));
+    let mut store = scn.backend.store(store_config(scn, workers));
     store.disable_qc();
     let features: Vec<Tensor> = (0..scn.n).map(|i| model.random_feature(i)).collect();
     let db = store.write_db(&features).expect("write db");
@@ -382,6 +330,7 @@ proptest! {
         (perm_pct, transient_on, tr_pct, t_seed, outage_sel, p_seed) in
             (0u32..=15, any::<bool>(), 0u32..=50, 0u64..1_000_000, 0u32..4, 0u64..1_000_000),
         req_pct in 0u32..=100,
+        backend in backends(),
     ) {
         let mut scn = Scenario {
             app: APPS[app_idx],
@@ -395,6 +344,7 @@ proptest! {
             pages_per_block: [8, 16][ppb_sel],
             plan: FaultPlan::none(),
             required: f64::from(req_pct) / 100.0,
+            backend,
         };
         let geometry = store_config(&scn, 1).ssd.geometry;
         let mut plan = FaultPlan::random(&geometry, f64::from(perm_pct) / 100.0, p_seed);
@@ -428,6 +378,7 @@ proptest! {
         (app_idx, model_seed, n, k, batch) in
             (0usize..3, 0u64..1_000_000, 16u64..48, 1usize..6, 1usize..4),
         (rate_pct, t_seed, max_fail) in (1u32..=100, 0u64..1_000_000, 1u32..=3),
+        backend in backends(),
     ) {
         let scn = Scenario {
             app: APPS[app_idx],
@@ -443,6 +394,7 @@ proptest! {
                 .transient(f64::from(rate_pct) / 100.0, t_seed)
                 .transient_max_failures(max_fail),
             required: 1.0,
+            backend,
         };
         let desc = format!("{scn:#?}");
         run_recorded("transient_faults_with_retries_are_invisible", &desc, || {
@@ -480,54 +432,56 @@ proptest! {
 /// retry cost), and retry/recovery counters that account for the work.
 #[test]
 fn transient_retries_charge_latency_but_not_answers() {
-    let model = zoo::textqa().seeded_metric(41);
-    let features: Vec<Tensor> = (0..32).map(|i| model.random_feature(i)).collect();
-    let probe = model.random_feature(9_001);
+    for backend in Backend::ALL {
+        let model = zoo::textqa().seeded_metric(41);
+        let features: Vec<Tensor> = (0..32).map(|i| model.random_feature(i)).collect();
+        let probe = model.random_feature(9_001);
 
-    let run = |faulted: bool| {
-        let mut store = DeepStore::in_memory(DeepStoreConfig::small());
-        store.disable_qc();
-        let db = store.write_db(&features).unwrap();
-        let mid = store.load_model(&ModelGraph::from_model(&model)).unwrap();
-        if faulted {
-            // Every page transient-faults its first two read attempts;
-            // the default 4-attempt ladder recovers all of them.
-            store.inject_faults(
-                FaultPlan::none()
-                    .transient(1.0, 7)
-                    .transient_max_failures(2),
-            );
-        }
-        let qid = store
-            .query(QueryRequest::new(probe.clone(), mid, db).k(5))
-            .unwrap();
-        let r = store.results(qid).unwrap();
-        (r, store.stats())
-    };
+        let run = |faulted: bool| {
+            let mut store = backend.store(DeepStoreConfig::small());
+            store.disable_qc();
+            let db = store.write_db(&features).unwrap();
+            let mid = store.load_model(&ModelGraph::from_model(&model)).unwrap();
+            if faulted {
+                // Every page transient-faults its first two read attempts;
+                // the default 4-attempt ladder recovers all of them.
+                store.inject_faults(
+                    FaultPlan::none()
+                        .transient(1.0, 7)
+                        .transient_max_failures(2),
+                );
+            }
+            let qid = store
+                .query(QueryRequest::new(probe.clone(), mid, db).k(5))
+                .unwrap();
+            let r = store.results(qid).unwrap();
+            (r, store.stats())
+        };
 
-    let (clean, _) = run(false);
-    let (faulted, stats) = run(true);
+        let (clean, _) = run(false);
+        let (faulted, stats) = run(true);
 
-    let pairs = |r: &deepstore::core::QueryResult| -> Ranked {
-        r.top_k
-            .iter()
-            .map(|h| (h.feature_index, h.score.to_bits()))
-            .collect()
-    };
-    assert_eq!(pairs(&clean), pairs(&faulted), "answers must be identical");
-    assert_eq!(faulted.skipped, 0);
-    assert_eq!(faulted.coverage, 1.0);
-    assert!(!faulted.degraded);
-    assert!(
-        faulted.elapsed > clean.elapsed,
-        "the retry ladder must charge simulated latency: {:?} !> {:?}",
-        faulted.elapsed,
-        clean.elapsed
-    );
-    assert!(stats.flash.read_retries > 0, "retries were counted");
-    assert!(stats.flash.reads_recovered > 0, "recoveries were counted");
-    assert!(stats.flash.read_retry_ns > 0, "retry stall was counted");
-    assert_eq!(stats.flash.lost_pages, 0);
+        let pairs = |r: &deepstore::core::QueryResult| -> Ranked {
+            r.top_k
+                .iter()
+                .map(|h| (h.feature_index, h.score.to_bits()))
+                .collect()
+        };
+        assert_eq!(pairs(&clean), pairs(&faulted), "answers must be identical");
+        assert_eq!(faulted.skipped, 0);
+        assert_eq!(faulted.coverage, 1.0);
+        assert!(!faulted.degraded);
+        assert!(
+            faulted.elapsed > clean.elapsed,
+            "the retry ladder must charge simulated latency: {:?} !> {:?}",
+            faulted.elapsed,
+            clean.elapsed
+        );
+        assert!(stats.flash.read_retries > 0, "retries were counted");
+        assert!(stats.flash.reads_recovered > 0, "recoveries were counted");
+        assert!(stats.flash.read_retry_ns > 0, "retry stall was counted");
+        assert_eq!(stats.flash.lost_pages, 0);
+    }
 }
 
 /// Permanent page faults degrade answers until `recover_faults` remaps
@@ -537,65 +491,67 @@ fn transient_retries_charge_latency_but_not_answers() {
 /// full coverage, bit-identical to a never-faulted store.
 #[test]
 fn permanent_faults_heal_after_explicit_recovery() {
-    let model = zoo::textqa().seeded_metric(23);
-    let features: Vec<Tensor> = (0..48).map(|i| model.random_feature(i)).collect();
-    let probe = model.random_feature(8_101);
+    for backend in Backend::ALL {
+        let model = zoo::textqa().seeded_metric(23);
+        let features: Vec<Tensor> = (0..48).map(|i| model.random_feature(i)).collect();
+        let probe = model.random_feature(8_101);
 
-    let mut clean = DeepStore::in_memory(DeepStoreConfig::small());
-    clean.disable_qc();
-    let cdb = clean.write_db(&features).unwrap();
-    let cmid = clean.load_model(&ModelGraph::from_model(&model)).unwrap();
-    let cq = clean
-        .query(QueryRequest::new(probe.clone(), cmid, cdb).k(6))
-        .unwrap();
-    let reference = clean.results(cq).unwrap();
+        let mut clean = backend.store(DeepStoreConfig::small());
+        clean.disable_qc();
+        let cdb = clean.write_db(&features).unwrap();
+        let cmid = clean.load_model(&ModelGraph::from_model(&model)).unwrap();
+        let cq = clean
+            .query(QueryRequest::new(probe.clone(), cmid, cdb).k(6))
+            .unwrap();
+        let reference = clean.results(cq).unwrap();
 
-    let mut store = DeepStore::in_memory(DeepStoreConfig::small());
-    store.disable_qc();
-    let db = store.write_db(&features).unwrap();
-    let mid = store.load_model(&ModelGraph::from_model(&model)).unwrap();
-    let geometry = store.config().ssd.geometry;
-    store.inject_faults(FaultPlan::random(&geometry, 0.25, 11));
+        let mut store = backend.store(DeepStoreConfig::small());
+        store.disable_qc();
+        let db = store.write_db(&features).unwrap();
+        let mid = store.load_model(&ModelGraph::from_model(&model)).unwrap();
+        let geometry = store.config().ssd.geometry;
+        store.inject_faults(FaultPlan::random(&geometry, 0.25, 11));
 
-    let q1 = store
-        .query(QueryRequest::new(probe.clone(), mid, db).k(6))
-        .unwrap();
-    let before = store.results(q1).unwrap();
-    assert!(before.degraded, "the permanent-fault plan must degrade");
-    assert!(before.coverage < 1.0);
-
-    // Recovery is explicit — a maintenance op, like GC. It only drains
-    // what reads have queued, so healing is iterative: recover, re-scan
-    // (which trips any faulty remap destinations), recover again.
-    let mut remapped_total = 0;
-    let mut healed = None;
-    for _ in 0..16 {
-        let report = store.recover_faults();
-        assert_eq!(report.pages_lost, 0, "remappable faults lose nothing");
-        remapped_total += report.pages_remapped;
-        let q = store
+        let q1 = store
             .query(QueryRequest::new(probe.clone(), mid, db).k(6))
             .unwrap();
-        let r = store.results(q).unwrap();
-        if !r.degraded {
-            healed = Some(r);
-            break;
+        let before = store.results(q1).unwrap();
+        assert!(before.degraded, "the permanent-fault plan must degrade");
+        assert!(before.coverage < 1.0);
+
+        // Recovery is explicit — a maintenance op, like GC. It only drains
+        // what reads have queued, so healing is iterative: recover, re-scan
+        // (which trips any faulty remap destinations), recover again.
+        let mut remapped_total = 0;
+        let mut healed = None;
+        for _ in 0..16 {
+            let report = store.recover_faults();
+            assert_eq!(report.pages_lost, 0, "remappable faults lose nothing");
+            remapped_total += report.pages_remapped;
+            let q = store
+                .query(QueryRequest::new(probe.clone(), mid, db).k(6))
+                .unwrap();
+            let r = store.results(q).unwrap();
+            if !r.degraded {
+                healed = Some(r);
+                break;
+            }
         }
+        let after = healed.expect("recovery converges to full coverage");
+        assert!(remapped_total > 0, "remap path must fire");
+        assert_eq!(after.coverage, 1.0);
+        let pairs = |r: &deepstore::core::QueryResult| -> Ranked {
+            r.top_k
+                .iter()
+                .map(|h| (h.feature_index, h.score.to_bits()))
+                .collect()
+        };
+        assert_eq!(
+            pairs(&after),
+            pairs(&reference),
+            "healed store answers bit-identically to a never-faulted one"
+        );
     }
-    let after = healed.expect("recovery converges to full coverage");
-    assert!(remapped_total > 0, "remap path must fire");
-    assert_eq!(after.coverage, 1.0);
-    let pairs = |r: &deepstore::core::QueryResult| -> Ranked {
-        r.top_k
-            .iter()
-            .map(|h| (h.feature_index, h.score.to_bits()))
-            .collect()
-    };
-    assert_eq!(
-        pairs(&after),
-        pairs(&reference),
-        "healed store answers bit-identically to a never-faulted one"
-    );
 }
 
 /// A dead channel is an outage domain: no remap source exists, the data
@@ -603,38 +559,40 @@ fn permanent_faults_heal_after_explicit_recovery() {
 /// serving honest degraded answers instead.
 #[test]
 fn dead_channel_outage_stays_degraded_after_recovery() {
-    // 256 tir features fill two blocks, so the database spans two
-    // channels and a dead channel loses exactly half of it.
-    let model = zoo::tir().seeded_metric(5);
-    let features: Vec<Tensor> = (0..256).map(|i| model.random_feature(i)).collect();
-    let mut store = DeepStore::in_memory(DeepStoreConfig::small());
-    store.disable_qc();
-    let db = store.write_db(&features).unwrap();
-    let mid = store.load_model(&ModelGraph::from_model(&model)).unwrap();
-    store.inject_faults(FaultPlan::none().dead_channel(0));
+    for backend in Backend::ALL {
+        // 256 tir features fill two blocks, so the database spans two
+        // channels and a dead channel loses exactly half of it.
+        let model = zoo::tir().seeded_metric(5);
+        let features: Vec<Tensor> = (0..256).map(|i| model.random_feature(i)).collect();
+        let mut store = backend.store(DeepStoreConfig::small());
+        store.disable_qc();
+        let db = store.write_db(&features).unwrap();
+        let mid = store.load_model(&ModelGraph::from_model(&model)).unwrap();
+        store.inject_faults(FaultPlan::none().dead_channel(0));
 
-    let probe = model.random_feature(7_777);
-    let q1 = store
-        .query(QueryRequest::new(probe.clone(), mid, db).k(8))
-        .unwrap();
-    let before = store.results(q1).unwrap();
-    assert!(before.degraded);
-    assert!(before.coverage > 0.0 && before.coverage < 1.0);
+        let probe = model.random_feature(7_777);
+        let q1 = store
+            .query(QueryRequest::new(probe.clone(), mid, db).k(8))
+            .unwrap();
+        let before = store.results(q1).unwrap();
+        assert!(before.degraded);
+        assert!(before.coverage > 0.0 && before.coverage < 1.0);
 
-    // Outage pages have no remap source, so they never enter the
-    // retirement queue: recovery is a no-op, not a resurrection.
-    let report = store.recover_faults();
-    assert!(report.is_empty(), "an outage has nothing to recover");
+        // Outage pages have no remap source, so they never enter the
+        // retirement queue: recovery is a no-op, not a resurrection.
+        let report = store.recover_faults();
+        assert!(report.is_empty(), "an outage has nothing to recover");
 
-    let q2 = store.query(QueryRequest::new(probe, mid, db).k(8)).unwrap();
-    let after = store.results(q2).unwrap();
-    assert_eq!(
-        after.coverage.to_bits(),
-        before.coverage.to_bits(),
-        "recovery cannot resurrect an outage domain"
-    );
-    assert!(after.degraded);
-    assert!(store.stats().degraded_queries >= 2);
+        let q2 = store.query(QueryRequest::new(probe, mid, db).k(8)).unwrap();
+        let after = store.results(q2).unwrap();
+        assert_eq!(
+            after.coverage.to_bits(),
+            before.coverage.to_bits(),
+            "recovery cannot resurrect an outage domain"
+        );
+        assert!(after.degraded);
+        assert!(store.stats().degraded_queries >= 2);
+    }
 }
 
 /// Sanity for the artifact plumbing itself: a recorded case lands in

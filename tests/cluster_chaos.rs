@@ -7,11 +7,12 @@
 //! multiple extents), drive count N, replication factor R, and a
 //! layered fault plan on a victim drive (permanent page faults,
 //! retry-safe transients fleet-wide, dead channel/chip, a whole-device
-//! outage, or an administrative kill) — and pins the cluster contract:
+//! outage, or an administrative kill) and, last, the drives' page store
+//! (heap or mmap images) — and pins the cluster contract:
 //!
 //! * scatter-gather answers are bit-identical at parallelism 1/2/4/auto
-//!   and, at full coverage, bit-identical to a single-device scan of
-//!   the same write order (global indices and score bits);
+//!   and, at full coverage, bit-identical to a single heap device
+//!   scanning the same write order (global indices and score bits);
 //! * coverage accounting is exact: per-partition `covered + skipped`
 //!   sums to the database size and `coverage == covered / total`;
 //! * coverage stays 1.0 while fewer than R replicas of any partition
@@ -24,9 +25,12 @@
 //! (no shrinking; cases are small by construction) for CI artifact
 //! upload, exactly like the single-drive chaos suite.
 
+mod common;
+
+use common::{backends, check, run_recorded, single_device_ranking, Backend, Ranked};
 use deepstore::core::{
     AcceleratorLevel, ClusterDbId, ClusterModelId, ClusterQueryRequest, ClusterQueryResult,
-    DeepStore, DeepStoreCluster, DeepStoreConfig, QueryRequest,
+    DeepStoreCluster, DeepStoreConfig,
 };
 use deepstore::flash::fault::FaultPlan;
 use deepstore::nn::{zoo, Model, ModelGraph, Tensor};
@@ -39,9 +43,6 @@ const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 0];
 const APPS: [&str; 3] = ["textqa", "tir", "mir"];
 
 const LEVELS: [AcceleratorLevel; 2] = [AcceleratorLevel::Ssd, AcceleratorLevel::Channel];
-
-/// Ranked hits reduced to comparable bits: `(global_index, score bits)`.
-type Ranked = Vec<(u64, u32)>;
 
 /// How the scenario damages the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,59 +82,12 @@ struct Scenario {
     /// Fleet-wide retry-safe transient layer.
     transient: Option<(f64, u64, u32)>,
     perm_seed: u64,
+    backend: Backend,
 }
 
 impl Scenario {
     fn total(&self) -> u64 {
         self.n + self.appended
-    }
-}
-
-/// Early-return check so a violated invariant reports the whole
-/// scenario instead of panicking mid-case.
-macro_rules! check {
-    ($cond:expr, $($fmt:tt)*) => {
-        if !($cond) {
-            return Err(format!($($fmt)*));
-        }
-    };
-}
-
-fn chaos_seed_dir() -> std::path::PathBuf {
-    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into());
-    std::path::PathBuf::from(target).join("chaos-seeds")
-}
-
-fn record_failing_case(property: &str, case: &str, msg: &str) {
-    use std::io::Write;
-    let dir = chaos_seed_dir();
-    std::fs::create_dir_all(&dir).ok();
-    let path = dir.join(format!("{property}.txt"));
-    if let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-    {
-        let _ = writeln!(f, "== failing case ==\n{case}\n-- violation --\n{msg}\n");
-    }
-}
-
-fn run_recorded(property: &str, case_desc: &str, case: impl FnOnce() -> Result<(), String>) {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(case)) {
-        Ok(Ok(())) => {}
-        Ok(Err(msg)) => {
-            record_failing_case(property, case_desc, &msg);
-            panic!("{property}: {msg}\n(scenario recorded under target/chaos-seeds/)");
-        }
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "non-string panic payload".into());
-            record_failing_case(property, case_desc, &format!("panic: {msg}"));
-            std::panic::resume_unwind(payload);
-        }
     }
 }
 
@@ -163,8 +117,9 @@ fn fresh_cluster(
     let model = zoo::by_name(scn.app)
         .expect("known app")
         .seeded_metric(scn.model_seed);
-    let mut cluster =
-        DeepStoreCluster::with_replication(scn.drives, scn.replicas, store_config(scn, workers));
+    let mut cluster = scn
+        .backend
+        .cluster(scn.drives, scn.replicas, store_config(scn, workers));
     let (written, appended) = features_for(&model, scn);
     let db = cluster.write_db(&written).expect("write db");
     cluster.append_db(db, &appended).expect("append db");
@@ -281,29 +236,15 @@ fn single_device_full_ranking(scn: &Scenario, batch: u64) -> Vec<Ranked> {
     let model = zoo::by_name(scn.app)
         .expect("known app")
         .seeded_metric(scn.model_seed);
-    let mut store = DeepStore::in_memory(store_config(scn, 1));
-    store.disable_qc();
     let (written, appended) = features_for(&model, scn);
-    let db = store.write_db(&written).expect("write db");
-    store.append_db(db, &appended).expect("append db");
-    let mid = store
-        .load_model(&ModelGraph::from_model(&model))
-        .expect("load model");
-    (0..batch)
-        .map(|i| {
-            let req = QueryRequest::new(probe(&model, i), mid, db)
-                .k(scn.total() as usize)
-                .level(scn.level);
-            let qid = store.query(req).expect("reference query");
-            store
-                .results(qid)
-                .expect("reference result")
-                .top_k
-                .iter()
-                .map(|h| (h.feature_index, h.score.to_bits()))
-                .collect()
-        })
-        .collect()
+    let probes: Vec<Tensor> = (0..batch).map(|i| probe(&model, i)).collect();
+    single_device_ranking(
+        store_config(scn, 1),
+        &model,
+        (&written, &appended),
+        &probes,
+        |req| req.k(scn.total() as usize).level(scn.level),
+    )
 }
 
 /// Per-partition lengths implied by the contiguous-chunk split of the
@@ -560,6 +501,7 @@ proptest! {
             (2usize..=4, 0usize..3, 2usize..=4, 1usize..=2, 0usize..2),
         (victim_sel, outage_sel, transient_on, tr_pct, t_seed, perm_seed) in
             (0usize..4, 0usize..6, any::<bool>(), 1u32..=40, 0u64..1_000_000, 0u64..1_000_000),
+        backend in backends(),
     ) {
         let replicas = 1 + replica_sel % drives.min(3);
         let scn = Scenario {
@@ -586,6 +528,7 @@ proptest! {
             transient: transient_on
                 .then(|| (f64::from(tr_pct) / 100.0, t_seed, 1 + (t_seed % 3) as u32)),
             perm_seed,
+            backend,
         };
         let desc = format!("{scn:#?}");
         run_recorded("cluster_chaos_invariants", &desc, || cluster_case(&scn));
@@ -598,81 +541,84 @@ proptest! {
 /// `rebalance()` restores 2x replication.
 #[test]
 fn four_drive_cluster_survives_dead_device_at_full_coverage() {
-    let scn = Scenario {
-        app: "textqa",
-        model_seed: 4242,
-        n: 37,
-        appended: 11,
-        k: 6,
-        drives: 4,
-        replicas: 2,
-        level: AcceleratorLevel::Channel,
-        channels: 4,
-        chips_per_channel: 2,
-        pages_per_block: 16,
-        victim: 1,
-        outage: Outage::DeadDevice,
-        transient: None,
-        perm_seed: 7,
-    };
-    let desc = format!("{scn:#?}");
-    run_recorded(
-        "four_drive_cluster_survives_dead_device_at_full_coverage",
-        &desc,
-        || {
-            let reference = single_device_full_ranking(&scn, 2);
-            let mut base: Option<Vec<Snap>> = None;
-            for workers in WORKER_COUNTS {
-                let snaps = run_cluster_batch(&scn, workers, true, 2)?;
-                verify_accounting(&scn, &snaps, &reference)?;
-                for (qi, s) in snaps.iter().enumerate() {
-                    check!(
-                        s.coverage() == 1.0 && !s.degraded,
-                        "query {qi} workers {workers}: coverage {} after losing one of two \
-                         replicas",
-                        s.coverage()
-                    );
-                    check!(
-                        s.ranked[..] == reference[qi][..s.ranked.len()],
-                        "query {qi} workers {workers}: answer differs from the single-device scan"
-                    );
+    for backend in Backend::ALL {
+        let scn = Scenario {
+            app: "textqa",
+            model_seed: 4242,
+            n: 37,
+            appended: 11,
+            k: 6,
+            drives: 4,
+            replicas: 2,
+            level: AcceleratorLevel::Channel,
+            channels: 4,
+            chips_per_channel: 2,
+            pages_per_block: 16,
+            victim: 1,
+            outage: Outage::DeadDevice,
+            transient: None,
+            perm_seed: 7,
+            backend,
+        };
+        let desc = format!("{scn:#?}");
+        run_recorded(
+            "four_drive_cluster_survives_dead_device_at_full_coverage",
+            &desc,
+            || {
+                let reference = single_device_full_ranking(&scn, 2);
+                let mut base: Option<Vec<Snap>> = None;
+                for workers in WORKER_COUNTS {
+                    let snaps = run_cluster_batch(&scn, workers, true, 2)?;
+                    verify_accounting(&scn, &snaps, &reference)?;
+                    for (qi, s) in snaps.iter().enumerate() {
+                        check!(
+                            s.coverage() == 1.0 && !s.degraded,
+                            "query {qi} workers {workers}: coverage {} after losing one of two \
+                             replicas",
+                            s.coverage()
+                        );
+                        check!(
+                            s.ranked[..] == reference[qi][..s.ranked.len()],
+                            "query {qi} workers {workers}: answer differs from the single-device scan"
+                        );
+                    }
+                    match &base {
+                        None => base = Some(snaps),
+                        Some(b) => check!(b == &snaps, "workers {workers}: answers differ"),
+                    }
                 }
-                match &base {
-                    None => base = Some(snaps),
-                    Some(b) => check!(b == &snaps, "workers {workers}: answers differ"),
-                }
-            }
-            // The administrative-kill flavor of the same outage behaves
-            // identically (same coverage, same bits, same failovers).
-            let kill_scn = Scenario {
-                outage: Outage::Kill,
-                ..scn
-            };
-            let killed = run_cluster_batch(&kill_scn, 1, true, 2)?;
-            check!(
-                Some(&killed) == base.as_ref(),
-                "kill_drive and a dead-device fault plan disagree"
-            );
+                // The administrative-kill flavor of the same outage behaves
+                // identically (same coverage, same bits, same failovers).
+                let kill_scn = Scenario {
+                    outage: Outage::Kill,
+                    ..scn
+                };
+                let killed = run_cluster_batch(&kill_scn, 1, true, 2)?;
+                check!(
+                    Some(&killed) == base.as_ref(),
+                    "kill_drive and a dead-device fault plan disagree"
+                );
 
-            let (mut cluster, _, _, db) = fresh_cluster(&scn, 1, true);
-            let report = cluster.rebalance().map_err(|e| format!("rebalance: {e}"))?;
-            check!(
-                report.dropped_replicas == 2 && report.re_replicated == 2,
-                "dead device drops and re-replicates its 2 hosted replicas, got {report:?}"
-            );
-            check!(
-                report.fully_replicated(2),
-                "replication not restored to 2: {report:?}"
-            );
-            check!(report.moved_bytes > 0, "re-replication moved no bytes");
-            let replication = cluster.replication(db).map_err(|e| e.to_string())?;
-            check!(
-                replication == vec![2; 4],
-                "per-partition replication {replication:?} != 2 everywhere"
-            );
-            Ok(())
-        },
-    );
+                let (mut cluster, _, _, db) = fresh_cluster(&scn, 1, true);
+                let report = cluster.rebalance().map_err(|e| format!("rebalance: {e}"))?;
+                check!(
+                    report.dropped_replicas == 2 && report.re_replicated == 2,
+                    "dead device drops and re-replicates its 2 hosted replicas, got {report:?}"
+                );
+                check!(
+                    report.fully_replicated(2),
+                    "replication not restored to 2: {report:?}"
+                );
+                check!(report.moved_bytes > 0, "re-replication moved no bytes");
+                let replication = cluster.replication(db).map_err(|e| e.to_string())?;
+                check!(
+                    replication == vec![2; 4],
+                    "per-partition replication {replication:?} != 2 everywhere"
+                );
+                Ok(())
+            },
+        );
+    }
 }
 
 /// Coverage semantics when R replicas ARE lost: killing both drives
@@ -681,109 +627,115 @@ fn four_drive_cluster_survives_dead_device_at_full_coverage() {
 /// features ranked in single-device order.
 #[test]
 fn losing_all_replicas_of_a_partition_degrades_honestly() {
-    let scn = Scenario {
-        app: "tir",
-        model_seed: 99,
-        n: 30,
-        appended: 9,
-        k: 5,
-        drives: 3,
-        replicas: 2,
-        level: AcceleratorLevel::Ssd,
-        channels: 2,
-        chips_per_channel: 2,
-        pages_per_block: 8,
-        victim: 0,
-        outage: Outage::Kill,
-        transient: None,
-        perm_seed: 0,
-    };
-    let desc = format!("{scn:#?}");
-    run_recorded(
-        "losing_all_replicas_of_a_partition_degrades_honestly",
-        &desc,
-        || {
-            let reference = single_device_full_ranking(&scn, 1);
-            let (mut cluster, model, mid, db) = fresh_cluster(&scn, 1, true);
-            // Partition 0's replicas live on drives 0 and 1; killing
-            // both loses it entirely. Partitions 1 (drives 1, 2) and 2
-            // (drives 2, 0) keep their copies on drive 2.
-            cluster.kill_drive(1);
-            let r = cluster
-                .query(
-                    ClusterQueryRequest::new(probe(&model, 0), mid, db)
-                        .k(scn.k)
-                        .level(scn.level),
-                )
-                .map_err(|e| e.to_string())?;
-            let s = Snap::of(&r);
-            verify_accounting(&scn, std::slice::from_ref(&s), &reference)?;
-            let lens = partition_lens(&scn);
-            let expect_cov = (scn.total() - lens[0]) as f64 / scn.total() as f64;
-            check!(
-                s.coverage_bits == expect_cov.to_bits(),
-                "coverage {} != (total - partition 0)/total = {expect_cov}",
-                s.coverage()
-            );
-            check!(s.degraded, "losing a whole partition must degrade");
-            check!(
-                s.parts[0].0.is_none() && s.parts[0].2 == lens[0],
-                "dead partition must report no serving drive and all features skipped: {:?}",
-                s.parts[0]
-            );
-            // Rebalance cannot resurrect it — and says so.
-            let report = cluster.rebalance().map_err(|e| e.to_string())?;
-            check!(
-                report.unrecoverable == 1,
-                "exactly partition 0 is unrecoverable: {report:?}"
-            );
-            check!(
-                !report.fully_replicated(scn.replicas),
-                "a lost partition cannot count as fully replicated"
-            );
-            Ok(())
-        },
-    );
+    for backend in Backend::ALL {
+        let scn = Scenario {
+            app: "tir",
+            model_seed: 99,
+            n: 30,
+            appended: 9,
+            k: 5,
+            drives: 3,
+            replicas: 2,
+            level: AcceleratorLevel::Ssd,
+            channels: 2,
+            chips_per_channel: 2,
+            pages_per_block: 8,
+            victim: 0,
+            outage: Outage::Kill,
+            transient: None,
+            perm_seed: 0,
+            backend,
+        };
+        let desc = format!("{scn:#?}");
+        run_recorded(
+            "losing_all_replicas_of_a_partition_degrades_honestly",
+            &desc,
+            || {
+                let reference = single_device_full_ranking(&scn, 1);
+                let (mut cluster, model, mid, db) = fresh_cluster(&scn, 1, true);
+                // Partition 0's replicas live on drives 0 and 1; killing
+                // both loses it entirely. Partitions 1 (drives 1, 2) and 2
+                // (drives 2, 0) keep their copies on drive 2.
+                cluster.kill_drive(1);
+                let r = cluster
+                    .query(
+                        ClusterQueryRequest::new(probe(&model, 0), mid, db)
+                            .k(scn.k)
+                            .level(scn.level),
+                    )
+                    .map_err(|e| e.to_string())?;
+                let s = Snap::of(&r);
+                verify_accounting(&scn, std::slice::from_ref(&s), &reference)?;
+                let lens = partition_lens(&scn);
+                let expect_cov = (scn.total() - lens[0]) as f64 / scn.total() as f64;
+                check!(
+                    s.coverage_bits == expect_cov.to_bits(),
+                    "coverage {} != (total - partition 0)/total = {expect_cov}",
+                    s.coverage()
+                );
+                check!(s.degraded, "losing a whole partition must degrade");
+                check!(
+                    s.parts[0].0.is_none() && s.parts[0].2 == lens[0],
+                    "dead partition must report no serving drive and all features skipped: {:?}",
+                    s.parts[0]
+                );
+                // Rebalance cannot resurrect it — and says so.
+                let report = cluster.rebalance().map_err(|e| e.to_string())?;
+                check!(
+                    report.unrecoverable == 1,
+                    "exactly partition 0 is unrecoverable: {report:?}"
+                );
+                check!(
+                    !report.fully_replicated(scn.replicas),
+                    "a lost partition cannot count as fully replicated"
+                );
+                Ok(())
+            },
+        );
+    }
 }
 
 /// Cluster telemetry counts what actually happened (obs builds only).
 #[test]
 fn cluster_metrics_account_for_failovers_and_rebalance() {
-    let scn = Scenario {
-        app: "textqa",
-        model_seed: 11,
-        n: 24,
-        appended: 6,
-        k: 4,
-        drives: 3,
-        replicas: 2,
-        level: AcceleratorLevel::Channel,
-        channels: 2,
-        chips_per_channel: 1,
-        pages_per_block: 8,
-        victim: 2,
-        outage: Outage::Kill,
-        transient: None,
-        perm_seed: 0,
-    };
-    let (mut cluster, model, mid, db) = fresh_cluster(&scn, 1, true);
-    let r = cluster
-        .query(
-            ClusterQueryRequest::new(probe(&model, 0), mid, db)
-                .k(scn.k)
-                .level(scn.level),
-        )
-        .unwrap();
-    assert_eq!(r.coverage, 1.0);
-    let report = cluster.rebalance().unwrap();
-    assert!(report.fully_replicated(2));
-    let snap = cluster.metrics_snapshot();
-    let counter = |name: &str| snap.counter(name).unwrap_or(0);
-    assert_eq!(counter("cluster.queries"), 1);
-    assert!(counter("cluster.replica_failovers") >= 1);
-    assert_eq!(counter("cluster.rebalances"), 1);
-    assert!(counter("cluster.rebalance.moved_bytes") > 0);
-    // Fleet metrics fold per-drive engine counters on top.
-    let fleet = cluster.fleet_metrics();
-    assert!(fleet.counters.len() >= snap.counters.len());
+    for backend in Backend::ALL {
+        let scn = Scenario {
+            app: "textqa",
+            model_seed: 11,
+            n: 24,
+            appended: 6,
+            k: 4,
+            drives: 3,
+            replicas: 2,
+            level: AcceleratorLevel::Channel,
+            channels: 2,
+            chips_per_channel: 1,
+            pages_per_block: 8,
+            victim: 2,
+            outage: Outage::Kill,
+            transient: None,
+            perm_seed: 0,
+            backend,
+        };
+        let (mut cluster, model, mid, db) = fresh_cluster(&scn, 1, true);
+        let r = cluster
+            .query(
+                ClusterQueryRequest::new(probe(&model, 0), mid, db)
+                    .k(scn.k)
+                    .level(scn.level),
+            )
+            .unwrap();
+        assert_eq!(r.coverage, 1.0);
+        let report = cluster.rebalance().unwrap();
+        assert!(report.fully_replicated(2));
+        let snap = cluster.metrics_snapshot();
+        let counter = |name: &str| snap.counter(name).unwrap_or(0);
+        assert_eq!(counter("cluster.queries"), 1);
+        assert!(counter("cluster.replica_failovers") >= 1);
+        assert_eq!(counter("cluster.rebalances"), 1);
+        assert!(counter("cluster.rebalance.moved_bytes") > 0);
+        // Fleet metrics fold per-drive engine counters on top.
+        let fleet = cluster.fleet_metrics();
+        assert!(fleet.counters.len() >= snap.counters.len());
+    }
 }

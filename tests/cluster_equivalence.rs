@@ -6,10 +6,11 @@
 //! write-then-append history, the cluster's merged top-K — global
 //! indices and score bits — is **bit-identical** to a single device
 //! scanning the same features in the same order. That holds with the
-//! int8 pruning cascade engaged (the default) and on the exact path,
-//! and because every store here goes through `DeepStore::in_memory`,
-//! the whole suite runs unchanged against the mmap image backend under
-//! `DEEPSTORE_BACKEND=mmap` (CI runs both).
+//! int8 pruning cascade engaged (the default) and on the exact path.
+//! The page store is a test argument: each property draws it last, so
+//! a case's cluster runs on heap drives or on mmap images, and the
+//! single-device reference is always a heap drive — every mmap case
+//! checks heap ≡ mmap too.
 //!
 //! A plain test closes the loop on durability: a cluster built with
 //! `create_persistent`, flushed, and reopened with `open_persistent`
@@ -19,21 +20,16 @@
 //! Figure 10b: N = 4 drives keep ≥ 0.7 of ideal scaling on the
 //! simulated clock, with the same answers at every N.
 
-use deepstore::core::{
-    AcceleratorLevel, ClusterQueryRequest, DeepStore, DeepStoreCluster, DeepStoreConfig,
-    QueryRequest,
-};
+mod common;
+
+use common::{backends, single_device_ranking, Backend, Ranked, TempPath};
+use deepstore::core::{AcceleratorLevel, ClusterQueryRequest, DeepStoreCluster, DeepStoreConfig};
 use deepstore::nn::{zoo, Model, ModelGraph, Tensor};
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const APPS: [&str; 3] = ["textqa", "tir", "mir"];
 
 const LEVELS: [AcceleratorLevel; 2] = [AcceleratorLevel::Ssd, AcceleratorLevel::Channel];
-
-/// Ranked hits reduced to comparable bits: `(global index, score bits)`.
-type Ranked = Vec<(u64, u32)>;
 
 #[derive(Debug, Clone)]
 struct Case {
@@ -68,38 +64,31 @@ fn single_device_topk(case: &Case, exact: bool) -> Ranked {
     let model = zoo::by_name(case.app)
         .expect("known app")
         .seeded_metric(case.model_seed);
-    let mut store = DeepStore::in_memory(DeepStoreConfig::small());
-    store.disable_qc();
     let (written, appended) = features_for(&model, case);
-    let db = store.write_db(&written).expect("write db");
-    store.append_db(db, &appended).expect("append db");
-    let mid = store
-        .load_model(&ModelGraph::from_model(&model))
-        .expect("load model");
-    let mut req = QueryRequest::new(probe(&model, case), mid, db)
-        .k(case.k)
-        .level(case.level);
-    if exact {
-        req = req.exact();
-    }
-    let qid = store.query(req).expect("reference query");
-    store
-        .results(qid)
-        .expect("reference result")
-        .top_k
-        .iter()
-        .map(|h| (h.feature_index, h.score.to_bits()))
-        .collect()
+    let mut ranked = single_device_ranking(
+        DeepStoreConfig::small(),
+        &model,
+        (&written, &appended),
+        &[probe(&model, case)],
+        |req| {
+            let req = req.k(case.k).level(case.level);
+            if exact {
+                req.exact()
+            } else {
+                req
+            }
+        },
+    );
+    ranked.remove(0)
 }
 
-/// Cluster top-K of the same history, as comparable bits keyed by the
-/// metadata-derived `global_index`.
-fn cluster_topk(case: &Case, exact: bool) -> Ranked {
+/// Cluster top-K of the same history on `backend` drives, as
+/// comparable bits keyed by the metadata-derived `global_index`.
+fn cluster_topk(case: &Case, exact: bool, backend: Backend) -> Ranked {
     let model = zoo::by_name(case.app)
         .expect("known app")
         .seeded_metric(case.model_seed);
-    let mut cluster =
-        DeepStoreCluster::with_replication(case.drives, case.replicas, DeepStoreConfig::small());
+    let mut cluster = backend.cluster(case.drives, case.replicas, DeepStoreConfig::small());
     let (written, appended) = features_for(&model, case);
     let db = cluster.write_db(&written).expect("write db");
     cluster.append_db(db, &appended).expect("append db");
@@ -132,6 +121,7 @@ proptest! {
         (app_idx, model_seed, n, appended, k, q_seed) in
             (0usize..3, 0u64..1_000_000, 1u64..80, 0u64..20, 1usize..10, 0u64..1_000_000),
         (drives, replica_sel, level_idx) in (1usize..=4, 0usize..4, 0usize..2),
+        backend in backends(),
     ) {
         let case = Case {
             app: APPS[app_idx],
@@ -146,7 +136,7 @@ proptest! {
         };
         for exact in [false, true] {
             let reference = single_device_topk(&case, exact);
-            let clustered = cluster_topk(&case, exact);
+            let clustered = cluster_topk(&case, exact, backend);
             prop_assert_eq!(
                 &clustered,
                 &reference,
@@ -165,6 +155,7 @@ proptest! {
     fn cluster_cascade_matches_cluster_exact(
         (model_seed, n, k, drives, q_seed) in
             (0u64..1_000_000, 4u64..64, 1usize..8, 2usize..=4, 0u64..1_000_000),
+        backend in backends(),
     ) {
         let case = Case {
             app: "textqa",
@@ -177,24 +168,7 @@ proptest! {
             level: AcceleratorLevel::Channel,
             q_seed,
         };
-        prop_assert_eq!(cluster_topk(&case, false), cluster_topk(&case, true));
-    }
-}
-
-/// Unique temp directory per call without wall-clock or RNG use.
-fn temp_cluster_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "deepstore-cluster-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-struct Cleanup(PathBuf);
-impl Drop for Cleanup {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
+        prop_assert_eq!(cluster_topk(&case, false, backend), cluster_topk(&case, true, backend));
     }
 }
 
@@ -214,8 +188,7 @@ fn persistent_cluster_reopens_bit_identically() {
         q_seed: 5,
     };
     let reference = single_device_topk(&case, false);
-    let dir = temp_cluster_dir("reopen");
-    let _cleanup = Cleanup(dir.clone());
+    let dir = TempPath::new("cluster-reopen");
 
     let model = zoo::by_name(case.app)
         .unwrap()
@@ -287,37 +260,39 @@ fn persistent_cluster_reopens_bit_identically() {
 /// the efficiency `t1 / (N · tN)` is deterministic and host-independent.
 #[test]
 fn four_drives_scale_simulated_scan_time() {
-    let model = zoo::textqa().seeded_metric(7);
-    let features: Vec<Tensor> = (0..512).map(|i| model.random_feature(i)).collect();
-    let probes: Vec<Tensor> = (0..8).map(|i| model.random_feature(10_000 + i)).collect();
-    let sweep = |drives: usize| -> (Ranked, u64) {
-        let mut cluster = DeepStoreCluster::new(drives, DeepStoreConfig::small());
-        let db = cluster.write_db(&features).unwrap();
-        let mid = cluster.load_model(&ModelGraph::from_model(&model)).unwrap();
-        let mut ranked = Ranked::new();
-        let mut sim_ns = 0;
-        for probe in &probes {
-            let r = cluster
-                .query(ClusterQueryRequest::new(probe.clone(), mid, db).k(10))
-                .unwrap();
-            assert_eq!(r.coverage, 1.0, "healthy cluster must cover everything");
-            sim_ns += r.elapsed.as_nanos();
-            ranked.extend(
-                r.top_k
-                    .iter()
-                    .map(|h| (h.global_index, h.hit.score.to_bits())),
-            );
-        }
-        (ranked, sim_ns)
-    };
-    let (one, t1) = sweep(1);
-    let (two, _) = sweep(2);
-    let (four, t4) = sweep(4);
-    assert_eq!(two, one, "N=2 diverged from N=1");
-    assert_eq!(four, one, "N=4 diverged from N=1");
-    let efficiency = t1 as f64 / (4 * t4) as f64;
-    assert!(
-        efficiency >= 0.7,
-        "N=4 scaling efficiency {efficiency:.3} ({t1} vs {t4} sim-ns) below the 0.7 floor"
-    );
+    for backend in Backend::ALL {
+        let model = zoo::textqa().seeded_metric(7);
+        let features: Vec<Tensor> = (0..512).map(|i| model.random_feature(i)).collect();
+        let probes: Vec<Tensor> = (0..8).map(|i| model.random_feature(10_000 + i)).collect();
+        let sweep = |drives: usize| -> (Ranked, u64) {
+            let mut cluster = backend.cluster(drives, 1, DeepStoreConfig::small());
+            let db = cluster.write_db(&features).unwrap();
+            let mid = cluster.load_model(&ModelGraph::from_model(&model)).unwrap();
+            let mut ranked = Ranked::new();
+            let mut sim_ns = 0;
+            for probe in &probes {
+                let r = cluster
+                    .query(ClusterQueryRequest::new(probe.clone(), mid, db).k(10))
+                    .unwrap();
+                assert_eq!(r.coverage, 1.0, "healthy cluster must cover everything");
+                sim_ns += r.elapsed.as_nanos();
+                ranked.extend(
+                    r.top_k
+                        .iter()
+                        .map(|h| (h.global_index, h.hit.score.to_bits())),
+                );
+            }
+            (ranked, sim_ns)
+        };
+        let (one, t1) = sweep(1);
+        let (two, _) = sweep(2);
+        let (four, t4) = sweep(4);
+        assert_eq!(two, one, "N=2 diverged from N=1");
+        assert_eq!(four, one, "N=4 diverged from N=1");
+        let efficiency = t1 as f64 / (4 * t4) as f64;
+        assert!(
+            efficiency >= 0.7,
+            "N=4 scaling efficiency {efficiency:.3} ({t1} vs {t4} sim-ns) below the 0.7 floor"
+        );
+    }
 }

@@ -13,6 +13,9 @@
 //! positional reads, never through the mapping, so no case can raise
 //! `SIGBUS`.
 
+mod common;
+
+use common::TempPath;
 use deepstore::core::persist::ClusterManifest;
 use deepstore::core::{
     DeepStore, DeepStoreCluster, DeepStoreConfig, DeepStoreError, ImageManifest, StoredModel,
@@ -23,26 +26,7 @@ use deepstore::flash::{FlashError, ImageExtent, MmapStore, PageStore};
 use deepstore::nn::{Activation, Model, ModelBuilder, ModelGraph, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Unique temp path per call without wall-clock or RNG use.
-fn temp_path(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "deepstore-manifest-fuzz-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-struct Cleanup(PathBuf);
-impl Drop for Cleanup {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use std::path::Path;
 
 /// A small model keeps every-prefix truncation affordable.
 fn tiny_model() -> Model {
@@ -66,9 +50,8 @@ fn config() -> DeepStoreConfig {
 }
 
 /// A closed image holding one model and two databases.
-fn real_image(tag: &str) -> (PathBuf, Cleanup) {
-    let path = temp_path(tag).with_extension("img");
-    let cleanup = Cleanup(path.clone());
+fn real_image(tag: &str) -> TempPath {
+    let path = TempPath::new(&format!("manifest-fuzz-{tag}"));
     let mut store = DeepStore::create(&path, config()).unwrap();
     store.write_db(&features(0, 40)).unwrap();
     store.write_db(&features(100, 24)).unwrap();
@@ -76,7 +59,7 @@ fn real_image(tag: &str) -> (PathBuf, Cleanup) {
         .load_model(&ModelGraph::from_model(&tiny_model()))
         .unwrap();
     store.close().unwrap();
-    (path, cleanup)
+    path
 }
 
 fn committed_manifest(path: &Path) -> Vec<u8> {
@@ -127,7 +110,7 @@ fn as_version_1(manifest: &ImageManifest, models: &[(u64, Model)]) -> Vec<u8> {
 /// The v3 manifest of a real image and its version-2 and version-1
 /// twins.
 fn image_manifests() -> (Vec<u8>, Vec<u8>, Vec<u8>) {
-    let (path, _cleanup) = real_image("manifests");
+    let path = real_image("manifests");
     let v3 = committed_manifest(&path);
     let manifest = ImageManifest::decode(&v3).unwrap();
     assert_eq!(manifest.manifest_version, MANIFEST_VERSION);
@@ -154,8 +137,7 @@ fn image_manifests() -> (Vec<u8>, Vec<u8>, Vec<u8>) {
 
 /// The layout manifest of a real three-drive, two-replica cluster.
 fn cluster_manifest() -> Vec<u8> {
-    let dir = temp_path("cluster");
-    let _cleanup = Cleanup(dir.clone());
+    let dir = TempPath::new("manifest-fuzz-cluster");
     let mut cluster = DeepStoreCluster::create_persistent(&dir, 3, 2, config()).unwrap();
     cluster.write_db(&features(0, 30)).unwrap();
     cluster
@@ -239,7 +221,7 @@ type Damage = fn(&Path, ImageExtent) -> ImageExtent;
 /// Opens a real image after `damage` rewrote its committed state, and
 /// returns the error message `DeepStore::open` refused with.
 fn open_damaged(tag: &str, damage: Damage) -> String {
-    let (path, _cleanup) = real_image(tag);
+    let path = real_image(tag);
     let (mut store, bytes, _) = MmapStore::open(&path).unwrap();
     let mut manifest = ImageManifest::decode(&bytes).unwrap();
     let StoredModel::Extent(extent) = manifest.models[0].1 else {

@@ -5,17 +5,19 @@
 //! scores and order — are bit-identical at every worker count, and so
 //! are the simulated latencies the serve engine's simulated-clock
 //! driver derives from them. These tests drive that contract with
-//! randomized inputs (property tests over models, database sizes, `k`
-//! and worker counts), with injected read faults, and through
-//! `serve::simulate`'s schedule and flight recorder.
+//! randomized inputs (property tests over models, database sizes, `k`,
+//! worker counts and, drawn last, the page store), with injected read
+//! faults, and through `serve::simulate`'s schedule and flight recorder.
 
+mod common;
+
+use common::{backends, engine_with};
 use deepstore_core::config::DeepStoreConfig;
-use deepstore_core::engine::{DbId, Engine};
 use deepstore_core::proto::Command;
 use deepstore_core::serve::{simulate, ServeConfig};
 use deepstore_core::{AcceleratorLevel, DeepStore};
 use deepstore_flash::fault::FaultPlan;
-use deepstore_nn::{zoo, Model, ModelGraph, Tensor};
+use deepstore_nn::{zoo, ModelGraph, Tensor};
 use proptest::prelude::*;
 
 /// Worker counts exercised against the serial baseline. `0` means "one
@@ -23,18 +25,6 @@ use proptest::prelude::*;
 const WORKER_COUNTS: [usize; 4] = [2, 4, 8, 0];
 
 const APPS: [&str; 3] = ["textqa", "tir", "mir"];
-
-/// Builds a sealed engine with `n` random features from `app`'s model.
-fn engine_with(app: &str, model_seed: u64, n: u64, parallelism: usize) -> (Engine, Model, DbId) {
-    let model = zoo::by_name(app)
-        .expect("known app")
-        .seeded_metric(model_seed);
-    let mut engine = Engine::new(DeepStoreConfig::small().with_parallelism(parallelism));
-    let features: Vec<Tensor> = (0..n).map(|i| model.random_feature(i)).collect();
-    let db = engine.write_db(&features).unwrap();
-    engine.seal_db(db).unwrap();
-    (engine, model, db)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -49,9 +39,10 @@ proptest! {
             1u64..48,
             0usize..10,
             0u64..1_000_000,
-        )
+        ),
+        backend in backends(),
     ) {
-        let (mut engine, model, db) = engine_with(APPS[app_idx], model_seed, n, 1);
+        let (mut engine, model, db) = engine_with(APPS[app_idx], model_seed, n, 1, backend);
         let probe = model.random_feature(q_seed ^ 0x5EED);
         let baseline = engine.scan_top_k(db, &model, &probe, k).unwrap();
         prop_assert_eq!(baseline.len(), k.min(n as usize));
@@ -68,10 +59,11 @@ proptest! {
     /// ranks the same survivors.
     #[test]
     fn parallel_scan_matches_serial_under_faults(
-        (model_seed, n, fault_seed) in (0u64..1_000_000, 8u64..48, 0u64..1_000_000)
+        (model_seed, n, fault_seed) in (0u64..1_000_000, 8u64..48, 0u64..1_000_000),
+        backend in backends(),
     ) {
         let scan_at = |workers: usize| {
-            let (mut engine, model, db) = engine_with("textqa", model_seed, n, workers);
+            let (mut engine, model, db) = engine_with("textqa", model_seed, n, workers, backend);
             let geometry = engine.config().ssd.geometry;
             engine.inject_faults(FaultPlan::random(&geometry, 0.10, fault_seed));
             let probe = model.random_feature(model_seed ^ 0xFA017);

@@ -7,6 +7,9 @@
 //! allocator and holds exactly one test, so the measurement window sees
 //! no other test's allocations.
 
+mod common;
+
+use common::Backend;
 use deepstore::core::{DeepStore, DeepStoreConfig, QueryRequest};
 use deepstore::nn::{zoo, ModelGraph, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -56,24 +59,18 @@ fn measure(store: &mut DeepStore, req: &QueryRequest) -> u64 {
 
 #[test]
 fn mmap_scan_allocations_do_not_scale_with_db_size() {
-    let dir = std::env::temp_dir();
-    let small_path = dir.join(format!("deepstore-alloc-small-{}.img", std::process::id()));
-    let large_path = dir.join(format!("deepstore-alloc-large-{}.img", std::process::id()));
-    let _ = std::fs::remove_file(&small_path);
-    let _ = std::fs::remove_file(&large_path);
-
     let model = zoo::tir().seeded_metric(5);
     let cfg = DeepStoreConfig::small().with_parallelism(1);
-    let build = |path: &std::path::Path, n: u64| -> DeepStore {
-        let mut s = DeepStore::create(path, cfg.clone()).unwrap();
+    let build = |n: u64| -> DeepStore {
+        let mut s = Backend::Mmap.store(cfg.clone());
         s.disable_qc();
         let fs: Vec<Tensor> = (0..n).map(|i| model.random_feature(i)).collect();
         s.write_db(&fs).unwrap();
         s.load_model(&ModelGraph::from_model(&model)).unwrap();
         s
     };
-    let mut small = build(&small_path, 64);
-    let mut large = build(&large_path, 512);
+    let mut small = build(64);
+    let mut large = build(512);
 
     let req = |n: u64| {
         QueryRequest::new(
@@ -96,9 +93,4 @@ fn mmap_scan_allocations_do_not_scale_with_db_size() {
         "scan allocations scale with db size: {small_allocs} for 64 \
          features vs {large_allocs} for 512"
     );
-
-    drop(small);
-    drop(large);
-    let _ = std::fs::remove_file(&small_path);
-    let _ = std::fs::remove_file(&large_path);
 }

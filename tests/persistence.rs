@@ -9,30 +9,14 @@
 //! exercised for real: a child process aborts between `flush()` and
 //! `close()` and the parent recovers the last committed state.
 
+mod common;
+
+use common::TempPath;
 use deepstore::core::{DeepStore, DeepStoreConfig, DeepStoreError, QueryRequest, QueryResult};
 use deepstore::flash::fault::FaultPlan;
 use deepstore::flash::FlashOpCounts;
 use deepstore::nn::{zoo, Model, ModelGraph, Tensor};
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Unique temp path per call without wall-clock or RNG use.
-fn temp_image(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "deepstore-persist-{tag}-{}-{}.img",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-struct Cleanup(PathBuf);
-impl Drop for Cleanup {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
 
 fn features(model: &Model, n: u64) -> Vec<Tensor> {
     (0..n).map(|i| model.random_feature(i)).collect()
@@ -97,8 +81,7 @@ fn assert_reopen_equivalent(
     let expected = run_queries(&mut mem, &reqs);
 
     // Same workload split across a persistence cycle.
-    let path = temp_image("equiv");
-    let _cleanup = Cleanup(path.clone());
+    let path = TempPath::new("persist-equiv");
     let mut store = DeepStore::create(&path, cfg).unwrap();
     store.disable_qc();
     let pdb = store.write_db(&features(&model, initial)).unwrap();
@@ -172,16 +155,10 @@ fn reopen_roundtrip_with_armed_fault_plans() {
 fn backend_identities() {
     let cfg = DeepStoreConfig::small();
     let mem = DeepStore::in_memory(cfg.clone());
-    // `DEEPSTORE_BACKEND=mmap` redirects in_memory onto an unlinked
-    // image, so accept either backend here but pin the persistence flag.
-    if mem.backend() == "heap" {
-        assert!(!mem.is_persistent());
-    } else {
-        assert_eq!(mem.backend(), "mmap");
-    }
+    assert_eq!(mem.backend(), "heap");
+    assert!(!mem.is_persistent());
 
-    let path = temp_image("ident");
-    let _cleanup = Cleanup(path.clone());
+    let path = TempPath::new("persist-ident");
     let store = DeepStore::create(&path, cfg).unwrap();
     assert_eq!(store.backend(), "mmap");
     assert!(store.is_persistent());
@@ -213,8 +190,7 @@ fn crash_between_flush_and_close_recovers_flushed_state() {
         std::process::abort();
     }
 
-    let path = temp_image("crash");
-    let _cleanup = Cleanup(path.clone());
+    let path = TempPath::new("persist-crash");
     let exe = std::env::current_exe().unwrap();
     let status = std::process::Command::new(exe)
         .args([
@@ -282,8 +258,7 @@ fn future_image_format_version_is_rejected_typed() {
         })
     }
 
-    let path = temp_image("version");
-    let _cleanup = Cleanup(path.clone());
+    let path = TempPath::new("persist-version");
     let store = DeepStore::create(&path, DeepStoreConfig::small()).unwrap();
     store.close().unwrap();
 
@@ -325,8 +300,7 @@ fn multi_gb_image_reopen_bit_identical() {
     cfg.ssd.geometry.blocks_per_plane = 512;
     cfg.ssd.geometry.pages_per_block = 64;
 
-    let path = temp_image("multigb");
-    let _cleanup = Cleanup(path.clone());
+    let path = TempPath::new("persist-multigb");
     let model = zoo::tir().seeded_metric(5);
     let mut store = DeepStore::create(&path, cfg).unwrap();
 
