@@ -15,7 +15,7 @@ use deepstore_workloads::loadgen::{
     plan, run_open_loop, ArrivalProcess, LoadPlanConfig, LoadTarget,
 };
 use deepstore_workloads::replay::QueryTrace;
-use deepstore_workloads::{QueryStream, TraceDistribution, APP_NAMES};
+use deepstore_workloads::{TraceDistribution, APP_NAMES};
 use std::error::Error;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -662,15 +662,21 @@ fn cmd_trace(args: &[String]) -> CmdResult {
     let qps: f64 = flags.num_or("qps", 10.0)?;
     let seed: u64 = flags.num_or("seed", 1)?;
     let out = flags.required("out")?;
+    if queries == 0 || !(qps.is_finite() && qps > 0.0) {
+        return Err(ArgError("trace needs --queries > 0 and a positive --qps".into()).into());
+    }
 
-    let mut stream = QueryStream::new(
-        zoo::textqa().feature_len(),
-        10_000,
-        2_000,
-        TraceDistribution::Zipfian { alpha: 0.7 },
+    let trace = QueryTrace::from_plan(&LoadPlanConfig {
+        queries,
+        qps,
+        arrivals: ArrivalProcess::Poisson,
+        dim: zoo::textqa().feature_len(),
+        pool_size: 10_000,
+        clusters: 2_000,
+        distribution: TraceDistribution::Zipfian { alpha: 0.7 },
+        duplicate_rate: 0.0,
         seed,
-    );
-    let trace = QueryTrace::generate(&mut stream, queries, qps, seed);
+    });
     std::fs::write(out, trace.to_bytes())?;
     println!("wrote {queries} queries over {} to {out}", trace.duration());
     Ok(())
@@ -1329,6 +1335,15 @@ mod tests {
         let windowed = replay(&["--batch-window-us", "500"]);
         assert!(windowed.contains("500.000us window"), "{windowed}");
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn trace_rejects_an_empty_or_unpaced_schedule() {
+        for bad in [["--queries", "0"], ["--qps", "0"]] {
+            let mut args = argv(&["trace", "--out", "unused.json"]);
+            args.extend(argv(&bad));
+            assert!(run(&args).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -198,11 +198,7 @@ pub fn scan_batch(
     if batch <= 1 {
         return Some(single);
     }
-    let acc = match level {
-        AcceleratorLevel::Ssd => AcceleratorConfig::ssd_level(),
-        AcceleratorLevel::Channel => AcceleratorConfig::channel_level(),
-        AcceleratorLevel::Chip => AcceleratorConfig::chip_level(),
-    };
+    let acc = AcceleratorConfig::for_level(level);
     let compute = SimDuration::from_secs_f64(single.compute.as_secs_f64() * batch as f64);
     // The extra batch members re-run the SCN on every feature but add no
     // flash-page or weight-distribution traffic.

@@ -602,11 +602,6 @@ impl DeepStoreCluster {
         self.down[drive] = true;
     }
 
-    /// Whether a drive is administratively down.
-    pub fn is_down(&self, drive: usize) -> bool {
-        self.down[drive]
-    }
-
     /// Cluster-level metrics (scatter-gather, failover, rebalance).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.telemetry.snapshot()
@@ -1183,7 +1178,7 @@ mod tests {
         let p1 = after.partitions[1];
         assert_eq!(p1.drive, Some(2));
         assert_eq!(p1.failovers, 1);
-        assert!(c.is_down(1));
+        assert!(c.down[1]);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! lands on the Table 3 configurations.
 
 use crate::config::{AcceleratorConfig, AcceleratorLevel};
+use deepstore_energy::sram::SramMacro;
 use deepstore_energy::{sram_pj_per_byte, SramVariant};
 use deepstore_nn::Model;
 use deepstore_systolic::cycles::scn_cycles_per_feature;
@@ -24,11 +25,7 @@ pub fn estimate_power_w(array: &ArrayConfig, sram: SramVariant) -> f64 {
     // Scratchpad: assume ~8 bytes/cycle of sustained access.
     let sram_access = 8.0 * array.freq_hz * sram_pj_per_byte(array.scratchpad_bytes, sram) * 1e-12;
     // Leakage scales with SRAM capacity (dominant leaker).
-    let leak_per_mb = match sram {
-        SramVariant::ItrsHp => 0.04,
-        SramVariant::ItrsLow => 0.008,
-    };
-    let leakage = array.scratchpad_bytes as f64 / (1024.0 * 1024.0) * leak_per_mb;
+    let leakage = SramMacro::with_default_banking(array.scratchpad_bytes, sram).leakage_w();
     dynamic + sram_access + leakage
 }
 

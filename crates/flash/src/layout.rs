@@ -94,14 +94,6 @@ impl DbLayout {
         }
     }
 
-    /// Features whose pages land on a given channel when the database is
-    /// striped page-round-robin over `channels` channels.
-    pub fn features_on_channel(&self, channel: usize, channels: usize) -> u64 {
-        let pages = crate::stream::stripe_pages(self.total_pages(), channels);
-        let share = pages[channel.min(channels - 1)] as f64 / self.total_pages().max(1) as f64;
-        (self.num_features as f64 * share).round() as u64
-    }
-
     /// Pages per channel under page-round-robin striping.
     pub fn pages_per_channel(&self, channels: usize) -> Vec<u64> {
         crate::stream::stripe_pages(self.total_pages(), channels)
@@ -165,14 +157,6 @@ mod tests {
         let min = *per.iter().min().unwrap();
         assert!(max - min <= 1);
         assert_eq!(per.iter().sum::<u64>(), l.total_pages());
-    }
-
-    #[test]
-    fn features_on_channel_sums_close_to_total() {
-        let l = DbLayout::new(2048, 10_000, PAGE, Placement::Packed);
-        let sum: u64 = (0..32).map(|c| l.features_on_channel(c, 32)).sum();
-        let dev = (sum as i64 - 10_000i64).unsigned_abs();
-        assert!(dev <= 32, "sum = {sum}");
     }
 
     #[test]

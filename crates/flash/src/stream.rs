@@ -78,20 +78,6 @@ impl ChannelStream {
         self
     }
 
-    /// Builds a stream model for a *chip-level* consumer sharing the
-    /// channel bus: only the planes of one chip feed the stream, and the
-    /// bus share is `1/chips` of the channel bus (the chips of a channel
-    /// stream concurrently and the bus arbitrates round-robin).
-    pub fn for_chip(cfg: &SsdConfig) -> Self {
-        let chips = cfg.geometry.chips_per_channel as u64;
-        ChannelStream {
-            planes: cfg.geometry.planes_per_chip,
-            array_read: cfg.timing.array_read,
-            page_transfer: cfg.timing.page_transfer(cfg.geometry.page_bytes) * chips,
-            queue_depth: usize::MAX,
-        }
-    }
-
     /// Builds a stream model for a chip-level accelerator that drains its
     /// own chip *directly* (§4.5: chip-level accelerators are interfaced
     /// to the NAND flash chips, so regular page reads bypass the shared
@@ -354,14 +340,6 @@ mod tests {
         let s = ChannelStream::new(&slow_cfg);
         // (10ms + 20.7us) / 32 planes > 20.7us: array-limited now.
         assert!(s.steady_state_per_page() > slow_cfg.timing.page_transfer(16 * 1024));
-    }
-
-    #[test]
-    fn chip_stream_is_slower_than_channel_stream() {
-        let ch = ChannelStream::new(&cfg()).stream_pages(1000);
-        let chip = ChannelStream::for_chip(&cfg()).stream_pages(1000);
-        // One chip gets 1/4 of the bus.
-        assert!(chip.as_nanos() > 3 * ch.as_nanos());
     }
 
     #[test]

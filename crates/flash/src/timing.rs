@@ -69,11 +69,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Milliseconds as f64.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))

@@ -81,16 +81,6 @@ impl ModelGraph {
         }
         Ok(graph)
     }
-
-    /// Size in bytes of the serialized form (the `cg_size` argument of
-    /// `loadModel`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ModelGraph::to_bytes`].
-    pub fn byte_len(&self) -> Result<usize> {
-        Ok(self.to_bytes()?.len())
-    }
 }
 
 #[cfg(test)]
@@ -131,11 +121,5 @@ mod tests {
             ModelGraph::from_bytes(&bytes),
             Err(NnError::InvalidGraph(_))
         ));
-    }
-
-    #[test]
-    fn byte_len_matches_serialized_size() {
-        let g = ModelGraph::from_model(&zoo::textqa());
-        assert_eq!(g.byte_len().unwrap(), g.to_bytes().unwrap().len());
     }
 }

@@ -30,46 +30,12 @@
 //! bits of every f32 kernel and compare each explicit kernel with its
 //! twin.
 //!
-//! The backend is one [`Backend`] value, resolved once per process:
-//! `Simd` on x86_64, `Scalar` elsewhere or when `DEEPSTORE_FORCE_SCALAR=1`
-//! is set in the environment (CI runs the equivalence suites under that
-//! override so both arms stay green). The AVX2 int8 dot also needs
-//! `is_x86_feature_detected!("avx2")`.
-
-use std::sync::OnceLock;
-
-/// The kernel backend a process dispatches to: the explicit x86_64
-/// kernels, or their portable twins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    Scalar,
-    Simd,
-}
-
-impl Backend {
-    /// This process's backend, resolved on first use.
-    fn get() -> Backend {
-        static BACKEND: OnceLock<Backend> = OnceLock::new();
-        *BACKEND.get_or_init(|| {
-            let forced = std::env::var_os("DEEPSTORE_FORCE_SCALAR").is_some_and(|v| v != *"0");
-            if cfg!(target_arch = "x86_64") && !forced {
-                Backend::Simd
-            } else {
-                Backend::Scalar
-            }
-        })
-    }
-}
-
-/// Name of the kernel backend this process dispatches to: `"simd"` or
-/// `"scalar"`. Surfaced through [`crate::kernel_backend`] for benches
-/// and stats.
-pub(crate) fn backend_name() -> &'static str {
-    match Backend::get() {
-        Backend::Simd => "simd",
-        Backend::Scalar => "scalar",
-    }
-}
+//! The build picks the kernels, as a chip's design fixes its datapath:
+//! the SSE2 dot on every x86_64 target, the AVX2 int8 dot when the build
+//! enables AVX2 (the `x86-64-v3` default does; a baseline
+//! `-C target-cpu=x86-64` build does not), and the portable twin
+//! wherever an explicit kernel is not compiled in. Nothing is chosen at
+//! run time.
 
 /// Lane width of the fused multi-query dense kernel: eight queries are
 /// scored against one item per pass over the weight row. Eight f32 lanes
@@ -108,17 +74,16 @@ pub(crate) fn tail_accumulate<const L: usize>(acc: &mut [f32; L], w_tail: &[f32]
 pub(crate) fn dot_unrolled(w: &[f32], x: &[f32]) -> f32 {
     debug_assert_eq!(w.len(), x.len());
     #[cfg(target_arch = "x86_64")]
-    if Backend::get() == Backend::Simd {
-        // SAFETY: SSE2 is baseline on x86_64.
-        return unsafe { simd::dot_sse2(w, x) };
-    }
+    // SAFETY: SSE2 is part of the x86_64 baseline.
+    return unsafe { simd::dot_sse2(w, x) };
+    #[cfg(not(target_arch = "x86_64"))]
     scalar::dot_unrolled(w, x)
 }
 
 /// Exact int8 dot product in an i32 accumulator: the int8 bound's
 /// phase 1 (see [`crate::quant`]). Integer addition is associative and
 /// the caller keeps `len · 127² < 2³¹` (`MAX_FOLD_LEN`), so every lane
-/// arrangement gives the same `i32` and both backends are bit-identical
+/// arrangement gives the same `i32` and both kernels are bit-identical
 /// without an order contract. The AVX2 kernel widens sixteen lanes to
 /// i16 (`vpmovsxbw`) and multiply-adds pairs into i32 (`vpmaddwd`);
 /// `vpmaddubsw` is avoided because it saturates.
@@ -129,12 +94,10 @@ pub(crate) fn dot_unrolled(w: &[f32], x: &[f32]) -> f32 {
 #[inline]
 pub(crate) fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     assert_eq!(a.len(), b.len(), "int8 dot of unequal lengths");
-    #[cfg(target_arch = "x86_64")]
-    if Backend::get() == Backend::Simd && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just detected, and the lengths are
-        // equal.
-        return unsafe { simd::dot_i8_avx2(a, b) };
-    }
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+    // SAFETY: the build enables AVX2, and the lengths are equal.
+    return unsafe { simd::dot_i8_avx2(a, b) };
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
     scalar::dot_i8(a, b)
 }
 
@@ -292,10 +255,10 @@ pub(crate) fn conv2d_into(
 /// The portable twins of the two explicit kernels — the specification
 /// of their results.
 pub(crate) mod scalar {
-    use super::tail_accumulate;
-
     /// Portable [`super::dot_unrolled`]: four independent chains
-    /// combined `(s0 + s1) + (s2 + s3)`, sequential tail.
+    /// combined `(s0 + s1) + (s2 + s3)`, sequential tail. x86_64 builds
+    /// compile it for the tests only.
+    #[cfg(any(test, not(target_arch = "x86_64")))]
     #[inline]
     pub(crate) fn dot_unrolled(w: &[f32], x: &[f32]) -> f32 {
         debug_assert_eq!(w.len(), x.len());
@@ -309,7 +272,7 @@ pub(crate) mod scalar {
             s3 += wc[3] * xc[3];
         }
         let mut acc = [(s0 + s1) + (s2 + s3)];
-        tail_accumulate::<1>(&mut acc, wq.remainder(), xq.remainder());
+        super::tail_accumulate::<1>(&mut acc, wq.remainder(), xq.remainder());
         acc[0]
     }
 
@@ -328,7 +291,7 @@ pub(crate) mod scalar {
 /// result exactly; see the module docs.
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    use super::{scalar, tail_accumulate};
+    use super::tail_accumulate;
     use std::arch::x86_64::*;
 
     /// f32x4 dot product: one SSE register holds the four scalar chains
@@ -361,16 +324,17 @@ mod simd {
     /// (`vpmaddwd`, exact: `2 · 128² < 2³¹`). Two accumulators over
     /// alternating chunks, a horizontal sum, then the scalar kernel for
     /// the `len % 16` tail. Integer sums are order-free, so this equals
-    /// [`scalar::dot_i8`] exactly.
+    /// [`super::scalar::dot_i8`] exactly. Compiled only where the build
+    /// enables AVX2.
     ///
     /// # Safety
     ///
-    /// Caller must have verified AVX2 support, and `a` and `b` must have
-    /// the same length: every chunk of `a` is loaded from `b` too.
+    /// `a` and `b` must have the same length: every chunk of `a` is
+    /// loaded from `b` too.
     // `#[inline]`: without it, whether the bound sweep inlines this
     // kernel depends on which codegen unit it happens to land in.
+    #[cfg(target_feature = "avx2")]
     #[inline]
-    #[target_feature(enable = "avx2")]
     pub(super) unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
         debug_assert_eq!(a.len(), b.len());
         let chunks = a.len() / 16;
@@ -397,7 +361,7 @@ mod simd {
         );
         let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b01_00_11_10));
         let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b10_11_00_01));
-        _mm_cvtsi128_si32(s) + scalar::dot_i8(&a[16 * chunks..], &b[16 * chunks..])
+        _mm_cvtsi128_si32(s) + super::scalar::dot_i8(&a[16 * chunks..], &b[16 * chunks..])
     }
 }
 
@@ -423,7 +387,7 @@ mod tests {
         want += w[8] * x[8];
         want += w[9] * x[9];
         assert_eq!(got.to_bits(), want.to_bits());
-        // The scalar backend is the same specification.
+        // The portable twin is the same specification.
         assert_eq!(scalar::dot_unrolled(&w, &x).to_bits(), want.to_bits());
     }
 
@@ -493,7 +457,7 @@ mod tests {
 
     /// The output bits of every f32 layer kernel, pinned. The inputs are
     /// fixed `lcg_vec` draws and the kernels only multiply and add, so
-    /// the digests hold on every x86-64 build and backend; a change to
+    /// the digests hold on every x86-64 build; a change to
     /// any kernel's summation order shows up here.
     #[test]
     fn kernel_output_bits_are_pinned() {
@@ -595,7 +559,7 @@ mod tests {
 
     /// The fused kernel is bit-identical, on every lane and output, to
     /// [`dense_into`] on that lane's input alone — the single-query
-    /// path, which runs the SSE2 dot on the `Simd` backend. Fixed shapes
+    /// path, which runs the SSE2 dot on x86_64. Fixed shapes
     /// first, then random ones covering every `in % 4` tail class.
     #[test]
     fn dense_multi_simd_matches_scalar_to_the_bit() {
@@ -706,14 +670,14 @@ mod tests {
             .collect()
     }
 
-    /// Every backend that can run here, against the scalar spec.
+    /// Every int8 kernel this build compiles, against the scalar spec.
     fn assert_dot_i8_exact(a: &[i8], b: &[i8]) {
         let want = scalar::dot_i8(a, b);
         assert_eq!(dot_i8(a, b), want, "dispatched, len {}", a.len());
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just detected, and the dispatched
-            // `dot_i8` above checked that the lengths are equal.
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+        {
+            // SAFETY: the dispatched `dot_i8` above checked that the
+            // lengths are equal.
             let got = unsafe { simd::dot_i8_avx2(a, b) };
             assert_eq!(got, want, "avx2, len {}", a.len());
         }
@@ -747,15 +711,8 @@ mod tests {
     #[should_panic(expected = "int8 dot of unequal lengths")]
     fn int8_dot_rejects_unequal_lengths() {
         // The AVX2 kernel reads `b` wherever it reads `a`, so a shorter
-        // `b` must stop at the dispatcher on every backend.
+        // `b` must stop at the dispatcher in every build.
         let _ = dot_i8(&lcg_i8(1, 48), &lcg_i8(2, 16));
-    }
-
-    #[test]
-    fn backend_name_is_stable() {
-        let name = backend_name();
-        assert!(["simd", "scalar"].contains(&name));
-        assert_eq!(name, backend_name());
     }
 
     mod proptests {
@@ -765,7 +722,7 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// The dispatched dot (SIMD when available) is bit-identical
+            /// The dispatched dot (SSE2 on x86_64) is bit-identical
             /// to the scalar specification for arbitrary lengths,
             /// including every tail-length class.
             #[test]
@@ -780,7 +737,7 @@ mod tests {
                 );
             }
 
-            /// The int8 dot is exact on every backend for arbitrary
+            /// The int8 dot is exact in every build for arbitrary
             /// lengths up to the fold limit, tails included.
             #[test]
             fn int8_dot_matches_scalar_at_any_length(

@@ -41,16 +41,20 @@ pub mod scratch;
 pub mod tensor;
 pub mod zoo;
 
-/// Name of the compute-kernel backend this process dispatches to:
-/// `"simd"` (x86_64: the explicit SSE2 f32 dot, and the AVX2 int8 dot
-/// when the CPU has AVX2) or `"scalar"` (their portable twins; other
-/// targets, or `DEEPSTORE_FORCE_SCALAR=1`). Selected once per process.
-/// Every other kernel has one portable source, and both backends are
-/// bit-identical (see the `kernels` module docs), so this only matters
-/// for performance reporting.
+/// Name of the compute kernels this build compiled in: `"simd"` on
+/// x86_64 (the explicit SSE2 f32 dot, and the AVX2 int8 dot when the
+/// build enables AVX2, as the `x86-64-v3` default does) or `"scalar"`
+/// (their portable twins; other targets). The build selects them;
+/// nothing is chosen at run time. Every other kernel has one portable
+/// source, and every build gives the same bits (see the `kernels`
+/// module docs), so this only matters for performance reporting.
 #[must_use]
 pub fn kernel_backend() -> &'static str {
-    kernels::backend_name()
+    if cfg!(target_arch = "x86_64") {
+        "simd"
+    } else {
+        "scalar"
+    }
 }
 pub use graph::ModelGraph;
 pub use layer::{Activation, ElementWiseOp, Layer, LayerShape, MergeOp};

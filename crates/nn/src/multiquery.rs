@@ -54,7 +54,6 @@ const PAD_THRESHOLD: usize = 3;
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiQueryScorer {
-    nq: usize,
     feature_len: usize,
     /// Lane-transposed query blocks, `feature_len * QUERY_LANES` each.
     /// The final block may carry pad lanes replicating the last query.
@@ -149,7 +148,6 @@ impl MultiQueryScorer {
             .fold(merged, usize::max);
 
         Ok(MultiQueryScorer {
-            nq: queries.len(),
             feature_len: flen,
             fused_qt,
             last_block_lanes,
@@ -161,16 +159,11 @@ impl MultiQueryScorer {
         })
     }
 
-    /// Number of queries in the batch.
-    pub fn num_queries(&self) -> usize {
-        self.nq
-    }
-
     /// Scores `item` against every query of the batch, refilling
     /// `scores` in batch order. `model` must be the model the scorer
     /// was built for. After the first call, the scorer performs no
-    /// heap allocations (give `scores` capacity for
-    /// [`num_queries`](Self::num_queries) entries).
+    /// heap allocations (give `scores` capacity for one entry per
+    /// query).
     ///
     /// # Errors
     ///

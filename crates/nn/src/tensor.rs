@@ -288,16 +288,6 @@ impl Tensor {
         })
     }
 
-    /// Applies ReLU in place and returns the tensor.
-    pub fn relu(mut self) -> Tensor {
-        for x in &mut self.data {
-            if *x < 0.0 {
-                *x = 0.0;
-            }
-        }
-        self
-    }
-
     /// Applies the logistic sigmoid in place and returns the tensor.
     pub fn sigmoid(mut self) -> Tensor {
         for x in &mut self.data {
@@ -479,7 +469,6 @@ mod tests {
     #[test]
     fn activations() {
         let t = Tensor::from_slice(&[-1.0, 0.0, 2.0]);
-        assert_eq!(t.clone().relu().data(), &[0.0, 0.0, 2.0]);
         let s = t.clone().sigmoid();
         assert!((s.data()[1] - 0.5).abs() < 1e-6);
         let th = t.tanh();

@@ -102,11 +102,6 @@ impl ArrayConfig {
         (self.rows + self.cols - 2) as u64
     }
 
-    /// Peak MAC throughput in MACs/s.
-    pub fn peak_macs_per_sec(&self) -> f64 {
-        self.pes() as f64 * self.freq_hz
-    }
-
     /// Converts a cycle count to seconds at this array's clock.
     pub fn cycles_to_secs(&self, cycles: u64) -> f64 {
         cycles as f64 / self.freq_hz
@@ -122,7 +117,6 @@ mod tests {
         let a = ArrayConfig::new(16, 64, 800e6, Dataflow::OutputStationary, 1 << 19);
         assert_eq!(a.pes(), 1024);
         assert_eq!(a.fill_cycles(), 78);
-        assert_eq!(a.peak_macs_per_sec(), 1024.0 * 800e6);
         assert!((a.cycles_to_secs(800_000_000) - 1.0).abs() < 1e-12);
     }
 

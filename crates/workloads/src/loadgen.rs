@@ -406,6 +406,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "offered rate must be positive")]
+    fn zero_rate_panics() {
+        let _ = plan(&LoadPlanConfig {
+            qps: 0.0,
+            ..LoadPlanConfig::default()
+        });
+    }
+
+    #[test]
     fn duplicate_rate_controls_noisy_duplicates() {
         let none = plan(&LoadPlanConfig {
             duplicate_rate: 0.0,

@@ -4,15 +4,13 @@
 //! baseline GPU+SSD system, and pass them as input to the query engine in
 //! our simulator" — the simulator is trace-driven. This module provides
 //! that plumbing: a serializable [`QueryTrace`] of timestamped query
-//! feature vectors, a generator that samples arrival times from a seeded
-//! Poisson process over a [`QueryStream`], and save/load to JSON so traces
-//! can be captured once and replayed across experiments.
+//! feature vectors, recorded from a [`loadgen::plan`] schedule, and
+//! save/load to JSON so traces can be captured once and replayed across
+//! experiments.
 
-use crate::trace::QueryStream;
+use crate::loadgen::{self, LoadPlanConfig};
 use deepstore_flash::SimDuration;
 use deepstore_nn::Tensor;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// One timestamped trace entry.
@@ -42,32 +40,25 @@ impl QueryTrace {
     /// Current trace format version.
     pub const VERSION: u32 = 1;
 
-    /// Generates a trace of `n` queries: content from a [`QueryStream`],
-    /// arrivals from a Poisson process at `offered_qps` (exponential
-    /// inter-arrival times, deterministically seeded).
+    /// Records the offered-load schedule [`loadgen::plan`] draws for
+    /// `cfg` as a trace.
     ///
     /// # Panics
     ///
-    /// Panics if `offered_qps` is not positive.
-    pub fn generate(stream: &mut QueryStream, n: usize, offered_qps: f64, seed: u64) -> QueryTrace {
-        assert!(offered_qps > 0.0, "offered load must be positive");
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA11C_E5ED);
-        let mut clock = SimDuration::ZERO;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let gap = -u.ln() / offered_qps;
-            clock += SimDuration::from_secs_f64(gap);
-            let (rank, qfv) = stream.next_query();
-            entries.push(TraceEntry {
-                arrival: clock,
-                rank,
-                qfv,
-            });
-        }
+    /// As [`loadgen::plan`]: if `cfg.qps` is not positive or
+    /// `cfg.queries` is zero.
+    pub fn from_plan(cfg: &LoadPlanConfig) -> QueryTrace {
+        let entries = loadgen::plan(cfg)
+            .into_iter()
+            .map(|o| TraceEntry {
+                arrival: SimDuration::from_nanos(o.at.as_nanos() as u64),
+                rank: o.rank,
+                qfv: o.qfv,
+            })
+            .collect();
         QueryTrace {
             version: Self::VERSION,
-            offered_qps,
+            offered_qps: cfg.qps,
             entries,
         }
     }
@@ -126,43 +117,24 @@ impl QueryTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceDistribution;
 
-    fn stream() -> QueryStream {
-        QueryStream::new(16, 100, 10, TraceDistribution::Uniform, 3)
-    }
-
-    #[test]
-    fn arrivals_are_ordered_and_poisson_scaled() {
-        let t = QueryTrace::generate(&mut stream(), 500, 100.0, 1);
-        assert_eq!(t.len(), 500);
-        for w in t.entries.windows(2) {
-            assert!(w[1].arrival >= w[0].arrival);
-        }
-        // 500 queries at 100 qps take ~5 s (generously banded).
-        let d = t.duration().as_secs_f64();
-        assert!((3.0..8.0).contains(&d), "duration = {d}");
-    }
-
-    #[test]
-    fn generation_is_deterministic() {
-        let a = QueryTrace::generate(&mut stream(), 50, 10.0, 7);
-        let b = QueryTrace::generate(&mut stream(), 50, 10.0, 7);
-        assert_eq!(a, b);
-        let c = QueryTrace::generate(&mut stream(), 50, 10.0, 8);
-        assert_ne!(a, c);
+    fn trace(queries: usize) -> QueryTrace {
+        QueryTrace::from_plan(&LoadPlanConfig {
+            queries,
+            ..LoadPlanConfig::default()
+        })
     }
 
     #[test]
     fn serialization_roundtrips() {
-        let t = QueryTrace::generate(&mut stream(), 20, 10.0, 7);
+        let t = trace(20);
         let back = QueryTrace::from_bytes(&t.to_bytes()).unwrap();
         assert_eq!(back, t);
     }
 
     #[test]
     fn wrong_version_rejected() {
-        let mut t = QueryTrace::generate(&mut stream(), 5, 10.0, 7);
+        let mut t = trace(5);
         t.version = 9;
         assert!(QueryTrace::from_bytes(&t.to_bytes()).is_err());
         assert!(QueryTrace::from_bytes(b"junk").is_err());
@@ -170,7 +142,7 @@ mod tests {
 
     #[test]
     fn out_of_order_arrivals_rejected() {
-        let mut t = QueryTrace::generate(&mut stream(), 5, 10.0, 7);
+        let mut t = trace(5);
         t.entries.swap(1, 2);
         let err = QueryTrace::from_bytes(&t.to_bytes()).unwrap_err();
         assert!(err.contains("entry 2"), "{err}");
@@ -185,11 +157,5 @@ mod tests {
         };
         assert!(t.is_empty());
         assert_eq!(t.duration(), SimDuration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "offered load")]
-    fn zero_load_panics() {
-        let _ = QueryTrace::generate(&mut stream(), 1, 0.0, 0);
     }
 }

@@ -22,8 +22,9 @@
 //! The engine-level properties draw the page store (heap or mmap image)
 //! as their last argument; the API test runs on both.
 //!
-//! Run with `DEEPSTORE_FORCE_SCALAR=1` to exercise the scalar kernel
-//! dispatch arm; CI runs both.
+//! The build selects the int8 dot: the AVX2 kernel in the default
+//! `x86-64-v3` build, the portable twin in a baseline
+//! `RUSTFLAGS="-C target-cpu=x86-64"` build. CI runs both.
 
 mod common;
 

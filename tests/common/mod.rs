@@ -146,6 +146,8 @@ macro_rules! check {
 pub(crate) use check;
 
 /// Where failing chaos scenarios are recorded: `target/chaos-seeds/`.
+// Cargo's target directory, so CI finds the seeds where it looks.
+#[allow(clippy::disallowed_methods)]
 pub fn chaos_seed_dir() -> PathBuf {
     let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into());
     PathBuf::from(target).join("chaos-seeds")

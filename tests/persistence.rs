@@ -177,7 +177,10 @@ fn backend_identities() {
 #[test]
 fn crash_between_flush_and_close_recovers_flushed_state() {
     const ENV: &str = "DEEPSTORE_CRASH_WRITER";
-    if let Ok(path) = std::env::var(ENV) {
+    // The parent hands the child its image path, and with it its role.
+    #[allow(clippy::disallowed_methods)]
+    let child = std::env::var(ENV);
+    if let Ok(path) = child {
         // Child role: create, populate, flush — then die without close.
         let model = zoo::tir().seeded_metric(5);
         let mut store = DeepStore::create(&path, DeepStoreConfig::small()).unwrap();

@@ -22,6 +22,9 @@
 //! Scenario recording mirrors `tests/chaos.rs`: a failing case appends
 //! its full scenario to `target/chaos-seeds/<property>.txt`.
 
+mod common;
+
+use common::{check, run_recorded};
 use deepstore::core::serve::{channel_transport, serve, ServeConfig};
 use deepstore::core::{AcceleratorLevel, DeepStore, DeepStoreConfig, ModelId, QueryRequest};
 use deepstore::flash::fault::FaultPlan;
@@ -73,47 +76,6 @@ struct Scenario {
     reqs_per_batch: usize,
     batch_window: bool,
     plan: FaultPlan,
-}
-
-macro_rules! check {
-    ($cond:expr, $($fmt:tt)*) => {
-        if !($cond) {
-            return Err(format!($($fmt)*));
-        }
-    };
-}
-
-fn record_failing_case(property: &str, case: &str, msg: &str) {
-    use std::io::Write;
-    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into());
-    let dir = std::path::PathBuf::from(target).join("chaos-seeds");
-    std::fs::create_dir_all(&dir).ok();
-    if let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(dir.join(format!("{property}.txt")))
-    {
-        let _ = writeln!(f, "== failing case ==\n{case}\n-- violation --\n{msg}\n");
-    }
-}
-
-fn run_recorded(property: &str, case_desc: &str, case: impl FnOnce() -> Result<(), String>) {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(case)) {
-        Ok(Ok(())) => {}
-        Ok(Err(msg)) => {
-            record_failing_case(property, case_desc, &msg);
-            panic!("{property}: {msg}\n(scenario recorded under target/chaos-seeds/)");
-        }
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "non-string panic payload".into());
-            record_failing_case(property, case_desc, &format!("panic: {msg}"));
-            std::panic::resume_unwind(payload);
-        }
-    }
 }
 
 /// Builds a store with the scenario's data and (faulted) plan. Query
